@@ -13,6 +13,8 @@ family's modulus exponent k; the witness valuation is always reported.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -473,14 +475,21 @@ def scan(
 
 
 def _run_instances(instances, workers: int):
-    if workers <= 1 or len(instances) <= 1:
+    # More processes than cores or instances only adds start-up cost.
+    workers = min(workers, os.cpu_count() or 1, len(instances))
+    if workers <= 1:
         return [_verify_instance(t) for t in instances]
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_verify_instance, instances, chunksize=1))
-    except (BrokenProcessPool, OSError, PermissionError):
+    except (BrokenProcessPool, OSError) as exc:
         # Restricted environments fall back to the serial path; the report
         # order is the instance order either way.
+        print(
+            f"sclab: process pool unavailable ({type(exc).__name__}); "
+            "running serially",
+            file=sys.stderr,
+        )
         return [_verify_instance(t) for t in instances]
 
 

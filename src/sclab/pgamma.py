@@ -10,6 +10,23 @@ m in [0, p^k): arguments congruent mod p^N have values congruent mod p^N,
 so the representative determines the value to the working precision.  The
 stability test in the suite pins that assumption.
 
+The product is not formed one unit at a time, which would cost O(p^k).
+Write m = pT + s with 0 <= s < p.  The units below pT fall into T full
+blocks {pt + i : 0 < i < p}, and block t contributes Q(t), where
+
+    Q(t) = prod over 0 < i < p of (i + p t)
+
+is a polynomial in t whose t^n coefficient is divisible by p^n.  Products
+and Taylor shifts t -> t + A keep that property, so every coefficient of
+degree k or more vanishes mod p^k and dropping it is exact: no truncation
+error and no guard digits.  The T blocks multiply to the constant term of
+F_T(t) = Q(t) Q(t+1) ... Q(t+T-1), built by binary doubling with
+F_2A(t) = F_A(t) F_A(t+A) and F_A+1(t) = F_A(t) Q(t+A); the fewer than p
+tail units pT+1 ... pT+s-1 are multiplied directly.  One evaluation costs
+O(p k) to build Q (cached per p^k) plus O(k^2 log m) for the doubling.
+The one-multiply-per-element product stays as the defining reference and a
+test pins the fast route to it.
+
 Only odd p is supported; the sign conventions below are wrong at p = 2.
 """
 
@@ -47,8 +64,9 @@ def ap(x, p: int) -> int:
 def _unit_range_product_naive(lo: int, hi: int, p: int, modulus: int) -> int:
     """Product of j in [lo, hi) coprime to p, one multiply per element.
 
-    This is the defining computation; the blocked version below must agree
-    with it (pinned by a test).
+    This is the defining computation; the blocked version below and the
+    block-polynomial route of _gamma_at_integer must agree with it (pinned
+    by tests).
     """
     acc = 1
     for j in range(lo, hi):
@@ -72,10 +90,64 @@ def _unit_range_product(lo: int, hi: int, p: int, modulus: int) -> int:
     return acc
 
 
+@lru_cache(maxsize=64)
+def _block_polynomial(p: int, modulus: int) -> tuple:
+    """Coefficients of Q(t) = prod_{0<i<p} (i + p t) below degree k, where
+    modulus = p^k; the t^n coefficient is divisible by p^n, so the dropped
+    degrees vanish mod p^k."""
+    k = 1
+    while p ** k < modulus:
+        k += 1
+    coeffs = [1] + [0] * (k - 1)
+    for i in range(1, p):
+        for n in range(k - 1, 0, -1):
+            coeffs[n] = (i * coeffs[n] + p * coeffs[n - 1]) % modulus
+        coeffs[0] = i * coeffs[0] % modulus
+    return tuple(coeffs)
+
+
+def _mul_truncated(f, g, modulus: int) -> list:
+    """f * g mod modulus for coefficient lists of one length k, dropping
+    degrees k and up."""
+    return [
+        sum(f[i] * g[n - i] for i in range(n + 1)) % modulus
+        for n in range(len(f))
+    ]
+
+
+def _shift(f, a: int, modulus: int) -> list:
+    """Coefficients of f(t + a) mod modulus, by repeated synthetic division."""
+    c = list(f)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] = (c[j] + a * c[j + 1]) % modulus
+    return c
+
+
+def _block_product(blocks: int, p: int, modulus: int) -> int:
+    """Product of the units in [1, p * blocks) mod modulus: the constant
+    term of F_T(t) = prod_{t' < T} Q(t + t') for T = blocks, built from the
+    top bit of T down."""
+    q = _block_polynomial(p, modulus)
+    f = [1] + [0] * (len(q) - 1)
+    a = 0  # f holds F_a
+    for bit in bin(blocks)[2:]:
+        f = _mul_truncated(f, _shift(f, a, modulus), modulus)
+        a *= 2
+        if bit == "1":
+            f = _mul_truncated(f, _shift(q, a, modulus), modulus)
+            a += 1
+    return f[0]
+
+
 @lru_cache(maxsize=512)
 def _gamma_at_integer(m: int, p: int, modulus: int) -> int:
+    blocks = m // p
+    acc = _block_product(blocks, p, modulus) * _unit_range_product(
+        p * blocks + 1, m, p, modulus
+    )
     sign = -1 if m % 2 else 1
-    return sign * _unit_range_product(1, m, p, modulus) % modulus
+    return sign * acc % modulus
 
 
 def gamma_p_int(m: int, ctx: PadicContext) -> Residue:

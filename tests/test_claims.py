@@ -1,8 +1,10 @@
 import math
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 import pytest
 
+from sclab import claims
 from sclab.claims import (
     FAMILIES,
     InadmissibleInstanceError,
@@ -112,6 +114,17 @@ def test_rhs_residue_matches_full_precision():
         assert rhs_residue(claim, p, r) == rhs_residue_direct(claim, p, r)
 
 
+def test_rhs_residue_matches_full_precision_at_large_p():
+    # primes where the Gamma factors at full precision p^k are large
+    cases = [
+        ("conj3", 29, -1), ("d2", 23, 1), ("a1", 47, -1),
+        ("lr3", 97, None), ("conj1", 23, 1),
+    ]
+    for claim, p, r in cases:
+        assert rhs_residue(claim, p, r) == rhs_residue_direct(claim, p, r)
+    assert verify("conj3", 43, 1).passed
+
+
 def test_thm2_specializations_match_fixed_families():
     # r = 1 collapses onto the second d2 case, r = -1 onto the first a1
     # case, both mod p^5
@@ -203,6 +216,64 @@ def test_scan_worker_count_independence():
     serial = scan("lr3", 30, workers=1)
     parallel = scan("lr3", 30, workers=4)
     assert key(serial) == key(parallel)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps
+    serially, so no process is started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def _report_key(result):
+    return [
+        (rep.claim, rep.p, rep.r, rep.lhs_residue, rep.rhs_residue,
+         rep.witness_valuation, rep.passed)
+        for rep in result.reports
+    ]
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, expected",
+    [(8, 16, 4), (8, 3, 3), (2, 16, 2), (8, None, None), (1, 16, None)],
+)
+def test_scan_clamps_worker_count(monkeypatch, workers, cpus, expected):
+    # d2 up to 13 has four instances; None means no pool is made at all
+    monkeypatch.setattr(claims, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(claims.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    result = scan("d2", 13, workers=workers)
+    assert len(result.reports) == 4
+    assert _RecordingPool.sizes == ([] if expected is None else [expected])
+    assert _report_key(result) == _report_key(scan("d2", 13, workers=1))
+
+
+@pytest.mark.parametrize("error", [BrokenProcessPool, OSError, PermissionError])
+def test_scan_reports_serial_fallback(monkeypatch, capsys, error):
+    def failing_pool(max_workers):
+        raise error("no processes here")
+
+    monkeypatch.setattr(claims, "ProcessPoolExecutor", failing_pool)
+    monkeypatch.setattr(claims.os, "cpu_count", lambda: 4)
+    result = scan("d2", 13, workers=4)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert error.__name__ in captured.err
+    assert "serial" in captured.err
+    assert _report_key(result) == _report_key(scan("d2", 13, workers=1))
 
 
 def test_proof_chain_thm1():

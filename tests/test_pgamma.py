@@ -7,6 +7,7 @@ from sclab.pgamma import (
     NonPadicArgumentError,
     OddPrimeRequiredError,
     SpanHitsMultipleOfPError,
+    _gamma_at_integer,
     _unit_range_product,
     _unit_range_product_naive,
     ap,
@@ -68,6 +69,40 @@ def test_blocked_product_matches_naive(rng):
         assert _unit_range_product(1, m, p, modulus) == _unit_range_product_naive(
             1, m, p, modulus
         )
+
+
+def _defining_gamma(m, p, modulus):
+    sign = -1 if m % 2 else 1
+    return sign * _unit_range_product_naive(1, m, p, modulus) % modulus
+
+
+def test_block_polynomial_route_matches_naive_exhaustively():
+    # every m below 2 p^k for every p^k <= 2500; p = 3 and 5 are where
+    # v(j!) grows fastest.  The defining product is accumulated one m at a
+    # time, so the reference costs O(p^k) per modulus rather than O(p^2k).
+    for p in (3, 5, 7, 11, 13):
+        modulus = p
+        while modulus <= 2500:
+            units = 1
+            for m in range(2 * modulus):
+                if m:
+                    units = units * _unit_range_product_naive(
+                        m - 1, m, p, modulus
+                    ) % modulus
+                sign = -1 if m % 2 else 1
+                assert _gamma_at_integer(m, p, modulus) == sign * units % modulus, (
+                    m, p, modulus,
+                )
+            modulus *= p
+
+
+def test_block_polynomial_route_matches_naive_past_modulus(rng):
+    # representatives m >= p^k, which gamma_p_int accepts
+    for _ in range(80):
+        p = rng.choice(SMALL_PRIMES[:6])
+        modulus = p ** rng.randint(1, 4)
+        m = rng.randrange(10 * modulus)
+        assert _gamma_at_integer(m, p, modulus) == _defining_gamma(m, p, modulus)
 
 
 def test_reflection(rng):

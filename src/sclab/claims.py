@@ -362,7 +362,9 @@ class CongruenceReport:
     case_label: str
     lhs_residue: int
     rhs_residue: int
-    witness_valuation: int | None  # None means the difference is exactly 0
+    # None means the difference is exactly 0; capped at modulus_exponent
+    # when the right side carries Gamma factors
+    witness_valuation: int | None
     passed: bool
     elapsed_ms: float
 
@@ -402,7 +404,12 @@ def verify(
     ctx = PadicContext(p, k)
     lhs = lhs_value(claim_id, p, rr)
     rhs = rhs_residue(claim_id, p, rr, ctx)
+    form = rhs_form(claim_id, p, rr)
     witness = vp(lhs - rhs.value, p)
+    if form.gamma_factors:
+        # the right side is known only mod p^k, so any valuation past k
+        # depends on the representative picked for it
+        witness = min(witness, k)
     passed = witness >= k
     elapsed = (time.perf_counter() - started) * 1000.0
     return CongruenceReport(
@@ -410,7 +417,7 @@ def verify(
         p=p,
         r=rr,
         modulus_exponent=k,
-        case_label=rhs_form(claim_id, p, rr).case_label,
+        case_label=form.case_label,
         lhs_residue=ctx.reduce(lhs).value,
         rhs_residue=rhs.value,
         witness_valuation=None if witness == math.inf else witness,

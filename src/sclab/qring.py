@@ -4,9 +4,15 @@ the fifth-power vanishing claim.
 
 Divisibility by Phi_p^4 is tested over Q[q]; Phi_p is monic, so for
 integer polynomials this coincides with divisibility over Z[q] and no
-content bookkeeping is needed.  Negative powers of q are legal everywhere:
-q is a unit in the quotient ring, and the polynomial route tracks a
-Laurent shift that is a unit as well.
+content bookkeeping is needed.  For the same reason coefficients stay in
+Z: every modulus and every (1 - q^e)^n divisor here is monic up to sign,
+so multiplying, adding and reducing integer polynomials never leaves Z.
+A coefficient is an ``int`` whenever it is integral and a ``Fraction``
+only when it is not, which happens only in the ring inverse.
+
+Negative powers of q are legal everywhere: q is a unit in the quotient
+ring, and the polynomial route tracks a Laurent shift that is a unit as
+well.
 """
 
 from __future__ import annotations
@@ -22,13 +28,27 @@ class NonUnitFactorError(ValueError):
     """A q-shifted factorial factor is not invertible in the ring."""
 
 
+def _coefficient(c):
+    """An exact scalar as an int when it is integral, else as a Fraction.
+    Floats are rejected."""
+    if type(c) is int:
+        return c
+    c = as_rational(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class QPolynomial:
-    """Dense polynomial over Q; zero is the empty coefficient tuple."""
+    """Dense polynomial over Q; zero is the empty coefficient tuple.
+
+    Integral coefficients are stored as ``int`` and the rest as
+    ``Fraction``, so integer polynomials run in plain integer arithmetic.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        vec = [as_rational(c) for c in coeffs]
+        # the inline int test spares a call per coefficient on the hot path
+        vec = [c if type(c) is int else _coefficient(c) for c in coeffs]
         while vec and vec[-1] == 0:
             vec.pop()
         object.__setattr__(self, "coeffs", tuple(vec))
@@ -42,13 +62,13 @@ class QPolynomial:
 
     @classmethod
     def one(cls) -> "QPolynomial":
-        return cls((Fraction(1),))
+        return cls((1,))
 
     @classmethod
     def monomial(cls, degree: int, coefficient=1) -> "QPolynomial":
         if degree < 0:
             raise ValueError("monomial degree must be nonnegative")
-        return cls((Fraction(0),) * degree + (as_rational(coefficient),))
+        return cls((0,) * degree + (coefficient,))
 
     @property
     def degree(self) -> int:
@@ -87,7 +107,7 @@ class QPolynomial:
         small, big = self.coeffs, other.coeffs
         if len(small) > len(big):
             small, big = big, small
-        out = [Fraction(0)] * (len(small) + len(big) - 1)
+        out = [0] * (len(small) + len(big) - 1)
         for i, a in enumerate(small):
             if a:
                 for j, b in enumerate(big):
@@ -96,7 +116,7 @@ class QPolynomial:
         return QPolynomial(out)
 
     def scale(self, factor) -> "QPolynomial":
-        factor = as_rational(factor)
+        factor = _coefficient(factor)
         return QPolynomial([c * factor for c in self.coeffs])
 
     def shift(self, amount: int) -> "QPolynomial":
@@ -105,26 +125,30 @@ class QPolynomial:
             raise ValueError("use LaurentPolynomial for negative shifts")
         if self.is_zero:
             return self
-        return QPolynomial((Fraction(0),) * amount + self.coeffs)
+        return QPolynomial((0,) * amount + self.coeffs)
 
     def __divmod__(self, divisor: "QPolynomial"):
+        """Quotient and remainder.  A leading coefficient of +-1 is its own
+        inverse, so integer operands stay in integer arithmetic; any other
+        leading coefficient divides exactly through Fraction."""
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         dv = divisor.degree
         lead = divisor.coeffs[-1]
+        unit_lead = lead == 1 or lead == -1
         if len(rem) <= dv:
             return QPolynomial.zero(), QPolynomial(rem)
         # divisors here are often sparse (binomial powers); skip their zeros
         support = [(i, c) for i, c in enumerate(divisor.coeffs[:-1]) if c]
-        quo = [Fraction(0)] * (len(rem) - dv)
+        quo = [0] * (len(rem) - dv)
         for top in range(len(rem) - 1, dv - 1, -1):
             c = rem[top]
             if not c:
                 continue
-            c /= lead
+            c = c * lead if unit_lead else Fraction(c) / lead
             quo[top - dv] = c
-            rem[top] = Fraction(0)
+            rem[top] = 0
             base = top - dv
             for i, dcoef in support:
                 rem[base + i] -= c * dcoef
@@ -154,16 +178,14 @@ def cyclotomic_poly(p: int) -> QPolynomial:
     """Phi_p(q) = 1 + q + ... + q^(p-1) for prime p."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return QPolynomial((Fraction(1),) * p)
+    return QPolynomial((1,) * p)
 
 
 def binomial_factor(exponent: int) -> QPolynomial:
     """The polynomial 1 - q^e for e >= 1."""
     if exponent < 1:
         raise ValueError("exponent must be positive")
-    return QPolynomial(
-        (Fraction(1),) + (Fraction(0),) * (exponent - 1) + (Fraction(-1),)
-    )
+    return QPolynomial((1,) + (0,) * (exponent - 1) + (-1,))
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +246,8 @@ def q_integer_laurent(n: int) -> LaurentPolynomial:
     if n == 0:
         return LaurentPolynomial(QPolynomial.zero(), 0)
     if n > 0:
-        return LaurentPolynomial(QPolynomial((Fraction(1),) * n), 0)
-    return LaurentPolynomial(-QPolynomial((Fraction(1),) * (-n)), n)
+        return LaurentPolynomial(QPolynomial((1,) * n), 0)
+    return LaurentPolynomial(-QPolynomial((1,) * (-n)), n)
 
 
 def q_pochhammer_laurent(a_exponent: int, step: int, k: int) -> LaurentPolynomial:
@@ -311,7 +333,7 @@ class QRingElement:
             if other.ring != self.ring:
                 raise ValueError("mixed rings")
             return other
-        return self.ring.from_coeffs([as_rational(other)])
+        return self.ring.from_coeffs([other])
 
     def __add__(self, other):
         other = self._wrap(other)
@@ -402,13 +424,13 @@ def _euclid_inverse(value: QPolynomial, modulus: QPolynomial) -> QPolynomial:
         s0, s1 = s1, s0 - quo * s1
     if r1.is_zero:
         raise NonUnitFactorError("element shares a factor with the ring modulus")
-    return s1.scale(1 / r1.coeffs[0]) % modulus
+    return s1.scale(Fraction(1) / r1.coeffs[0]) % modulus
 
 
 def q_integer(n: int, ring: QRing) -> "QRingElement":
     """[n] = (1 - q^n)/(1 - q) in the ring; [n] = -q^n [-n] for n < 0."""
     if n >= 0:
-        return ring.from_coeffs((Fraction(1),) * n)
+        return ring.from_coeffs((1,) * n)
     return -(ring.q_power(n) * q_integer(-n, ring))
 
 
@@ -482,7 +504,9 @@ def verify_q_conjecture(p: int, r: int, exponent_twist: int = 0) -> QAnalogueRep
 
     # Route 1: the quotient ring.  (q^5;q^5)_k^-5 is rebuilt as the suffix
     # product (prod_{k<j<p} (1-q^(5j)))^5 times one global inverse, so the
-    # extended Euclid runs once rather than once per term.
+    # extended Euclid runs once rather than once per term.  The inverse is
+    # common to every term and multiplies the sum once at the end: the
+    # terms stay in Z[q], and only the inverse carries denominators.
     ring = QRing(p)
     full_block = q_pochhammer(5, 5, p - 1, ring) ** 5
     global_inverse = full_block.inverse()
@@ -500,9 +524,9 @@ def verify_q_conjecture(p: int, r: int, exponent_twist: int = 0) -> QAnalogueRep
             * ring.q_power(estep * k + exponent_twist * k)
             * rising5
             * suffix[k]
-            * global_inverse
         )
         total = total + term
+    total = total * global_inverse
     ring_zero = total.is_zero
 
     # Route 2: clear denominators.  With U_k = (q^r;q^5)_k^5 S_k^5 (S_k the

@@ -156,6 +156,18 @@ def test_verify_examples():
     assert rep.passed and rep.case_label == "p%6=5" and rep.modulus_exponent == 6
 
 
+def test_witness_capped_at_modulus_for_gamma_forms():
+    # a Gamma-form right side is known only mod p^k; with the residue in
+    # [0, p^k) these instances read 4, 7 and 7 uncapped
+    for claim, p, r, k in [("lr3", 59, None, 3), ("thm2", 5, -2, 5), ("conj1", 7, -1, 6)]:
+        rep = verify(claim, p, r)
+        assert rep.modulus_exponent == k
+        assert rep.witness_valuation == k and rep.passed
+    # thm1's right side is exactly 0, so its witness stays exact
+    assert verify("thm1", 3, -1).witness_valuation == 5
+    assert verify("thm1", 61, -7).witness_valuation == 5
+
+
 def test_verify_rejects_inadmissible():
     with pytest.raises(InadmissibleInstanceError):
         verify("thm1", 3, 1)

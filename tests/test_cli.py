@@ -177,3 +177,33 @@ def test_modk_lowering(capsys):
         capsys, "verify", "--claim", "d2", "--p", "7", "--modk", "7",
     )
     assert code == 2
+
+
+QVERIFY_GOLDEN = """[
+  {{
+    "claim": "qthm1",
+    "p": {p},
+    "r": {r},
+    "exponent_twist": {twist},
+    "ring_zero": {zero},
+    "division_zero": {zero},
+    "methods_agree": true,
+    "pass": {zero},
+    "elapsed_ms": 0
+  }}
+]
+"""
+
+
+@pytest.mark.parametrize(
+    "p, r, twist, zero, code",
+    [(7, 1, 0, "true", 0), (7, 1, 1, "false", 1), (13, -1, 0, "true", 0)],
+)
+def test_qverify_json_golden(capsys, p, r, twist, zero, code):
+    # recorded before the integer-coefficient ring; must stay byte-identical
+    got_code, out, _ = run(
+        capsys, "qverify", "--p", str(p), "--r", str(r), "--twist", str(twist),
+        "--format", "json", "--test-mode",
+    )
+    assert got_code == code
+    assert out == QVERIFY_GOLDEN.format(p=p, r=r, twist=twist, zero=zero)

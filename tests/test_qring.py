@@ -205,3 +205,86 @@ def test_binomial_factor():
     )
     with pytest.raises(ValueError):
         binomial_factor(0)
+
+
+def _all_int(poly):
+    return all(type(c) is int for c in poly.coeffs)
+
+
+def test_integer_coefficients_stay_int(rng):
+    ring = QRing(7)
+    for e in (-9, -1, 0, 3, 40):
+        assert _all_int(ring.q_power(e).residue)
+    for n in (-5, 0, 4, 30):
+        assert _all_int(q_integer(n, ring).residue)
+    block = q_pochhammer(-1, 5, 3, ring)
+    assert _all_int(block.residue)
+    assert _all_int((block * q_integer(9, ring)).residue)
+    assert _all_int((block ** 5).residue)
+    u = QPolynomial([rng.randint(-9, 9) for _ in range(30)])
+    for divisor in (cyclotomic_poly(7), binomial_factor(4), -binomial_factor(3)):
+        assert divisor.coeffs[-1] in (1, -1)
+        quo, rem = divmod(u, divisor)
+        assert _all_int(quo) and _all_int(rem)
+        assert quo * divisor + rem == u
+    assert QPolynomial([Fraction(4, 2)]).coeffs == (2,)
+    assert _all_int(QPolynomial([Fraction(4, 2)]))
+    assert type(QPolynomial([Fraction(1, 2)]).coeffs[0]) is Fraction
+    with pytest.raises(TypeError):
+        QPolynomial([0.5])
+
+
+def test_divmod_by_non_monic_integer_divisor(rng):
+    u = QPolynomial([rng.randint(-9, 9) for _ in range(12)])
+    divisors = [QPolynomial([3, 2])] + [
+        QPolynomial([rng.randint(-5, 5) for _ in range(rng.randint(1, 5))]
+                    + [rng.choice([-3, -2, 2, 5])])
+        for _ in range(20)
+    ]
+    for v in divisors:
+        quo, rem = divmod(u, v)
+        assert quo * v + rem == u
+        assert rem.degree < v.degree
+
+
+def _route1_terms(p, r, twist):
+    """The route-1 summands of verify_q_conjecture without the common
+    inverse of (q^5;q^5)_(p-1)^5, rebuilt from the public ring helpers."""
+    ring = QRing(p)
+    estep = 5 * (3 - r) // 2
+    inverse = (q_pochhammer(5, 5, p - 1, ring) ** 5).inverse()
+    terms = []
+    rising = ring.one  # (q^r;q^5)_k; its factors need not be units
+    for k in range(p):
+        terms.append(
+            q_integer(10 * k + r, ring)
+            * ring.q_power((estep + twist) * k)
+            * rising ** 5
+            * q_pochhammer(5 * (k + 1), 5, p - 1 - k, ring) ** 5
+        )
+        rising = rising * (ring.one - ring.q_power(r + 5 * k))
+    return ring, terms, inverse
+
+
+@pytest.mark.parametrize("p, r", [(7, 1), (13, -1)])
+@pytest.mark.parametrize("twist", [0, 1])
+def test_route1_inverse_factors_out_of_the_sum(p, r, twist):
+    ring, terms, inverse = _route1_terms(p, r, twist)
+    per_term = ring.zero
+    for term in terms:
+        per_term = per_term + term * inverse
+    factored = ring.zero
+    for term in terms:
+        factored = factored + term
+    factored = factored * inverse
+    assert per_term == factored
+    assert per_term.is_zero == (twist == 0)
+    assert verify_q_conjecture(p, r, twist).ring_zero == (twist == 0)
+
+
+def test_conjecture_at_larger_primes():
+    report = verify_q_conjecture(29, -3)
+    assert report.ring_zero and report.division_zero
+    control = verify_q_conjecture(23, -1, exponent_twist=1)
+    assert not control.ring_zero and not control.division_zero
+    assert control.methods_agree

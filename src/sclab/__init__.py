@@ -8,6 +8,7 @@ from .claims import (
     ProofChain,
     UnsupportedInstanceError,
     admissible,
+    lhs_residue,
     lhs_value,
     proof_chain_thm1,
     proof_chain_thm2,
@@ -23,6 +24,7 @@ from .hyperkernel import (
     check_whipple,
     conjugate_product_congruence,
     eval_truncated,
+    eval_truncated_residue,
 )
 from .padic import PadicContext, Residue, congruent, vp
 from .pgamma import ap, gamma_p, pochhammer_residue_via_gamma
@@ -53,8 +55,10 @@ __all__ = [
     "cyc_inverse",
     "cyc_mul",
     "eval_truncated",
+    "eval_truncated_residue",
     "factorial",
     "gamma_p",
+    "lhs_residue",
     "lhs_value",
     "pochhammer",
     "pochhammer_residue_via_gamma",

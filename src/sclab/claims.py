@@ -28,6 +28,7 @@ from .hyperkernel import (
     SeriesSpec,
     check_karlsson_minton,
     eval_truncated,
+    eval_truncated_residue,
     hypergeometric_sum,
     rising,
 )
@@ -245,6 +246,13 @@ def lhs_value(claim_id: str, p: int, r: int | None = None) -> Fraction:
     return eval_truncated(lhs_spec(claim_id, p, r))
 
 
+def lhs_residue(claim_id: str, p: int, r: int | None, ctx: PadicContext) -> Residue:
+    """Residue of the claim's truncated series mod ctx's p^K.  Every term
+    (wk + r)(a)_k^e / k!^e with k < p has a p-adic unit denominator, so
+    this is exact, in O(p) modular multiplies."""
+    return eval_truncated_residue(lhs_spec(claim_id, p, r), ctx)
+
+
 # ---------------------------------------------------------------------------
 # Right sides
 # ---------------------------------------------------------------------------
@@ -325,12 +333,18 @@ def _assemble_residue(form: ClosedForm, ctx: PadicContext, full_precision: bool)
     return Residue(ctx.p ** v * acc % ctx.modulus, ctx)
 
 
+def _hand_verified(fam: FamilyInfo, p: int) -> bool:
+    """thm2/conj1 at p = 2: outside the odd-p Gamma evaluator, established
+    by direct hand computation instead."""
+    return fam.id in ("thm2", "conj1") and p == 2
+
+
 def rhs_residue(claim_id: str, p: int, r: int | None = None, ctx: PadicContext | None = None) -> Residue:
     """Residue of the closed form mod p^k (k from ctx, default the family's)."""
     fam = family(claim_id)
     if ctx is None:
         ctx = PadicContext(p, fam.modulus_exponent)
-    if fam.id in ("thm2", "conj1") and p == 2:
+    if _hand_verified(fam, p):
         raise UnsupportedInstanceError(
             "the Gamma evaluator requires odd p; the p = 2, r = 1 instance "
             "is established by direct hand computation and excluded here"
@@ -384,6 +398,12 @@ def _resolve_exponent(fam: FamilyInfo, modulus_exponent: int | None) -> int:
     return modulus_exponent
 
 
+# Extra p-adic digits of the left side beyond the modulus exponent k.  A
+# difference that is nonzero mod p^(k + 3) has an exact valuation below
+# k + 3; only a zero there sends verify back to the exact sum.
+LHS_GUARD_DIGITS = 3
+
+
 def verify(
     claim_id: str,
     p: int,
@@ -402,14 +422,21 @@ def verify(
     k = _resolve_exponent(fam, modulus_exponent)
     started = time.perf_counter()
     ctx = PadicContext(p, k)
-    lhs = lhs_value(claim_id, p, rr)
+    wide = PadicContext(p, k + LHS_GUARD_DIGITS)
+    lhs = lhs_residue(claim_id, p, rr, wide)
     rhs = rhs_residue(claim_id, p, rr, ctx)
     form = rhs_form(claim_id, p, rr)
-    witness = vp(lhs - rhs.value, p)
+    difference = (lhs.value - rhs.value) % wide.modulus
     if form.gamma_factors:
         # the right side is known only mod p^k, so any valuation past k
         # depends on the representative picked for it
-        witness = min(witness, k)
+        witness = min(vp(difference, p), k)
+    elif difference:
+        # the right side is exact, and a nonzero difference mod p^(k + 3)
+        # has its exact valuation
+        witness = vp(difference, p)
+    else:
+        witness = vp(lhs_value(claim_id, p, rr) - rhs.value, p)
     passed = witness >= k
     elapsed = (time.perf_counter() - started) * 1000.0
     return CongruenceReport(
@@ -418,7 +445,7 @@ def verify(
         r=rr,
         modulus_exponent=k,
         case_label=form.case_label,
-        lhs_residue=ctx.reduce(lhs).value,
+        lhs_residue=lhs.value % ctx.modulus,
         rhs_residue=rhs.value,
         witness_valuation=None if witness == math.inf else witness,
         passed=passed,
@@ -470,7 +497,7 @@ def scan(
             if not admissible(claim_id, p, r):
                 skipped += 1
                 continue
-            if fam.id in ("thm2", "conj1") and p == 2:
+            if _hand_verified(fam, p):
                 excluded.append(
                     (p, r, "established by direct hand computation; "
                            "outside the odd-p Gamma evaluator")
@@ -614,12 +641,12 @@ def proof_chain_thm1(p: int, r: int) -> ProofChain:
 
     tail_ratio_ok = True
     tail_witness = math.inf
+    rising_a, k_factorial = pochhammer(a, n), math.factorial(n)
     for k in range(n + 1, p):
-        ratio_v = vp(pochhammer(a, k) / math.factorial(k), p)
-        term_v = vp(
-            (10 * k + r) * pochhammer(a, k) ** 5 / Fraction(math.factorial(k)) ** 5,
-            p,
-        )
+        rising_a *= a + (k - 1)
+        k_factorial *= k
+        ratio_v = vp(rising_a / k_factorial, p)
+        term_v = vp((10 * k + r) * rising_a ** 5 / Fraction(k_factorial) ** 5, p)
         tail_ratio_ok = tail_ratio_ok and ratio_v >= 1
         tail_witness = min(tail_witness, term_v)
     chain._add(

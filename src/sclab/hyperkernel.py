@@ -9,17 +9,21 @@ A series here is a finite weighted sum
 
 with all scalars in one coefficient domain.  Everything is exact: a check
 returns True only when both sides are literally equal as field elements.
+``eval_truncated_residue`` is the one modular route: the residue of a
+rational series mod p^K, exact whenever its term denominators are p-adic
+units.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .cyclotomic import CycElement
-from .padic import vp
+from .padic import NonIntegralInputError, PadicContext, Residue, vp
 from .rationals import as_rational, pochhammer
 
 Scalar = Union[int, Fraction, CycElement]
@@ -110,6 +114,69 @@ def eval_truncated(spec: SeriesSpec) -> Scalar:
                 den = den * (b + k)
             term = term * num / den
     return total
+
+
+def eval_truncated_residue(spec: SeriesSpec, ctx: PadicContext) -> Residue:
+    """Residue mod p^K of the truncated sum of a rational spec, in O(N)
+    integer multiplies mod p^K.
+
+    Each step's ratio z * prod (a_i + k) / ((k + 1)^e * prod (b_j + k)) is
+    split into an integer numerator and denominator.  The running term and
+    the running sum share one denominator, the product of the ratio
+    denominators so far, which is inverted once at the end.  That is exact
+    when every denominator factor of a nonzero term, and the weight's
+    denominator, is prime to p; NonIntegralInputError is raised otherwise.
+    The sum stops early at a term that is exactly zero (a terminating upper
+    parameter).
+    """
+    values = list(spec.upper) + list(spec.lower) + [spec.argument] + list(spec.weight)
+    if any(isinstance(v, CycElement) for v in values):
+        raise TypeError("the residue route takes rational parameters only")
+    p, modulus = ctx.p, ctx.modulus
+    upper = [as_rational(a) for a in spec.upper]
+    lower = [as_rational(b) for b in spec.lower]
+    z = as_rational(spec.argument)
+    n_terms = spec.truncation
+    for b in lower:
+        if b.denominator == 1 and 0 <= -b < n_terms - 1:
+            raise PoleInRangeError(f"lower parameter {b!r} vanishes at shift {-b}")
+    w_slope, w_const = (as_rational(w) for w in spec.weight)
+    w_den = w_slope.denominator * w_const.denominator
+    w_step = w_slope.numerator * w_const.denominator
+    w_start = w_const.numerator * w_slope.denominator
+    # the ratio's constant parts: z and the parameters' denominators
+    num_const = z.numerator * math.prod(b.denominator for b in lower)
+    den_const = z.denominator * math.prod(a.denominator for a in upper)
+    ups = [(a.numerator, a.denominator) for a in upper]
+    lows = [(b.numerator, b.denominator) for b in lower]
+    e = spec.factorial_power
+    if w_den % p == 0:
+        raise NonIntegralInputError(f"the weight's denominator is divisible by {p}")
+    total = 0  # the partial sum times den
+    term = 1  # the current term times den
+    den = 1
+    for k in range(n_terms):
+        total = (total + (w_step * k + w_start) * term) % modulus
+        if k + 1 == n_terms:
+            break
+        num = num_const
+        for an, ad in ups:
+            num *= an + k * ad
+        if num == 0:
+            break
+        step_den = den_const * (k + 1) ** e
+        for bn, bd in lows:
+            step_den *= bn + k * bd
+        if step_den % p == 0:
+            raise NonIntegralInputError(
+                f"the term ratio's denominator at k = {k} is divisible by {p}"
+            )
+        # move the sum onto the next term's denominator den * step_den
+        total = total * step_den % modulus
+        term = term * num % modulus
+        den = den * step_den % modulus
+    value = total * pow(den * w_den, -1, modulus) % modulus
+    return Residue(value, ctx)
 
 
 def hypergeometric_sum(upper, lower, n_terms: int, argument: Scalar = 1) -> Scalar:

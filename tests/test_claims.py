@@ -10,6 +10,7 @@ from sclab.claims import (
     InadmissibleInstanceError,
     UnsupportedInstanceError,
     admissible,
+    lhs_residue,
     lhs_spec,
     lhs_value,
     proof_chain_thm1,
@@ -21,7 +22,7 @@ from sclab.claims import (
     scan,
     verify,
 )
-from sclab.padic import PadicContext, vp
+from sclab.padic import NonIntegralInputError, PadicContext, vp
 from sclab.pgamma import gamma_p
 from sclab.rationals import pochhammer, primes_in
 
@@ -364,3 +365,81 @@ def test_scan_counts_inadmissible():
     # primes 2..10 are {2,3,5,7}; only 2 and 7 qualify
     assert [rep.p for rep in result.reports] == [2, 7]
     assert result.skipped_inadmissible == 2
+
+
+def _default_sweep_instances():
+    """Every admissible (claim, p, r) of the seven default sweeps."""
+    return [
+        (fam.id, p, r)
+        for fam in FAMILIES.values()
+        for p in primes_in(2, fam.default_p_max)
+        for r in sorted(set(fam.default_r_values))
+        if admissible(fam.id, p, r)
+    ]
+
+
+def test_lhs_residue_matches_exact_value():
+    instances = _default_sweep_instances() + [("thm1", 1013, -1), ("thm2", 1013, 1)]
+    assert admissible("thm1", 1013, -1) and admissible("thm2", 1013, 1)
+    for claim, p, r in instances:
+        ctx = PadicContext(p, FAMILIES[claim].modulus_exponent + claims.LHS_GUARD_DIGITS)
+        assert lhs_residue(claim, p, r, ctx) == ctx.reduce(lhs_value(claim, p, r)), (claim, p, r)
+
+
+def _verify_by_exact_sum(claim, p, r):
+    """verify's fields as computed before the residue route, over the exact
+    left side."""
+    k = FAMILIES[claim].modulus_exponent
+    ctx = PadicContext(p, k)
+    lhs = lhs_value(claim, p, r)
+    rhs = rhs_residue(claim, p, r, ctx)
+    form = rhs_form(claim, p, r)
+    witness = vp(lhs - rhs.value, p)
+    if form.gamma_factors:
+        witness = min(witness, k)
+    return (
+        claim, p, r, k, form.case_label, ctx.reduce(lhs).value, rhs.value,
+        None if witness == math.inf else witness, witness >= k,
+    )
+
+
+def test_verify_matches_exact_formula_on_default_sweeps():
+    for claim, p, r in _default_sweep_instances():
+        if claim in ("thm2", "conj1") and p == 2:
+            continue  # outside the Gamma evaluator on either route
+        rep = verify(claim, p, r)
+        got = (
+            rep.claim, rep.p, rep.r, rep.modulus_exponent, rep.case_label,
+            rep.lhs_residue, rep.rhs_residue, rep.witness_valuation, rep.passed,
+        )
+        assert got == _verify_by_exact_sum(claim, p, r)
+
+
+def test_lhs_residue_rejects_non_unit_denominator():
+    # thm1's shape (r/5)_k at p = 5, where the family is never admissible
+    with pytest.raises(NonIntegralInputError):
+        lhs_residue("thm1", 5, 1, PadicContext(5, 7))
+
+
+def test_verify_exact_fallback_when_residue_difference_vanishes(monkeypatch):
+    # with no guard digits the thm1 difference at (2, 1), of valuation 6,
+    # is 0 mod 2^4, so verify falls back to the exact sum
+    calls = []
+    monkeypatch.setattr(claims, "LHS_GUARD_DIGITS", 0)
+    monkeypatch.setattr(
+        claims, "lhs_value", lambda *args: calls.append(args) or lhs_value(*args)
+    )
+    rep = verify("thm1", 2, 1)
+    assert rep.witness_valuation == 6 and rep.passed
+    assert calls == [("thm1", 2, 1)]
+    assert rep.lhs_residue == PadicContext(2, 4).reduce(lhs_value("thm1", 2, 1)).value
+
+
+def test_thm1_sweep_never_takes_the_exact_fallback(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"exact left side computed for {args}")
+
+    monkeypatch.setattr(claims, "lhs_value", refuse)
+    result = scan("thm1", 200)
+    assert result.reports and result.all_passed
+    assert max(rep.witness_valuation for rep in result.reports) == 6

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -207,3 +208,24 @@ def test_qverify_json_golden(capsys, p, r, twist, zero, code):
     )
     assert got_code == code
     assert out == QVERIFY_GOLDEN.format(p=p, r=r, twist=twist, zero=zero)
+
+
+# sha256 of `sclab scan --claim X --format json --test-mode` at the default
+# bound, recorded with the exact-Fraction left side; the residue route must
+# give the same bytes
+SCAN_GOLDEN_SHA256 = {
+    "a1": "658f11ac094df6a759e10ebb975445a9533be251aaf1fb4275830a65326c051d",
+    "conj1": "ea6540aca641cbee8dccedff929d5695c964ff442891f668a742671c51fa8d7b",
+    "conj3": "bcf03b2bd60997536360c92c53fc6b286ffffb4e74bd7de6b5666640ec576398",
+    "d2": "89856c52c16528a9b57f472e7046737d7276b88a846aabb6e6473468b1c65120",
+    "lr3": "0e8f2797ca9346229349a6a9d3d5a8f459391a874f544af1ddaad149a1f9414c",
+    "thm1": "cc199be59d8836552e23ec9946c94335b276c12ebd953f9208c9dcd5d2433955",
+    "thm2": "0227bf0520ecb6cc481eb974fc9b142c61373803ac985b37fd85d469a69b9154",
+}
+
+
+@pytest.mark.parametrize("claim", sorted(SCAN_GOLDEN_SHA256))
+def test_scan_json_golden(capsys, claim):
+    code, out, _ = run(capsys, "scan", "--claim", claim, "--format", "json", "--test-mode")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_GOLDEN_SHA256[claim]

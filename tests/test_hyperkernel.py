@@ -13,13 +13,14 @@ from sclab.hyperkernel import (
     check_whipple,
     conjugate_product_congruence,
     eval_truncated,
+    eval_truncated_residue,
     fuzz_d1,
     fuzz_karlsson_minton,
     fuzz_whipple,
     hypergeometric_sum,
     rising,
 )
-from sclab.padic import vp
+from sclab.padic import NonIntegralInputError, PadicContext, vp
 
 # Frozen by the direct-summation oracle below: the weighted fifth-power sum
 # at p = 7, r = 1, whose 7-adic valuation is 4.
@@ -218,3 +219,96 @@ def test_rising_generic_matches_rational():
     assert value.is_rational
     assert value.rational_value() == rising(Fraction(1, 2), 4)
     assert rising(z, 0) == CycElement.one(5)
+
+
+def _random_residue_spec(rng, p):
+    """A rational spec with lower parameters and an argument that is not 1:
+    sometimes a multiple of p, sometimes with a unit denominator; upper
+    parameters are sometimes nonpositive integers, so the sum terminates."""
+
+    def unit_rational(bound):
+        while True:
+            den = rng.randint(1, bound)
+            if den % p:
+                return Fraction(rng.randint(-bound, bound), den)
+
+    upper = tuple(
+        Fraction(-rng.randint(0, 3)) if rng.random() < 0.2 else unit_rational(12)
+        for _ in range(rng.randint(0, 3))
+    )
+    lower = tuple(unit_rational(12) for _ in range(rng.randint(1, 3)))
+    argument = p * unit_rational(6) if rng.random() < 0.5 else unit_rational(6)
+    return SeriesSpec(
+        upper=upper,
+        lower=lower,
+        argument=argument,
+        truncation=rng.randint(0, p),
+        weight=(unit_rational(9), unit_rational(9)),
+        factorial_power=rng.randint(0, 3),
+    )
+
+
+def test_eval_truncated_residue_matches_exact_on_random_specs(rng):
+    checked = 0
+    for _ in range(400):
+        p = rng.choice([3, 5, 7, 11, 13])
+        ctx = PadicContext(p, rng.randint(1, 6))
+        spec = _random_residue_spec(rng, p)
+        try:
+            exact = eval_truncated(spec)
+        except PoleInRangeError:
+            with pytest.raises(PoleInRangeError):
+                eval_truncated_residue(spec, ctx)
+            continue
+        try:
+            residue = eval_truncated_residue(spec, ctx)
+        except NonIntegralInputError:
+            continue  # a ratio denominator in range is divisible by p
+        assert residue == ctx.reduce(exact)
+        checked += 1
+    assert checked >= 200
+
+
+def test_eval_truncated_residue_stops_at_a_terminating_parameter():
+    # the upper -2 ends the sum before k + 1 reaches p = 3, so the later
+    # denominators that p divides are never needed
+    spec = SeriesSpec(
+        upper=(Fraction(-2), Fraction(1, 2)), lower=(Fraction(1, 4),), truncation=9
+    )
+    ctx = PadicContext(3, 4)
+    assert eval_truncated_residue(spec, ctx) == ctx.reduce(eval_truncated(spec))
+
+
+def test_eval_truncated_residue_rejects_non_unit_denominator():
+    # the thm1 shape (r/5)_k^5 at p = 5: 5 divides every parameter's denominator
+    spec = SeriesSpec(
+        upper=(Fraction(1, 5),) * 5,
+        lower=(),
+        truncation=5,
+        weight=(Fraction(10), Fraction(1)),
+        factorial_power=5,
+    )
+    with pytest.raises(NonIntegralInputError):
+        eval_truncated_residue(spec, PadicContext(5, 7))
+    # a weight with p in its denominator
+    spec = SeriesSpec(upper=(), lower=(), truncation=2, weight=(Fraction(0), Fraction(1, 7)))
+    with pytest.raises(NonIntegralInputError):
+        eval_truncated_residue(spec, PadicContext(7, 2))
+
+
+def test_eval_truncated_residue_rejects_field_coefficients():
+    spec = SeriesSpec(
+        upper=(Fraction(1, 2),), lower=(Fraction(3),), argument=CycElement.zeta(4), truncation=3
+    )
+    with pytest.raises(TypeError):
+        eval_truncated_residue(spec, PadicContext(5, 3))
+
+
+def test_eval_truncated_residue_pole_detection():
+    spec = SeriesSpec(upper=(Fraction(1),), lower=(Fraction(-2),), truncation=5)
+    with pytest.raises(PoleInRangeError):
+        eval_truncated_residue(spec, PadicContext(7, 2))
+    # the pole at shift 2 lies outside a three-term sum, as for eval_truncated
+    spec = SeriesSpec(upper=(Fraction(1),), lower=(Fraction(-2),), truncation=3)
+    ctx = PadicContext(7, 2)
+    assert eval_truncated_residue(spec, ctx) == ctx.reduce(eval_truncated(spec))

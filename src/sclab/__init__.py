@@ -16,7 +16,7 @@ from .claims import (
     scan,
     verify,
 )
-from .cyclotomic import CycElement, cyc_inverse, cyc_mul, root_power_sum_check
+from .cyclotomic import CycElement, root_power_sum_check
 from .hyperkernel import (
     SeriesSpec,
     check_d1,
@@ -52,8 +52,6 @@ __all__ = [
     "check_whipple",
     "congruent",
     "conjugate_product_congruence",
-    "cyc_inverse",
-    "cyc_mul",
     "eval_truncated",
     "eval_truncated_residue",
     "factorial",

@@ -568,8 +568,10 @@ def _witness_of(difference: Fraction, p: int):
 
 
 def _cyc_valuation(u: CycElement, p: int):
-    """Coordinate-wise valuation min_i v_p(coefficient_i)."""
-    return min((vp(c, p) for c in u.coeffs if c != 0), default=math.inf)
+    """Coordinate-wise valuation min_i v_p(coefficient_i), read off the
+    integer numerators and their one denominator."""
+    top = min((vp(a, p) for a in u.nums if a), default=math.inf)
+    return top - vp(u.den, p)
 
 
 def proof_chain_thm1(p: int, r: int) -> ProofChain:

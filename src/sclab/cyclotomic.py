@@ -3,24 +3,29 @@ cyclotomic polynomial.
 
 Order 4 supplies the square root of -1, order 5 a primitive fifth root of
 unity; order 1 is plain Q kept in the same shape so generic series code
-does not special-case it.  Elements are dense coefficient vectors of
-length phi(n) over Fraction.  Only these three orders exist here; there is
+does not special-case it.  Only these three orders exist here; there is
 no general number-field machinery.
+
+An element is phi(n) integer numerators over one positive integer
+denominator, in canonical form: gcd(den, *nums) = 1, so two elements are
+equal exactly when their fields are.  Phi_n is monic with coefficients
+0 and +-1, so products are reduced in integers.  The inverse comes from the
+norm: u * prod_j sigma_j(u) = N(u) is rational, where sigma_j sends x to
+x^j over the units j mod n other than 1.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .rationals import as_rational
 
-# Cyclotomic moduli, low degree first:  x-1,  x^2+1,  x^4+x^3+x^2+x+1.
-_MODULUS = {
-    1: (Fraction(-1), Fraction(1)),
-    4: (Fraction(1), Fraction(0), Fraction(1)),
-    5: (Fraction(1), Fraction(1), Fraction(1), Fraction(1), Fraction(1)),
-}
-_DEGREE = {1: 1, 4: 2, 5: 4}
+# Phi_n below its leading x^deg term, low degree first:
+# x - 1,  x^2 + 1,  x^4 + x^3 + x^2 + x + 1.
+_MODULUS = {1: (-1,), 4: (1, 0), 5: (1, 1, 1, 1)}
+# sigma_j: x -> x^j for the units j mod n other than 1.
+_CONJUGATES = {1: (), 4: (3,), 5: (2, 3, 4)}
 
 SUPPORTED_ORDERS = tuple(sorted(_MODULUS))
 
@@ -29,44 +34,81 @@ class OrderMismatchError(ValueError):
     """Raised when two elements from different cyclotomic orders are mixed."""
 
 
-def _reduce(order: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+def _reduce(order: int, nums: list[int]) -> list[int]:
+    """The remainder of an integer polynomial mod Phi_n, of length phi(n)."""
     mod = _MODULUS[order]
-    deg = _DEGREE[order]
-    for i in range(len(coeffs) - 1, deg - 1, -1):
-        lead = coeffs[i]
+    deg = len(mod)
+    for i in range(len(nums) - 1, deg - 1, -1):
+        lead = nums[i]
         if lead:
-            coeffs[i] = Fraction(0)
             for j in range(deg):
-                coeffs[i - deg + j] -= lead * mod[j]
-    coeffs = coeffs[:deg] + [Fraction(0)] * (deg - len(coeffs))
-    return tuple(coeffs[:deg])
+                if mod[j]:
+                    nums[i - deg + j] -= lead * mod[j]
+    return nums[:deg] + [0] * (deg - len(nums))
+
+
+def _convolve(u, v) -> list[int]:
+    out = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        if a:
+            for j, b in enumerate(v):
+                out[i + j] += a * b
+    return out
+
+
+def _conjugate(order: int, nums, j: int) -> list[int]:
+    """The numerators of sigma_j(u): coefficient i moves to x^(i*j mod n)."""
+    out = [0] * order
+    for i, a in enumerate(nums):
+        out[i * j % order] += a
+    return _reduce(order, out)
 
 
 class CycElement:
-    """An element of Q[x]/Phi_n(x), n in {1, 4, 5}."""
+    """An element of Q[x]/Phi_n(x), n in {1, 4, 5}: ``nums`` over ``den``."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
-    def __init__(self, order: int, coeffs) -> None:
+    def __new__(cls, order: int, coeffs) -> "CycElement":
         if order not in _MODULUS:
             raise ValueError(f"unsupported cyclotomic order {order}")
-        object.__setattr__(self, "order", order)
         vec = [as_rational(c) for c in coeffs]
-        object.__setattr__(self, "coeffs", _reduce(order, vec))
+        den = math.lcm(*(c.denominator for c in vec)) if vec else 1
+        nums = [c.numerator * (den // c.denominator) for c in vec]
+        return cls._make(order, _reduce(order, nums), den)
+
+    @classmethod
+    def _make(cls, order: int, nums, den: int) -> "CycElement":
+        """nums/den, reduced mod Phi_n and den nonzero, in canonical form."""
+        if den < 0:
+            nums, den = [-a for a in nums], -den
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                nums, den = [a // g for a in nums], den // g
+        out = object.__new__(cls)
+        object.__setattr__(out, "order", order)  # past the immutable __setattr__
+        object.__setattr__(out, "nums", tuple(nums))
+        object.__setattr__(out, "den", den)
+        return out
 
     def __setattr__(self, name, value):  # immutable value type
         raise AttributeError("CycElement is immutable")
 
     @classmethod
     def from_rational(cls, order: int, value) -> "CycElement":
-        return cls(order, [as_rational(value)])
+        if order not in _MODULUS:
+            raise ValueError(f"unsupported cyclotomic order {order}")
+        if type(value) is not Fraction:
+            value = as_rational(value)
+        nums = [0] * len(_MODULUS[order])
+        nums[0] = value.numerator
+        return cls._make(order, nums, value.denominator)
 
     @classmethod
     def zeta(cls, order: int) -> "CycElement":
         """The residue class of x: i for order 4, a fifth root for order 5."""
-        if order == 1:
-            return cls(order, [Fraction(1)])
-        return cls(order, [Fraction(0), Fraction(1)])
+        return cls(order, [0, 1])
 
     @classmethod
     def zero(cls, order: int) -> "CycElement":
@@ -74,7 +116,12 @@ class CycElement:
 
     @classmethod
     def one(cls, order: int) -> "CycElement":
-        return cls(order, [Fraction(1)])
+        return cls(order, [1])
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of 1, x, ..., x^(phi(n)-1) as Fractions."""
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     # -- coercion ---------------------------------------------------------
 
@@ -85,20 +132,28 @@ class CycElement:
                     f"cannot mix orders {self.order} and {other.order}"
                 )
             return other
-        return CycElement(self.order, [as_rational(other)])
+        return CycElement.from_rational(self.order, other)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
+        den = self.den
+        if type(other) is int:
+            return CycElement._make(self.order, (self.nums[0] + den * other,) + self.nums[1:], den)
         other = self._wrap(other)
-        return CycElement(
-            self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        d2 = other.den
+        if den == d2:
+            nums = [a + b for a, b in zip(self.nums, other.nums)]
+            return CycElement._make(self.order, nums, den)
+        g = math.gcd(den, d2)
+        s1, s2 = d2 // g, den // g
+        nums = [a * s1 + b * s2 for a, b in zip(self.nums, other.nums)]
+        return CycElement._make(self.order, nums, den * s1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycElement(self.order, [-a for a in self.coeffs])
+        return CycElement._make(self.order, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
         return self + (-self._wrap(other))
@@ -107,14 +162,13 @@ class CycElement:
         return self._wrap(other) - self
 
     def __mul__(self, other):
+        if not isinstance(other, CycElement):  # a rational scalar
+            c = other if type(other) is Fraction else as_rational(other)
+            nums = [a * c.numerator for a in self.nums]
+            return CycElement._make(self.order, nums, self.den * c.denominator)
         other = self._wrap(other)
-        out = [Fraction(0)] * (2 * len(self.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return CycElement(self.order, out)
+        nums = _reduce(self.order, _convolve(self.nums, other.nums))
+        return CycElement._make(self.order, nums, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -138,19 +192,16 @@ class CycElement:
         return out
 
     def inverse(self) -> "CycElement":
-        """Multiplicative inverse via extended Euclid against Phi_n over Q."""
+        """Multiplicative inverse from the norm: u^-1 = prod_j sigma_j(u) / N(u)."""
         if self.is_zero:
             raise ZeroDivisionError("zero has no inverse")
-        mod = list(_MODULUS[self.order])
-        r0, s0 = mod, [Fraction(0)]
-        r1, s1 = list(self.coeffs), [Fraction(1)]
-        while _poly_degree(r1) > 0:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # Phi_n is irreducible, so the gcd is a nonzero constant.
-        g = r1[0]
-        return CycElement(self.order, [c / g for c in s1])
+        order = self.order
+        cofactor = [1]
+        for j in _CONJUGATES[order]:
+            cofactor = _reduce(order, _convolve(cofactor, _conjugate(order, self.nums, j)))
+        # nums * cofactor is the integer N(nums), a rational element
+        norm = _reduce(order, _convolve(self.nums, cofactor))[0]
+        return CycElement._make(order, [self.den * a for a in cofactor], norm)
 
     # -- predicates ---------------------------------------------------------
 
@@ -159,37 +210,27 @@ class CycElement:
             other = self._wrap(other)
         except (TypeError, ValueError):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.nums, self.den))
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     @property
     def is_rational(self) -> bool:
         """True when every coefficient beyond the constant term is zero."""
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"element is not rational: {self!r}")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def __repr__(self):
         return f"CycElement(order={self.order}, coeffs={self.coeffs})"
-
-
-def cyc_mul(u: CycElement, v: CycElement) -> CycElement:
-    """Product of two elements of the same order, reduced mod Phi_n."""
-    return u * v
-
-
-def cyc_inverse(u: CycElement) -> CycElement:
-    """Inverse of a nonzero element; raises ZeroDivisionError on zero."""
-    return u.inverse()
 
 
 def root_power_sum_check(n: int) -> bool:
@@ -204,48 +245,3 @@ def root_power_sum_check(n: int) -> bool:
     for e in range(5):
         total = total + z ** e
     return total.is_zero
-
-
-# -- dense polynomial helpers over Fraction lists ---------------------------
-
-
-def _poly_degree(p: list[Fraction]) -> int:
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
-def _poly_mul(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(u) + len(v) - 1 if u and v else 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                if b:
-                    out[i + j] += a * b
-    return out
-
-
-def _poly_sub(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(u), len(v))
-    for i, a in enumerate(u):
-        out[i] += a
-    for i, b in enumerate(v):
-        out[i] -= b
-    return out
-
-
-def _poly_divmod(u: list[Fraction], v: list[Fraction]):
-    dv = _poly_degree(v)
-    if dv < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(u)
-    du = _poly_degree(rem)
-    quo = [Fraction(0)] * max(du - dv + 1, 1)
-    while du >= dv:
-        coef = rem[du] / v[dv]
-        quo[du - dv] = coef
-        for i in range(dv + 1):
-            rem[du - dv + i] -= coef * v[i]
-        du = _poly_degree(rem)
-    return quo, rem

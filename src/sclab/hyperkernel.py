@@ -84,12 +84,62 @@ class SeriesSpec:
             raise ValueError("factorial power must be nonnegative")
 
 
+def _integer_weight(weight) -> tuple[int, int, int]:
+    """The weight m*k + r as (step, start, den): (step*k + start) / den."""
+    w_slope, w_const = (as_rational(w) for w in weight)
+    return (
+        w_slope.numerator * w_const.denominator,
+        w_const.numerator * w_slope.denominator,
+        w_slope.denominator * w_const.denominator,
+    )
+
+
+def _integer_ratios(spec: SeriesSpec):
+    """Split the term ratios of a rational spec into integers.
+
+    Raises PoleInRangeError when a lower rising factorial vanishes inside
+    the truncation, and otherwise returns an iterator over the pairs
+    (num_k, den_k), den_k nonzero, with term_{k+1} = term_k * num_k / den_k
+    for k = 0, ..., N - 2.  The ratio z * prod (a_i + k) / ((k + 1)^e *
+    prod (b_j + k)) is put over the parameters' denominators once.
+    """
+    upper = [as_rational(a) for a in spec.upper]
+    lower = [as_rational(b) for b in spec.lower]
+    z = as_rational(spec.argument)
+    n_terms = spec.truncation
+    for b in lower:
+        if b.denominator == 1 and 0 <= -b < n_terms - 1:
+            raise PoleInRangeError(f"lower parameter {b!r} vanishes at shift {-b}")
+    num_const = z.numerator * math.prod(b.denominator for b in lower)
+    den_const = z.denominator * math.prod(a.denominator for a in upper)
+    ups = [(a.numerator, a.denominator) for a in upper]
+    lows = [(b.numerator, b.denominator) for b in lower]
+    e = spec.factorial_power
+
+    def ratios():
+        for k in range(n_terms - 1):
+            num = num_const
+            for an, ad in ups:
+                num *= an + k * ad
+            den = den_const * (k + 1) ** e
+            for bn, bd in lows:
+                den *= bn + k * bd
+            yield num, den
+
+    return ratios()
+
+
 def eval_truncated(spec: SeriesSpec) -> Scalar:
     """Exact value of the truncated sum; PoleInRangeError when a lower
-    rising factorial vanishes anywhere inside the truncation range."""
-    coerce, zero, one = _common_domain(
-        list(spec.upper) + list(spec.lower) + [spec.argument]
-    )
+    rising factorial vanishes anywhere inside the truncation range.
+
+    Over Q the term is carried as a reduced integer pair and one Fraction
+    is built per term; over Q(i) or Q(zeta_5) the field arithmetic runs
+    step by step."""
+    values = list(spec.upper) + list(spec.lower) + [spec.argument]
+    if not any(isinstance(v, CycElement) for v in values):
+        return _eval_rational(spec)
+    coerce, zero, one = _common_domain(values)
     upper = [coerce(a) for a in spec.upper]
     lower = [coerce(b) for b in spec.lower]
     z = coerce(spec.argument)
@@ -116,64 +166,57 @@ def eval_truncated(spec: SeriesSpec) -> Scalar:
     return total
 
 
+def _eval_rational(spec: SeriesSpec) -> Fraction:
+    """eval_truncated over Q: the term is a coprime integer pair, updated
+    by the reduced step ratio with cross-cancellation."""
+    ratios = _integer_ratios(spec)
+    w_step, w_start, w_den = _integer_weight(spec.weight)
+    term_num, term_den = 1, w_den  # term k over the weight's denominator
+    total = Fraction(w_start, w_den) if spec.truncation else Fraction(0)
+    for k, (num, den) in enumerate(ratios, 1):
+        if num == 0:
+            break  # every later term is zero too
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        g1, g2 = math.gcd(num, term_den), math.gcd(term_num, den)
+        term_num = (term_num // g2) * (num // g1)
+        term_den = (term_den // g1) * (den // g2)
+        total += Fraction((w_step * k + w_start) * term_num, term_den)
+    return total
+
+
 def eval_truncated_residue(spec: SeriesSpec, ctx: PadicContext) -> Residue:
     """Residue mod p^K of the truncated sum of a rational spec, in O(N)
     integer multiplies mod p^K.
 
-    Each step's ratio z * prod (a_i + k) / ((k + 1)^e * prod (b_j + k)) is
-    split into an integer numerator and denominator.  The running term and
-    the running sum share one denominator, the product of the ratio
-    denominators so far, which is inverted once at the end.  That is exact
-    when every denominator factor of a nonzero term, and the weight's
-    denominator, is prime to p; NonIntegralInputError is raised otherwise.
-    The sum stops early at a term that is exactly zero (a terminating upper
-    parameter).
+    Each step's ratio is split into an integer numerator and denominator
+    (``_integer_ratios``).  The running term and the running sum share one
+    denominator, the product of the ratio denominators so far, which is
+    inverted once at the end.  That is exact when every denominator factor
+    of a nonzero term, and the weight's denominator, is prime to p;
+    NonIntegralInputError is raised otherwise.  The sum stops early at a
+    term that is exactly zero (a terminating upper parameter).
     """
     values = list(spec.upper) + list(spec.lower) + [spec.argument] + list(spec.weight)
     if any(isinstance(v, CycElement) for v in values):
         raise TypeError("the residue route takes rational parameters only")
     p, modulus = ctx.p, ctx.modulus
-    upper = [as_rational(a) for a in spec.upper]
-    lower = [as_rational(b) for b in spec.lower]
-    z = as_rational(spec.argument)
-    n_terms = spec.truncation
-    for b in lower:
-        if b.denominator == 1 and 0 <= -b < n_terms - 1:
-            raise PoleInRangeError(f"lower parameter {b!r} vanishes at shift {-b}")
-    w_slope, w_const = (as_rational(w) for w in spec.weight)
-    w_den = w_slope.denominator * w_const.denominator
-    w_step = w_slope.numerator * w_const.denominator
-    w_start = w_const.numerator * w_slope.denominator
-    # the ratio's constant parts: z and the parameters' denominators
-    num_const = z.numerator * math.prod(b.denominator for b in lower)
-    den_const = z.denominator * math.prod(a.denominator for a in upper)
-    ups = [(a.numerator, a.denominator) for a in upper]
-    lows = [(b.numerator, b.denominator) for b in lower]
-    e = spec.factorial_power
+    ratios = _integer_ratios(spec)
+    w_step, w_start, w_den = _integer_weight(spec.weight)
     if w_den % p == 0:
         raise NonIntegralInputError(f"the weight's denominator is divisible by {p}")
-    total = 0  # the partial sum times den
-    term = 1  # the current term times den
-    den = 1
-    for k in range(n_terms):
-        total = (total + (w_step * k + w_start) * term) % modulus
-        if k + 1 == n_terms:
-            break
-        num = num_const
-        for an, ad in ups:
-            num *= an + k * ad
+    total = w_start if spec.truncation else 0  # the partial sum times den
+    term = den = 1  # the current term times den, and den
+    for k, (num, step_den) in enumerate(ratios, 1):
         if num == 0:
             break
-        step_den = den_const * (k + 1) ** e
-        for bn, bd in lows:
-            step_den *= bn + k * bd
         if step_den % p == 0:
             raise NonIntegralInputError(
-                f"the term ratio's denominator at k = {k} is divisible by {p}"
+                f"the term ratio's denominator at k = {k - 1} is divisible by {p}"
             )
-        # move the sum onto the next term's denominator den * step_den
-        total = total * step_den % modulus
+        # move the sum onto term k's denominator den * step_den
         term = term * num % modulus
+        total = (total * step_den + (w_step * k + w_start) * term) % modulus
         den = den * step_den % modulus
     value = total * pow(den * w_den, -1, modulus) % modulus
     return Residue(value, ctx)

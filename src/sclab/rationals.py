@@ -1,9 +1,12 @@
 """Exact rational scalars, rising factorials, and prime enumeration.
 
-Everything downstream (p-adic reduction, cyclotomic coefficients, series
-summation) runs on ``fractions.Fraction``, which already maintains the
+Rational scalars are ``fractions.Fraction``, which already maintains the
 canonical form the rest of the package relies on: positive denominator,
-numerator and denominator coprime.  No floating point is used anywhere.
+numerator and denominator coprime.  The hot kernels take them apart into
+integers: cyclotomic elements are integer numerators over one
+denominator, quotient-ring coefficients are ``int``, and series steps and
+residues run on integer numerators and denominators.  No floating point
+is used anywhere.
 """
 
 from __future__ import annotations

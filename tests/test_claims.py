@@ -443,3 +443,21 @@ def test_thm1_sweep_never_takes_the_exact_fallback(monkeypatch):
     result = scan("thm1", 200)
     assert result.reports and result.all_passed
     assert max(rep.witness_valuation for rep in result.reports) == 6
+
+
+def test_cyc_valuation_reads_numerators_and_denominator(rng):
+    from conftest import random_rational
+
+    from sclab.cyclotomic import CycElement
+
+    u = CycElement(5, [Fraction(1, 7), Fraction(49), 0, Fraction(14, 3)])
+    assert claims._cyc_valuation(u, 7) == -1
+    assert claims._cyc_valuation(u * 49, 7) == 1
+    assert claims._cyc_valuation(CycElement.zero(4), 7) == math.inf
+    for _ in range(200):
+        p = rng.choice([3, 5, 7])
+        order = rng.choice([1, 4, 5])
+        coeffs = [random_rational(rng, 60, 30) for _ in range(rng.randint(0, 6))]
+        u = CycElement(order, coeffs)
+        want = min((vp(c, p) for c in u.coeffs if c), default=math.inf)
+        assert claims._cyc_valuation(u, p) == want

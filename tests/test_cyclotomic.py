@@ -1,12 +1,13 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from sclab.cyclotomic import (
     CycElement,
+    SUPPORTED_ORDERS,
     OrderMismatchError,
-    cyc_inverse,
-    cyc_mul,
     root_power_sum_check,
 )
 from sclab.hyperkernel import rising
@@ -16,7 +17,7 @@ from conftest import random_rational
 
 def test_square_root_of_minus_one():
     i = CycElement.zeta(4)
-    assert cyc_mul(i, i) == CycElement.from_rational(4, -1)
+    assert i * i == CycElement.from_rational(4, -1)
 
 
 def test_fifth_root_power_cycle():
@@ -36,28 +37,28 @@ def test_reduction_of_high_powers():
 
 def test_inverse_of_i_is_minus_i():
     i = CycElement.zeta(4)
-    assert cyc_inverse(i) == -i
+    assert i.inverse() == -i
 
 
 def test_inverse_of_rational_element():
     u = CycElement.from_rational(1, Fraction(2, 3))
-    assert cyc_inverse(u) == CycElement.from_rational(1, Fraction(3, 2))
+    assert u.inverse() == CycElement.from_rational(1, Fraction(3, 2))
 
 
 def test_inverse_of_one_minus_zeta():
     z = CycElement.zeta(5)
     u = CycElement.one(5) - z
-    assert cyc_mul(u, cyc_inverse(u)) == CycElement.one(5)
+    assert u * u.inverse() == CycElement.one(5)
 
 
 def test_inverse_of_zero_rejected():
     with pytest.raises(ZeroDivisionError):
-        cyc_inverse(CycElement.zero(5))
+        CycElement.zero(5).inverse()
 
 
 def test_order_mismatch_rejected():
     with pytest.raises(OrderMismatchError):
-        cyc_mul(CycElement.zeta(4), CycElement.zeta(5))
+        CycElement.zeta(4) * CycElement.zeta(5)
 
 
 def test_unsupported_order_rejected():
@@ -123,3 +124,166 @@ def test_rational_value_guard():
     with pytest.raises(ValueError):
         z.rational_value()
     assert (z * CycElement.zero(5)).rational_value() == 0
+
+
+# -- reference model: Q[x]/Phi_n over Fraction, reduced and inverted by
+# polynomial division and extended Euclid --------------------------------
+
+_REF_MODULUS = {
+    1: (Fraction(-1), Fraction(1)),
+    4: (Fraction(1), Fraction(0), Fraction(1)),
+    5: (Fraction(1), Fraction(1), Fraction(1), Fraction(1), Fraction(1)),
+}
+
+
+def _ref_reduce(order, coeffs):
+    mod = _REF_MODULUS[order]
+    deg = len(mod) - 1
+    coeffs = [Fraction(c) for c in coeffs]
+    for i in range(len(coeffs) - 1, deg - 1, -1):
+        lead = coeffs[i]
+        if lead:
+            coeffs[i] = Fraction(0)
+            for j in range(deg):
+                coeffs[i - deg + j] -= lead * mod[j]
+    coeffs = coeffs[:deg] + [Fraction(0)] * (deg - len(coeffs))
+    return tuple(coeffs[:deg])
+
+
+def _ref_degree(p):
+    for i in range(len(p) - 1, -1, -1):
+        if p[i]:
+            return i
+    return -1
+
+
+def _ref_poly_mul(u, v):
+    out = [Fraction(0)] * (len(u) + len(v) - 1 if u and v else 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[i + j] += a * b
+    return out
+
+
+def _ref_poly_sub(u, v):
+    out = [Fraction(0)] * max(len(u), len(v))
+    for i, a in enumerate(u):
+        out[i] += a
+    for i, b in enumerate(v):
+        out[i] -= b
+    return out
+
+
+def _ref_poly_divmod(u, v):
+    dv = _ref_degree(v)
+    rem = list(u)
+    du = _ref_degree(rem)
+    quo = [Fraction(0)] * max(du - dv + 1, 1)
+    while du >= dv:
+        coef = rem[du] / v[dv]
+        quo[du - dv] = coef
+        for i in range(dv + 1):
+            rem[du - dv + i] -= coef * v[i]
+        du = _ref_degree(rem)
+    return quo, rem
+
+
+def _ref_mul(order, u, v):
+    return _ref_reduce(order, _ref_poly_mul(list(u), list(v)))
+
+
+def _ref_inverse(order, u):
+    r0, s0 = list(_REF_MODULUS[order]), [Fraction(0)]
+    r1, s1 = list(u), [Fraction(1)]
+    while _ref_degree(r1) > 0:
+        q, r = _ref_poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _ref_poly_sub(s0, _ref_poly_mul(q, s1))
+    g = r1[0]
+    return _ref_reduce(order, [c / g for c in s1])
+
+
+def _random_coeffs(rng, order):
+    """Coefficient lists up to twice phi(n) + 1 long, with some rational,
+    zero and equal-denominator elements mixed in."""
+    deg = len(_REF_MODULUS[order]) - 1
+    shape = rng.random()
+    if shape < 0.1:
+        return []
+    if shape < 0.25:
+        return [random_rational(rng, 40, 12)]
+    den = rng.randint(1, 12)
+    length = rng.randint(1, 2 * deg + 1)
+    if shape < 0.4:
+        return [Fraction(rng.randint(-40, 40), den) for _ in range(length)]
+    return [random_rational(rng, 40, 12) for _ in range(length)]
+
+
+def _assert_canonical(u):
+    assert u.den > 0
+    assert math.gcd(u.den, *u.nums) == 1
+    if u.is_zero:
+        assert u.den == 1
+    assert all(type(a) is int for a in u.nums) and type(u.den) is int
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_kernel_matches_fraction_reference(order):
+    rng = random.Random(f"cyclotomic-reference:{order}")
+    for _ in range(300):
+        cu, cv = _random_coeffs(rng, order), _random_coeffs(rng, order)
+        u, v = CycElement(order, cu), CycElement(order, cv)
+        ru, rv = _ref_reduce(order, cu), _ref_reduce(order, cv)
+        assert u.coeffs == ru and v.coeffs == rv
+        cases = [
+            (u + v, tuple(a + b for a, b in zip(ru, rv))),
+            (u - v, tuple(a - b for a, b in zip(ru, rv))),
+            (-u, tuple(-a for a in ru)),
+            (u * v, _ref_mul(order, ru, rv)),
+        ]
+        if any(rv):
+            ref_inv = _ref_inverse(order, rv)
+            cases += [(v.inverse(), ref_inv), (u / v, _ref_mul(order, ru, ref_inv))]
+        else:
+            with pytest.raises(ZeroDivisionError):
+                v.inverse()
+        for got, want in cases:
+            _assert_canonical(got)
+            assert got.coeffs == want
+            assert got == CycElement(order, want)
+            assert got.is_zero == (not any(want))
+            assert got.is_rational == (not any(want[1:]))
+            if got.is_rational:
+                assert got.rational_value() == want[0]
+                assert got == want[0]
+        assert (u == v) == (ru == rv)
+
+
+def test_canonical_form_and_hash_across_routes():
+    for order in SUPPORTED_ORDERS:
+        half = CycElement.from_rational(order, Fraction(1, 2))
+        for other in (
+            CycElement(order, [Fraction(2, 4)]),
+            CycElement(order, [Fraction(1, 2), 0, 0, 0, 0][: len(half.nums)]),
+            CycElement.one(order) / 2,
+            CycElement.one(order) - Fraction(1, 2),
+            (CycElement.one(order) * 2).inverse(),
+        ):
+            assert other == half and hash(other) == hash(half)
+            assert (other.nums, other.den) == (half.nums, half.den)
+        zero = CycElement(order, [Fraction(3, 7), Fraction(-3, 7)]) if order == 1 else (
+            CycElement.zeta(order) - CycElement.zeta(order)
+        )
+        assert zero.den == 1 and zero == CycElement.zero(order)
+        assert hash(zero) == hash(CycElement.zero(order))
+    z = CycElement.zeta(5)
+    # two routes to -x^4 = 1 + x + x^2 + x^3
+    assert -(z ** 4) == CycElement(5, [1, 1, 1, 1])
+    assert hash(-(z ** 4)) == hash(CycElement(5, [1, 1, 1, 1]))
+    u = CycElement(5, [Fraction(6, 4), Fraction(-9, 6), 0, Fraction(3, 2)])
+    assert (u.nums, u.den) == ((3, -3, 0, 3), 2)
+    assert repr(u) == (
+        "CycElement(order=5, coeffs=(Fraction(3, 2), Fraction(-3, 2), "
+        "Fraction(0, 1), Fraction(3, 2)))"
+    )
+

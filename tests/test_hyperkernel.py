@@ -312,3 +312,51 @@ def test_eval_truncated_residue_pole_detection():
     spec = SeriesSpec(upper=(Fraction(1),), lower=(Fraction(-2),), truncation=3)
     ctx = PadicContext(7, 2)
     assert eval_truncated_residue(spec, ctx) == ctx.reduce(eval_truncated(spec))
+
+
+def _fraction_step_sum(spec):
+    """Reference: the term updated by one Fraction per factor."""
+    lower = [Fraction(b) for b in spec.lower]
+    for b in lower:
+        for t in range(spec.truncation - 1):
+            if b + t == 0:
+                raise PoleInRangeError(f"lower parameter {b!r} vanishes at shift {t}")
+    total, term = Fraction(0), Fraction(1)
+    for k in range(spec.truncation):
+        total += (spec.weight[0] * k + spec.weight[1]) * term
+        if k + 1 == spec.truncation:
+            break
+        num = Fraction(spec.argument)
+        for a in spec.upper:
+            num *= a + k
+        den = Fraction(k + 1) ** spec.factorial_power
+        for b in lower:
+            den *= b + k
+        term = term * num / den
+    return total
+
+
+def test_eval_truncated_rational_route_matches_fraction_steps(rng):
+    checked = 0
+    for _ in range(400):
+        spec = _random_residue_spec(rng, rng.choice([3, 5, 7, 11, 13]))
+        try:
+            want = _fraction_step_sum(spec)
+        except PoleInRangeError:
+            with pytest.raises(PoleInRangeError):
+                eval_truncated(spec)
+            continue
+        got = eval_truncated(spec)
+        assert type(got) is Fraction and got == want
+        # the same spec over Q(zeta_1) runs the field route
+        field = SeriesSpec(
+            upper=tuple(CycElement.from_rational(1, a) for a in spec.upper),
+            lower=spec.lower,
+            argument=CycElement.from_rational(1, spec.argument),
+            truncation=spec.truncation,
+            weight=spec.weight,
+            factorial_power=spec.factorial_power,
+        )
+        assert eval_truncated(field).rational_value() == want
+        checked += 1
+    assert checked >= 300

@@ -1,4 +1,4 @@
-"""Polynomial arithmetic over Q, the quotient ring Q[q]/(Phi_p(q)^4),
+"""Polynomial arithmetic over Q, the quotient ring Q[q]/(Phi_p(q)^power),
 q-integers and q-shifted factorials, and the q-side analogue checker for
 the fifth-power vanishing claim.
 
@@ -10,6 +10,29 @@ so multiplying, adding and reducing integer polynomials never leaves Z.
 A coefficient is an ``int`` whenever it is integral and a ``Fraction``
 only when it is not, which happens only in the ring inverse.
 
+Three kernels keep the check off quadratic pure-Python loops:
+
+* Packed multiply.  A dense product packs each operand's signed ``int``
+  coefficients into one integer, in byte-aligned slots wide enough for
+  the product's coefficients (Kronecker substitution), multiplies the two
+  integers with CPython's bignum multiply and unpacks the slots with a
+  per-slot bias.  ``Fraction`` operands are cleared to integer numerators
+  over one denominator first, and the product is divided once at the end.
+  An operand with at most ``SPARSE_TERMS`` nonzero terms (a binomial, a
+  monomial) is multiplied by a zero-skipping loop instead.  A long
+  integer division by Phi_p^power (any divisor of degree above
+  ``PACKED_DIVISOR_DEGREE`` with leading coefficient +-1 and an inverse
+  series no wider than itself) goes by the same products, deg(divisor)
+  quotient digits at a time.
+* Sparse fold.  Phi_p^power divides (q^p - 1)^power, which is monic with
+  power + 1 terms, so a ring product is first reduced mod (q^p - 1)^power
+  in O((power + 1) n) and then mod Phi_p^power in at most ``power``
+  division steps.  Reducing mod a multiple of the modulus first is a ring
+  homomorphism, so the residue is the same canonical remainder.
+* Sparse passes.  The cleared-denominator route multiplies and divides
+  by (1 - q^e)^5 as five shift-and-subtract (or prefix-sum) passes over a
+  coefficient list, and sums its terms into one running list.
+
 Negative powers of q are legal everywhere: q is a unit in the quotient
 ring, and the polynomial route tracks a Laurent shift that is a unit as
 well.
@@ -20,6 +43,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
+from math import comb, lcm
+from operator import add, attrgetter, mul, sub
 
 from .rationals import as_rational, is_prime
 
@@ -37,6 +63,116 @@ def _coefficient(c):
     return c.numerator if c.denominator == 1 else c
 
 
+# An operand with at most this many nonzero terms multiplies by the
+# zero-skipping loop; packing it would cost more than it saves.
+SPARSE_TERMS = 16
+
+# Division goes by blocks of packed products only past this divisor degree;
+# below it the per-step comprehension is faster (the two cross near degree
+# 24 for Phi_p^4 with quotients of 1 to 40 times the divisor's length).
+PACKED_DIVISOR_DEGREE = 24
+
+_denominator = attrgetter("denominator")
+
+
+def _common_denominator(coeffs) -> int:
+    return lcm(*map(_denominator, coeffs))
+
+
+def _cleared(coeffs):
+    """Integer numerators over one common denominator: (nums, den)."""
+    den = _common_denominator(coeffs)
+    if den == 1:
+        return coeffs, 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _divided(nums, den) -> list:
+    """nums / den in canonical coefficient form (int when integral)."""
+    if den == 1:
+        return nums
+    return [c // den if not c % den else Fraction(c, den) for c in nums]
+
+
+def _slot_bias(count: int, nbytes: int) -> int:
+    """half * sum_{i<count} 2^(8 nbytes i), half = 2^(8 nbytes - 1)."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
+
+
+def _pack(coeffs, nbytes: int, half: int) -> int:
+    """sum c_i 2^(8 nbytes i) for signed c_i with |c_i| < half."""
+    raw = b"".join([(c + half).to_bytes(nbytes, "little") for c in coeffs])
+    return int.from_bytes(raw, "little") - _slot_bias(len(coeffs), nbytes)
+
+
+def _max_bits(coeffs) -> int:
+    return max(max(coeffs), -min(coeffs)).bit_length()
+
+
+def _packed_mul(a, b) -> list:
+    """The product of two int coefficient sequences by Kronecker
+    substitution.  Each slot holds |c| < half, so adding half to every
+    slot makes them all nonnegative and carry-free."""
+    width = _max_bits(a) + _max_bits(b) + min(len(a), len(b)).bit_length() + 1
+    nbytes = (width + 7) // 8
+    half = 1 << (8 * nbytes - 1)
+    packed_a = _pack(a, nbytes, half)
+    packed_b = packed_a if b is a else _pack(b, nbytes, half)
+    n = len(a) + len(b) - 1
+    product = packed_a * packed_b + _slot_bias(n, nbytes)
+    data = product.to_bytes(n * nbytes, "little")
+    from_bytes = int.from_bytes
+    return [
+        from_bytes(data[i:i + nbytes], "little") - half
+        for i in range(0, n * nbytes, nbytes)
+    ]
+
+
+def _sparse_mul(sparse, dense) -> list:
+    """The product by a loop over the nonzero terms of ``sparse``."""
+    width = len(dense)
+    out = [0] * (len(sparse) + width - 1)
+    for i, a in enumerate(sparse):
+        if a:
+            out[i:i + width] = [x + a * y for x, y in zip(out[i:i + width], dense)]
+    return out
+
+
+def _reversed_inverse(divisor) -> list:
+    """The first d terms of 1 / rev(divisor) as a power series, where
+    rev(divisor) = x^d divisor(1/x) has constant term +-1 (an int divisor
+    of degree d with leading coefficient +-1)."""
+    lead = divisor[-1]
+    rev = divisor[::-1]
+    inv = [lead]
+    for i in range(1, len(divisor) - 1):
+        inv.append(-lead * sum(map(mul, rev[i:0:-1], inv)))
+    return inv
+
+
+def _packed_divmod(num, divisor: tuple, inv: list):
+    """Quotient and remainder of int sequences, the divisor of degree d
+    with leading coefficient +-1, d quotient digits at a time; ``inv`` is
+    ``_reversed_inverse(divisor)``.
+
+    The top m <= d remainder digits read from the top are rev(block) *
+    rev(divisor) mod x^m, so one truncated product with the inverse series
+    gives the block and one product with the divisor clears it.
+    """
+    d = len(divisor) - 1
+    rem = list(num)
+    quo = [0] * (len(rem) - d)
+    top = len(rem)
+    while top > d:
+        lo = max(top - d, d)
+        m = top - lo
+        block = _packed_mul(rem[top - 1:lo - 1:-1], inv[:m])[m - 1::-1]
+        quo[lo - d:top - d] = block
+        rem[lo - d:top] = map(sub, rem[lo - d:top], _packed_mul(block, divisor))
+        top = lo
+    return quo, rem[:d]
+
+
 class QPolynomial:
     """Dense polynomial over Q; zero is the empty coefficient tuple.
 
@@ -52,6 +188,17 @@ class QPolynomial:
         while vec and vec[-1] == 0:
             vec.pop()
         object.__setattr__(self, "coeffs", tuple(vec))
+
+    @classmethod
+    def _trusted(cls, vec) -> "QPolynomial":
+        """A polynomial from kernel output already in canonical coefficient
+        form; only the trailing zeros are trimmed."""
+        end = len(vec)
+        while end and not vec[end - 1]:
+            end -= 1
+        self = object.__new__(cls)
+        object.__setattr__(self, "coeffs", tuple(vec[:end]))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("QPolynomial is immutable")
@@ -96,7 +243,7 @@ class QPolynomial:
         return QPolynomial(out)
 
     def __neg__(self) -> "QPolynomial":
-        return QPolynomial([-c for c in self.coeffs])
+        return QPolynomial._trusted([-c for c in self.coeffs])
 
     def __sub__(self, other: "QPolynomial") -> "QPolynomial":
         return self + (-other)
@@ -104,16 +251,15 @@ class QPolynomial:
     def __mul__(self, other: "QPolynomial") -> "QPolynomial":
         if self.is_zero or other.is_zero:
             return QPolynomial.zero()
-        small, big = self.coeffs, other.coeffs
-        if len(small) > len(big):
-            small, big = big, small
-        out = [0] * (len(small) + len(big) - 1)
-        for i, a in enumerate(small):
-            if a:
-                for j, b in enumerate(big):
-                    if b:
-                        out[i + j] += a * b
-        return QPolynomial(out)
+        a, da = _cleared(self.coeffs)
+        b, db = _cleared(other.coeffs) if other is not self else (a, da)
+        if len(a) - a.count(0) <= SPARSE_TERMS:
+            out = _sparse_mul(a, b)
+        elif len(b) - b.count(0) <= SPARSE_TERMS:
+            out = _sparse_mul(b, a)
+        else:
+            out = _packed_mul(a, b)
+        return QPolynomial._trusted(_divided(out, da * db))
 
     def scale(self, factor) -> "QPolynomial":
         factor = _coefficient(factor)
@@ -125,7 +271,7 @@ class QPolynomial:
             raise ValueError("use LaurentPolynomial for negative shifts")
         if self.is_zero:
             return self
-        return QPolynomial((0,) * amount + self.coeffs)
+        return QPolynomial._trusted((0,) * amount + self.coeffs)
 
     def __divmod__(self, divisor: "QPolynomial"):
         """Quotient and remainder.  A leading coefficient of +-1 is its own
@@ -139,8 +285,22 @@ class QPolynomial:
         unit_lead = lead == 1 or lead == -1
         if len(rem) <= dv:
             return QPolynomial.zero(), QPolynomial(rem)
-        # divisors here are often sparse (binomial powers); skip their zeros
-        support = [(i, c) for i, c in enumerate(divisor.coeffs[:-1]) if c]
+        # A long integer quotient by a long divisor with leading coefficient
+        # +-1 goes by blocks of packed products, when the divisor's reversed
+        # inverse series is no wider than the divisor (Phi_p^power: its
+        # series is a truncated (1 - x)^power / (1 - x^p)^power).  A series
+        # that grows would widen every slot, so the comprehension below
+        # serves all other divisions, one window update per step.
+        if (
+            dv > PACKED_DIVISOR_DEGREE and unit_lead and len(rem) - dv > dv
+            and _common_denominator(self.coeffs) == 1
+            and _common_denominator(divisor.coeffs) == 1
+        ):
+            inv = _reversed_inverse(divisor.coeffs)
+            if _max_bits(inv) <= _max_bits(divisor.coeffs):
+                quo, rem = _packed_divmod(self.coeffs, divisor.coeffs, inv)
+                return QPolynomial._trusted(quo), QPolynomial._trusted(rem)
+        lower = divisor.coeffs[:-1]
         quo = [0] * (len(rem) - dv)
         for top in range(len(rem) - 1, dv - 1, -1):
             c = rem[top]
@@ -150,8 +310,7 @@ class QPolynomial:
             quo[top - dv] = c
             rem[top] = 0
             base = top - dv
-            for i, dcoef in support:
-                rem[base + i] -= c * dcoef
+            rem[base:top] = [x - c * d for x, d in zip(rem[base:top], lower)]
         return QPolynomial(quo), QPolynomial(rem)
 
     def __mod__(self, divisor: "QPolynomial") -> "QPolynomial":
@@ -259,12 +418,19 @@ def q_pochhammer_laurent(a_exponent: int, step: int, k: int) -> LaurentPolynomia
 
 
 # ---------------------------------------------------------------------------
-# The quotient ring Q[q] / Phi_p(q)^4
+# The quotient ring Q[q] / Phi_p(q)^power
 # ---------------------------------------------------------------------------
 
 
 class QRing:
-    """Q[q] modulo the fourth power of the p-th cyclotomic polynomial."""
+    """Q[q] modulo Phi_p(q)^power, the power-th power (default 4) of the
+    p-th cyclotomic polynomial.
+
+    Elements hold their canonical remainder mod Phi_p^power.  A polynomial
+    is reduced in two steps: a sparse fold mod (q^p - 1)^power, which
+    Phi_p^power divides, then the dense remainder mod Phi_p^power, which
+    the fold leaves at most ``power`` division steps.
+    """
 
     def __init__(self, p: int, power: int = 4):
         if power < 1:
@@ -277,13 +443,24 @@ class QRing:
             modulus = modulus * phi
         self.modulus = modulus
         self.degree_bound = modulus.degree
+        # With Q = q^p: Q^power = sum_{j<power} fold[j] Q^j mod (Q - 1)^power.
+        self._fold = [(-1) ** (power - j + 1) * comb(power, j) for j in range(power)]
         # q is a unit: the modulus has constant term 1, so
         # q * (-(modulus - 1)/q) = 1 - modulus = 1 in the ring.
         inv_coeffs = [-c for c in modulus.coeffs[1:]]
         self._q_inverse = QRingElement(self, QPolynomial(inv_coeffs))
 
+    def _reduce(self, poly: QPolynomial) -> QPolynomial:
+        """The remainder of ``poly`` mod Phi_p^power, through the fold mod
+        (q^p - 1)^power.  Both steps are Z-linear, so a Fraction polynomial
+        is reduced as integer numerators over one denominator."""
+        nums, den = _cleared(poly.coeffs)
+        folded = QPolynomial._trusted(_fold(nums, self.p, self._fold))
+        rem = folded % self.modulus
+        return rem if den == 1 else QPolynomial._trusted(_divided(rem.coeffs, den))
+
     def element(self, poly: QPolynomial) -> "QRingElement":
-        return QRingElement(self, poly % self.modulus)
+        return QRingElement(self, poly)
 
     def from_coeffs(self, coeffs) -> "QRingElement":
         return self.element(QPolynomial(coeffs))
@@ -321,7 +498,7 @@ class QRingElement:
 
     def __init__(self, ring: QRing, residue: QPolynomial):
         if residue.degree >= ring.degree_bound:
-            residue = residue % ring.modulus
+            residue = ring._reduce(residue)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "residue", residue)
 
@@ -352,7 +529,7 @@ class QRingElement:
 
     def __mul__(self, other):
         other = self._wrap(other)
-        return QRingElement(self.ring, (self.residue * other.residue) % self.ring.modulus)
+        return QRingElement(self.ring, self.residue * other.residue)
 
     __rmul__ = __mul__
 
@@ -411,6 +588,27 @@ class QRingElement:
 
     def __repr__(self):
         return f"QRingElement({self.ring!r}, {self.residue!r})"
+
+
+def _fold(coeffs, p: int, fold) -> list:
+    """coeffs reduced mod (q^p - 1)^power, power = len(fold).
+
+    With Q = q^p the divisor is (Q - 1)^power, so the coefficients are cut
+    into rows of p (the Q-digits) and each row from the top down is folded
+    into the ``power`` rows below it: O((power + 1) n) work in all.
+    """
+    power = len(fold)
+    n = len(coeffs)
+    if n <= p * power:
+        return coeffs
+    coeffs = list(coeffs) + [0] * (-n % p)
+    rows = [coeffs[i:i + p] for i in range(0, len(coeffs), p)]
+    for t in range(len(rows) - 1, power - 1, -1):
+        top = rows[t]
+        if any(top):
+            for j, c in enumerate(fold, t - power):
+                rows[j] = [x + c * y for x, y in zip(rows[j], top)]
+    return [c for row in rows[:power] for c in row]
 
 
 def _euclid_inverse(value: QPolynomial, modulus: QPolynomial) -> QPolynomial:
@@ -532,31 +730,9 @@ def verify_q_conjecture(p: int, r: int, exponent_twist: int = 0) -> QAnalogueRep
     # Route 2: clear denominators.  With U_k = (q^r;q^5)_k^5 S_k^5 (S_k the
     # polynomial suffix product) and [n] = (1-q^n)/(1-q), the sum vanishes
     # mod Phi_p^4 iff  T = sum_k (1-q^(10k+r)) U_k q^(estep*k)  does, since
-    # 1-q, q and the cleared block are all units.  U_k is maintained by one
-    # exact binomial division and one binomial multiplication per step.
-    phi4 = ring.modulus  # Phi_p^4 over Q[q]
-    u_poly = QPolynomial.one()
-    for j in range(1, p):
-        u_poly = _mul_binomial_power(u_poly, 5 * j, 5)
-    u_shift = 0
-    total_l = LaurentPolynomial(QPolynomial.zero(), 0)
-    for k in range(p):
-        if k:
-            u_poly = u_poly.exact_div(_binomial_power(5 * k, 5))
-            e = r + 5 * (k - 1)
-            if e >= 0:
-                u_poly = _mul_binomial_power(u_poly, e, 5)
-            else:
-                u_poly = _mul_binomial_power(u_poly, -e, 5).scale(-1)
-                u_shift += 5 * e
-        weight = LaurentPolynomial.unit_minus_q_power(10 * k + r)
-        term_l = (
-            weight
-            * LaurentPolynomial(u_poly, u_shift)
-            * LaurentPolynomial.q_power(estep * k + exponent_twist * k)
-        )
-        total_l = total_l + term_l
-    division_zero = (total_l.poly % phi4).is_zero
+    # 1-q, q and the cleared block are all units.
+    cleared = _cleared_sum(p, r, estep + exponent_twist)
+    division_zero = (cleared.poly % ring.modulus).is_zero
 
     elapsed = (time.perf_counter() - started) * 1000.0
     return QAnalogueReport(
@@ -569,12 +745,84 @@ def verify_q_conjecture(p: int, r: int, exponent_twist: int = 0) -> QAnalogueRep
     )
 
 
+def _cleared_sum(p: int, r: int, step: int) -> LaurentPolynomial:
+    """T = sum_{k<p} (1 - q^(10k+r)) U_k q^(step*k), the cleared-denominator
+    form of the q-analogue sum, U_k = (q^r;q^5)_k^5 S_k^5 with
+    S_k = prod_{k<j<p} (1 - q^(5j)).
+
+    U_k is maintained by one exact division and one multiplication by a
+    binomial fifth power per step, both as sparse passes, and T is summed
+    into one running coefficient list from q^base up.
+    """
+    u_poly = [1]
+    for j in range(1, p):
+        u_poly = _mul_binomial_power(u_poly, 5 * j, 5)
+    u_shift = 0
+    total, base = [], 0
+    for k in range(p):
+        if k:
+            u_poly = _div_binomial_power(u_poly, 5 * k, 5)
+            e = r + 5 * (k - 1)
+            if e >= 0:
+                u_poly = _mul_binomial_power(u_poly, e, 5)
+            else:
+                # (1 - q^e)^5 = -q^(5e) (1 - q^-e)^5
+                u_poly = [-c for c in _mul_binomial_power(u_poly, -e, 5)]
+                u_shift += 5 * e
+        shift = u_shift + step * k
+        base = _add_shifted(total, base, u_poly, shift, add)
+        base = _add_shifted(total, base, u_poly, shift + 10 * k + r, sub)
+    return LaurentPolynomial(QPolynomial._trusted(total), base)
+
+
 def _binomial_power(exponent: int, power: int) -> QPolynomial:
+    """(1 - q^e)^power as a dense polynomial; the reference the sparse
+    passes are tested against."""
     out = QPolynomial.one()
     for _ in range(power):
         out = out * binomial_factor(exponent)
     return out
 
 
-def _mul_binomial_power(poly: QPolynomial, exponent: int, power: int) -> QPolynomial:
-    return poly * _binomial_power(exponent, power)
+def _mul_binomial_power(coeffs: list, exponent: int, power: int) -> list:
+    """coeffs * (1 - q^e)^power by ``power`` shift-and-subtract passes."""
+    pad = (0,) * exponent
+    out = coeffs
+    for _ in range(power):
+        out = list(map(sub, chain(out, pad), chain(pad, out)))
+    return out
+
+
+def _div_binomial_power(coeffs: list, exponent: int, power: int) -> list:
+    """coeffs / (1 - q^e)^power by ``power`` running sums along each residue
+    class mod e; ValueError when the division is not exact.
+
+    Q = P / (1 - q^e) satisfies Q_i = P_i + Q_(i-e).  Run over the whole of
+    P, the ``power`` sums leave the top power*e entries zero exactly when
+    the division is exact, and what lies below them is the quotient.
+    """
+    out = list(coeffs)
+    for s in range(min(exponent, len(out))):
+        column = out[s::exponent]
+        for _ in range(power):
+            column = accumulate(column)
+        out[s::exponent] = column
+    cut = max(len(out) - power * exponent, 0)
+    if any(out[cut:]):
+        raise ValueError("division is not exact")
+    del out[cut:]
+    return out
+
+
+def _add_shifted(total: list, base: int, coeffs: list, shift: int, op) -> int:
+    """total <- op(total, q^shift * coeffs) in place, where total holds the
+    coefficients from q^base up; returns the new base."""
+    if shift < base:
+        total[:0] = [0] * (base - shift)
+        base = shift
+    lo = shift - base
+    hi = lo + len(coeffs)
+    if hi > len(total):
+        total.extend([0] * (hi - len(total)))
+    total[lo:hi] = map(op, total[lo:hi], coeffs)
+    return base

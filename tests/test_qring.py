@@ -288,3 +288,233 @@ def test_conjecture_at_larger_primes():
     control = verify_q_conjecture(23, -1, exponent_twist=1)
     assert not control.ring_zero and not control.division_zero
     assert control.methods_agree
+
+
+def test_conjecture_at_primes_in_the_forties():
+    report = verify_q_conjecture(43, -1)
+    assert report.ring_zero and report.division_zero
+    control = verify_q_conjecture(29, -3, exponent_twist=1)
+    assert not control.ring_zero and not control.division_zero
+
+
+# ---------------------------------------------------------------------------
+# Kernels against test-local schoolbook references
+# ---------------------------------------------------------------------------
+
+
+def _schoolbook_mul(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return QPolynomial(out)
+
+
+def _schoolbook_divmod(u, v):
+    """Long division one quotient digit at a time; v's leading coefficient
+    is +-1, so it is its own inverse."""
+    lead = v[-1]
+    assert lead in (1, -1)
+    rem = list(u)
+    dv = len(v) - 1
+    quo = [0] * max(len(rem) - dv, 0)
+    for top in range(len(rem) - 1, dv - 1, -1):
+        c = rem[top] * lead
+        quo[top - dv] = c
+        for i, d in enumerate(v):
+            rem[top - dv + i] -= c * d
+    return QPolynomial(quo), QPolynomial(rem[:dv])
+
+
+def _canonical(poly):
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        for c in poly.coeffs
+    )
+
+
+def _random_coeffs(rng, length, bits, density=1.0):
+    return [
+        rng.randint(-(1 << bits), 1 << bits) if rng.random() < density else 0
+        for _ in range(length)
+    ]
+
+
+def test_packed_mul_matches_schoolbook(rng):
+    pairs = []
+    for _ in range(60):
+        pairs.append((
+            _random_coeffs(rng, rng.randint(0, 200), rng.randint(1, 300)),
+            _random_coeffs(rng, rng.randint(0, 200), rng.randint(1, 300)),
+        ))
+    for _ in range(10):  # all-negative operands
+        pairs.append((
+            [-rng.randint(1, 1 << 90) for _ in range(rng.randint(20, 120))],
+            [-rng.randint(1, 1 << 40) for _ in range(rng.randint(20, 120))],
+        ))
+    for b in (7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 255, 256):
+        edge = [1 << b, -(1 << b), (1 << b) - 1, 1 - (1 << b)]
+        left = [rng.choice(edge) for _ in range(rng.randint(17, 80))]
+        right = [rng.choice(edge) for _ in range(rng.randint(17, 80))]
+        pairs += [(left, right), (left, left), ([-(1 << b)] * 40, [-(1 << b)] * 33)]
+    # slot widths with no byte padding to spare: b + b + bit_length(63) is
+    # a multiple of 8, and the products reach 63 (2^b - 1)^2
+    for b in (5, 61, 125):
+        top = (1 << b) - 1
+        for n in (63, 64):
+            pairs += [([top] * n, [top] * n), ([-top] * n, [top] * 70), ([-top] * 70, [-top] * n)]
+    for a, b in pairs:
+        product = QPolynomial(a) * QPolynomial(b)
+        assert product == _schoolbook_mul(a, b)
+        assert _canonical(product)
+
+
+def test_sparse_cutoff_sides_match_schoolbook(rng):
+    from sclab.qring import SPARSE_TERMS
+
+    for terms in (1, 2, SPARSE_TERMS - 1, SPARSE_TERMS, SPARSE_TERMS + 1, 40):
+        for _ in range(6):
+            sparse = [0] * rng.randint(terms, 300)
+            for i in rng.sample(range(len(sparse)), terms):
+                sparse[i] = rng.choice([-1, 1, rng.randint(-(1 << 200), 1 << 200)])
+            dense = _random_coeffs(rng, rng.randint(1, 150), rng.randint(1, 120))
+            assert QPolynomial(sparse) * QPolynomial(dense) == _schoolbook_mul(sparse, dense)
+            assert QPolynomial(dense) * QPolynomial(sparse) == _schoolbook_mul(dense, sparse)
+            assert QPolynomial(sparse) * QPolynomial(sparse) == _schoolbook_mul(sparse, sparse)
+
+
+def test_mixed_fraction_products_stay_canonical(rng):
+    for _ in range(40):
+        a = [
+            Fraction(rng.randint(-99, 99), rng.choice([1, 1, 2, 3, 6]))
+            for _ in range(rng.randint(1, 60))
+        ]
+        b = [
+            rng.choice([rng.randint(-(1 << 70), 1 << 70), Fraction(rng.randint(-9, 9), 4)])
+            for _ in range(rng.randint(1, 60))
+        ]
+        product = QPolynomial(a) * QPolynomial(b)
+        assert product == _schoolbook_mul(QPolynomial(a).coeffs, QPolynomial(b).coeffs)
+        assert _canonical(product)
+    # integral products of non-integral operands come back as int
+    half = QPolynomial([Fraction(1, 2)] * 20)
+    doubled = QPolynomial([2] * 20)
+    assert all(type(c) is int for c in (half * doubled).coeffs)
+    assert (half * doubled) == QPolynomial(list(range(1, 21)) + list(range(19, 0, -1)))
+
+
+def test_packed_divmod_matches_schoolbook(rng, monkeypatch):
+    from sclab import qring
+
+    packed_calls = []
+    packed_divmod = qring._packed_divmod
+
+    def counted(num, divisor, inv):
+        packed_calls.append(len(divisor) - 1)
+        return packed_divmod(num, divisor, inv)
+
+    monkeypatch.setattr(qring, "_packed_divmod", counted)
+    # Phi_p^power past the degree cut-off goes by packed blocks
+    packed = [cyclotomic_poly(p) for p in (29, 31)]
+    packed += [QRing(13).modulus, QRing(29, 2).modulus]
+    # short divisors, and long ones whose inverse series grows, do not
+    windowed = [cyclotomic_poly(19), QRing(7).modulus]
+    windowed += [
+        QPolynomial(_random_coeffs(rng, rng.randint(26, 60), 2) + [rng.choice([1, -1])])
+        for _ in range(4)
+    ]
+    for v in packed + windowed:
+        for length in (0, len(v.coeffs), 2 * len(v.coeffs) + 1, 6 * len(v.coeffs)):
+            u = _random_coeffs(rng, length, rng.randint(1, 200))
+            quo, rem = divmod(QPolynomial(u), v)
+            assert (quo, rem) == _schoolbook_divmod(u, v.coeffs)
+            assert _all_int(quo) and _all_int(rem)
+    assert sorted(set(packed_calls)) == sorted(v.degree for v in packed)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 13])
+@pytest.mark.parametrize("power", [1, 2, 4])
+def test_ring_fold_matches_dense_remainder(rng, p, power):
+    ring = QRing(p, power)
+    modulus = ring.modulus.coeffs
+    for degree in (0, p * power, 12 * p * p, rng.randint(0, 12 * p * p)):
+        u = _random_coeffs(rng, degree + 1, rng.randint(1, 80))
+        expected = _schoolbook_divmod(u, modulus)[1]
+        assert ring.element(QPolynomial(u)).residue == expected
+        assert QPolynomial(u) % ring.modulus == expected
+    for _ in range(2):
+        den = rng.choice([2, 3, 12, 35])
+        u = [Fraction(rng.randint(-999, 999), den) for _ in range(rng.randint(1, 12 * p * p))]
+        nums = [c * den for c in u]
+        expected = _schoolbook_divmod([int(c) for c in nums], modulus)[1]
+        expected = QPolynomial([Fraction(c, den) for c in expected.coeffs])
+        residue = ring.element(QPolynomial(u)).residue
+        assert residue == expected and _canonical(residue)
+    for e in sorted({0, 1, p, p * power, 5 * p * p, rng.randint(0, 5 * p * p)}):
+        monomial = [0] * e + [1]
+        assert ring.q_power(e).residue == _schoolbook_divmod(monomial, modulus)[1]
+
+
+def test_sparse_binomial_passes_match_dense_products(rng):
+    from sclab.qring import _binomial_power, _div_binomial_power, _mul_binomial_power
+
+    for _ in range(30):
+        u = _random_coeffs(rng, rng.randint(1, 80), rng.randint(1, 90))
+        e, power = rng.randint(1, 30), rng.randint(1, 5)
+        dense = _binomial_power(e, power)
+        product = _mul_binomial_power(u, e, power)
+        assert QPolynomial(product) == QPolynomial(u) * dense
+        assert QPolynomial(_div_binomial_power(product, e, power)) == QPolynomial(u)
+        assert QPolynomial(_div_binomial_power(product, e, power)) == QPolynomial(product).exact_div(dense)
+        spoiled = list(product)
+        spoiled[rng.randrange(len(spoiled))] += rng.choice([-1, 1])
+        with pytest.raises(ValueError):
+            _div_binomial_power(spoiled, e, power)
+        with pytest.raises(ValueError):
+            QPolynomial(spoiled).exact_div(dense)
+    with pytest.raises(ValueError):
+        _div_binomial_power([1, 2, 3], 4, 1)  # shorter than the divisor
+    assert _div_binomial_power([], 4, 5) == []
+
+
+def _dense_cleared_sum(p, r, step):
+    """Route 2's sum built from dense products, exact_div and Laurent
+    additions."""
+    from sclab.qring import _binomial_power
+
+    u, shift = QPolynomial.one(), 0
+    for j in range(1, p):
+        u = u * _binomial_power(5 * j, 5)
+    total = LaurentPolynomial(QPolynomial.zero(), 0)
+    for k in range(p):
+        if k:
+            u = u.exact_div(_binomial_power(5 * k, 5))
+            e = r + 5 * (k - 1)
+            if e >= 0:
+                u = u * _binomial_power(e, 5)
+            else:
+                u = -(u * _binomial_power(-e, 5))
+                shift += 5 * e
+        total = total + (
+            LaurentPolynomial.unit_minus_q_power(10 * k + r)
+            * LaurentPolynomial(u, shift)
+            * LaurentPolynomial.q_power(step * k)
+        )
+    return total
+
+
+def _lowest_terms(laurent):
+    coeffs = laurent.poly.coeffs
+    low = next((i for i, c in enumerate(coeffs) if c), 0)
+    return coeffs[low:], laurent.shift + low
+
+
+@pytest.mark.parametrize("p, r", [(7, 1), (7, -9), (13, -1)])
+@pytest.mark.parametrize("twist", [0, 1])
+def test_sparse_route2_matches_dense_route2(p, r, twist):
+    from sclab.qring import _cleared_sum
+
+    step = 5 * (3 - r) // 2 + twist
+    sparse = _cleared_sum(p, r, step)
+    assert _lowest_terms(sparse) == _lowest_terms(_dense_cleared_sum(p, r, step))
+    assert (sparse.poly % QRing(p).modulus).is_zero == (twist == 0)

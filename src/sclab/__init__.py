@@ -29,12 +29,11 @@ from .hyperkernel import (
 from .padic import PadicContext, Residue, congruent, vp
 from .pgamma import ap, gamma_p, pochhammer_residue_via_gamma
 from .qring import QRing, q_integer, q_pochhammer, verify_q_conjecture
-from .rationals import BigRational, factorial, pochhammer, primes_in
+from .rationals import pochhammer, primes_in
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRational",
     "CongruenceReport",
     "CycElement",
     "FAMILIES",
@@ -54,7 +53,6 @@ __all__ = [
     "conjugate_product_congruence",
     "eval_truncated",
     "eval_truncated_residue",
-    "factorial",
     "gamma_p",
     "lhs_residue",
     "lhs_value",

@@ -1,10 +1,24 @@
-"""Claim families: admissibility, exact left sides, closed-form right
+"""Claim families: the family table, exact left sides, closed-form right
 sides, instance verification, prime sweeps, and proof-chain replays.
+
+Each family is one ``FamilyInfo`` entry in ``FAMILIES``, which holds all
+of its facts: the registry fields the CLI reads, the side conditions as
+ordered (predicate, reason) pairs, the shape of the truncated series, the
+closed-form case table, and the primes established by hand computation
+instead of the Gamma evaluator.  ``admissible``, ``lhs_spec``,
+``rhs_form``, ``verify`` and ``scan`` only read the entry, so adding a
+family is adding one entry.
 
 Seven families are registered.  Two carry a free integer parameter r
 (``thm1``, ``thm2``); the conjectural ones (``conj1``, ``conj3``) share
 thm2's shape at other moduli; the remaining three (``lr3``, ``d2``,
 ``a1``) are fixed series with a case split on the residue class of p.
+The ``lr3``/``d2`` closed forms are Long-Ramakrishna's (Adv. Math. 290,
+2016).
+
+The proof chains replay the derivations of ``thm1`` and ``thm2`` on the
+identity code in ``hyperkernel`` (``_whipple_sides``, ``_d1_sides``),
+the same sides the seeded fuzzers check.
 
 A verification never asserts more than v_p(lhs - rhs) >= k for the
 family's modulus exponent k; the witness valuation is always reported.
@@ -22,10 +36,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import Callable
 
 from .cyclotomic import CycElement
 from .hyperkernel import (
     SeriesSpec,
+    _d1_sides,
+    _whipple_sides,
     check_karlsson_minton,
     eval_truncated,
     eval_truncated_residue,
@@ -70,6 +87,8 @@ class ClosedForm:
 
 @dataclass(frozen=True)
 class FamilyInfo:
+    """Everything the package knows about one claim family."""
+
     id: str
     description: str
     modulus_exponent: int
@@ -78,7 +97,59 @@ class FamilyInfo:
     default_r_values: tuple
     conjecture: bool
     default_p_max: int
+    # ordered (predicate(p, r), reason) pairs; the first that fails is reported
+    conditions: tuple
+    # r -> (a, e, m, c): the left side is sum_{k<p} (m*k + c) (a)_k^e / k!^e
+    series: Callable
+    # p % case_modulus -> (coefficient(p, r) as a Fraction, case label); the
+    # right side is coefficient * prod Gamma_p(x)^j over gammas(r) * finite
+    # sum, the finite sum being _weighted_tail_sum(r) if tail_sum, else 1
+    cases: dict
+    case_modulus: int = 1
+    gammas: Callable = lambda r: ()
+    tail_sum: bool = False
+    hand_verified: tuple = ()  # primes established by direct hand computation
 
+
+def _parity_sign(n: int) -> int:
+    return -1 if n % 2 else 1
+
+
+@lru_cache(maxsize=None)
+def _weighted_tail_sum(r: int) -> Fraction:
+    """The finite factor sum_{k=0}^{1-r} (r-1)_k (r/3)_k^3 / (k! (2r/3)_k^3)."""
+    return hypergeometric_sum(
+        upper=(Fraction(r - 1), Fraction(r, 3), Fraction(r, 3), Fraction(r, 3)),
+        lower=(Fraction(2 * r, 3),) * 3,
+        n_terms=(1 - r) + 1,
+    )
+
+
+def _sixth_power(r: int) -> tuple:
+    return Fraction(r, 3), 6, 6, r
+
+
+def _gamma_quotient(r: int) -> tuple:
+    """Gamma_p(1 + r/3)^2 Gamma_p(1 + 2r/3)^-3 Gamma_p(1 - r/3)^-4."""
+    return (
+        (1 + Fraction(r, 3), 2),
+        (1 + Fraction(2 * r, 3), -3),
+        (1 - Fraction(r, 3), -4),
+    )
+
+
+_R_AT_MOST_ONE = (lambda p, r: r <= 1, "r must be at most 1")
+_R_PRIME_TO_3 = (lambda p, r: gcd(r, 3) == 1, "r must be coprime to 3")
+_P_AT_LEAST_5 = (lambda p, r: p >= 5, "p must be at least 5")
+_THM2_CONDITIONS = (
+    _R_AT_MOST_ONE,
+    _R_PRIME_TO_3,
+    (lambda p, r: (p + r) % 3 == 0, "p + r must vanish mod 3"),
+    (lambda p, r: p >= 3 - r, "p must be at least 3 - r"),
+)
+_THM2_CASES = {
+    0: (lambda p, r: Fraction(_parity_sign(r + 1) * 80 * r * p ** 4, 81), "gamma-closed-form")
+}
 
 FAMILIES: dict[str, FamilyInfo] = {
     f.id: f
@@ -87,36 +158,94 @@ FAMILIES: dict[str, FamilyInfo] = {
             "lr3",
             "cubed half-integer series vs fourth Gamma power, mod p^3",
             3, False, 0, (0,), False, 97,
+            conditions=((lambda p, r: p != 2, "p must be odd"),),
+            series=lambda r: (Fraction(1, 2), 3, 0, 1),
+            cases={
+                1: (lambda p, r: Fraction(-1), "p%4=1"),
+                3: (lambda p, r: Fraction(-(p * p), 16), "p%4=3"),
+            },
+            case_modulus=4,
+            gammas=lambda r: ((Fraction(1, 4), 4),),
         ),
         FamilyInfo(
             "d2",
             "sixth-power series (weight 6k+1) vs ninth Gamma power, mod p^6",
             6, False, 1, (1,), False, 23,
+            conditions=(_P_AT_LEAST_5,),
+            series=_sixth_power,
+            cases={
+                1: (lambda p, r: Fraction(-p), "p%6=1"),
+                5: (lambda p, r: Fraction(-10 * p ** 4, 27), "p%6=5"),
+            },
+            case_modulus=6,
+            gammas=lambda r: ((Fraction(1, 3), 9),),
         ),
         FamilyInfo(
             "a1",
             "sixth-power series (weight 6k-1) vs ninth Gamma power, mod p^5",
             5, False, -1, (-1,), False, 47,
+            conditions=(_P_AT_LEAST_5,),
+            series=_sixth_power,
+            cases={
+                1: (lambda p, r: Fraction(140 * p ** 4), "p%6=1"),
+                5: (lambda p, r: Fraction(378 * p), "p%6=5"),
+            },
+            case_modulus=6,
+            gammas=lambda r: ((Fraction(2, 3), 9),),
         ),
         FamilyInfo(
             "thm1",
             "fifth-power series (weight 10k+r) vanishing mod p^4",
             4, True, 1, (1, -1, -3, -7, -9), False, 200,
+            conditions=(
+                _R_AT_MOST_ONE,
+                (lambda p, r: r % 2 != 0, "r must be odd"),
+                (lambda p, r: gcd(r, 5) == 1, "r must be coprime to 5"),
+                (lambda p, r: (2 * p + r) % 5 == 0, "2p + r must vanish mod 5"),
+                (lambda p, r: 2 * p >= 5 - r, "p must be at least (5 - r)/2"),
+            ),
+            series=lambda r: (Fraction(r, 5), 5, 10, r),
+            cases={0: (lambda p, r: Fraction(0), "rhs-zero")},
         ),
         FamilyInfo(
             "thm2",
             "sixth-power series (weight 6k+r) vs Gamma closed form, mod p^5",
             5, True, 1, (1, -1, -2, -4, -5), False, 47,
+            conditions=_THM2_CONDITIONS,
+            series=_sixth_power,
+            cases=_THM2_CASES,
+            gammas=_gamma_quotient,
+            tail_sum=True,
+            hand_verified=(2,),
         ),
         FamilyInfo(
             "conj1",
             "thm2 closed form conjecturally mod p^6 (p > 3)",
             6, True, 1, (1, -1, -2, -4, -5), True, 23,
+            conditions=_THM2_CONDITIONS + ((lambda p, r: p > 3, "p must exceed 3"),),
+            series=_sixth_power,
+            cases=_THM2_CASES,
+            gammas=_gamma_quotient,
+            tail_sum=True,
+            hand_verified=(2,),
         ),
         FamilyInfo(
             "conj3",
             "sixth-power series vs linear-in-p Gamma form, conjecturally mod p^6",
             6, True, 1, (1, -1, -2, -4, -5), True, 23,
+            conditions=(
+                _R_AT_MOST_ONE,
+                _R_PRIME_TO_3,
+                (lambda p, r: p >= 7, "p must be at least 7"),
+                (lambda p, r: (p - r) % 3 == 0, "p - r must vanish mod 3"),
+                (lambda p, r: p >= 3 - 2 * r, "p must be at least 3 - 2r"),
+            ),
+            series=_sixth_power,
+            cases={
+                0: (lambda p, r: Fraction(_parity_sign(r) * 8 * r * p, 3), "gamma-closed-form")
+            },
+            gammas=_gamma_quotient,
+            tail_sum=True,
         ),
     )
 }
@@ -144,11 +273,6 @@ def resolve_r(claim_id: str, r: int | None) -> int:
     return fam.canonical_r
 
 
-# ---------------------------------------------------------------------------
-# Admissibility
-# ---------------------------------------------------------------------------
-
-
 def admissible(claim_id: str, p: int, r: int | None = None) -> Admissibility:
     """Side conditions of the claim at (p, r), with a reason when they fail."""
     fam = family(claim_id)
@@ -158,86 +282,27 @@ def admissible(claim_id: str, p: int, r: int | None = None) -> Admissibility:
         return Admissibility(False, str(exc))
     if not is_prime(p):
         return Admissibility(False, f"{p} is not prime")
-    name = fam.id
-    if name == "lr3":
-        if p == 2:
-            return Admissibility(False, "p must be odd")
-        return Admissibility(True)
-    if name in ("d2", "a1"):
-        if p < 5:
-            return Admissibility(False, "p must be at least 5")
-        return Admissibility(True)
-    if name == "thm1":
-        if r > 1:
-            return Admissibility(False, "r must be at most 1")
-        if r % 2 == 0:
-            return Admissibility(False, "r must be odd")
-        if gcd(r, 5) != 1:
-            return Admissibility(False, "r must be coprime to 5")
-        if (2 * p + r) % 5 != 0:
-            return Admissibility(False, "2p + r must vanish mod 5")
-        if 2 * p < 5 - r:
-            return Admissibility(False, "p must be at least (5 - r)/2")
-        return Admissibility(True)
-    if name in ("thm2", "conj1"):
-        if r > 1:
-            return Admissibility(False, "r must be at most 1")
-        if gcd(r, 3) != 1:
-            return Admissibility(False, "r must be coprime to 3")
-        if (p + r) % 3 != 0:
-            return Admissibility(False, "p + r must vanish mod 3")
-        if p < 3 - r:
-            return Admissibility(False, "p must be at least 3 - r")
-        if name == "conj1" and p <= 3:
-            return Admissibility(False, "p must exceed 3")
-        return Admissibility(True)
-    if name == "conj3":
-        if r > 1:
-            return Admissibility(False, "r must be at most 1")
-        if gcd(r, 3) != 1:
-            return Admissibility(False, "r must be coprime to 3")
-        if p < 7:
-            return Admissibility(False, "p must be at least 7")
-        if (p - r) % 3 != 0:
-            return Admissibility(False, "p - r must vanish mod 3")
-        if p < 3 - 2 * r:
-            return Admissibility(False, "p must be at least 3 - 2r")
-        return Admissibility(True)
-    raise AssertionError(name)
+    for holds, reason in fam.conditions:
+        if not holds(p, r):
+            return Admissibility(False, reason)
+    return Admissibility(True)
 
 
-# ---------------------------------------------------------------------------
-# Left sides
-# ---------------------------------------------------------------------------
+def _require_admissible(claim_id: str, p: int, r: int) -> None:
+    adm = admissible(claim_id, p, r)
+    if not adm:
+        raise InadmissibleInstanceError(f"({claim_id}, p={p}, r={r}): {adm.reason}")
 
 
 def lhs_spec(claim_id: str, p: int, r: int | None = None) -> SeriesSpec:
     """The truncated series of the claim, summed for k = 0 .. p-1."""
-    fam = family(claim_id)
-    r = resolve_r(claim_id, r)
-    if fam.id == "lr3":
-        return SeriesSpec(
-            upper=(Fraction(1, 2),) * 3,
-            lower=(),
-            truncation=p,
-            weight=(Fraction(0), Fraction(1)),
-            factorial_power=3,
-        )
-    if fam.id == "thm1":
-        return SeriesSpec(
-            upper=(Fraction(r, 5),) * 5,
-            lower=(),
-            truncation=p,
-            weight=(Fraction(10), Fraction(r)),
-            factorial_power=5,
-        )
-    # the sixth-power shape shared by d2, a1, thm2, conj1, conj3
+    a, power, slope, const = family(claim_id).series(resolve_r(claim_id, r))
     return SeriesSpec(
-        upper=(Fraction(r, 3),) * 6,
+        upper=(a,) * power,
         lower=(),
         truncation=p,
-        weight=(Fraction(6), Fraction(r)),
-        factorial_power=6,
+        weight=(Fraction(slope), Fraction(const)),
+        factorial_power=power,
     )
 
 
@@ -253,66 +318,16 @@ def lhs_residue(claim_id: str, p: int, r: int | None, ctx: PadicContext) -> Resi
     return eval_truncated_residue(lhs_spec(claim_id, p, r), ctx)
 
 
-# ---------------------------------------------------------------------------
-# Right sides
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _weighted_tail_sum(r: int) -> Fraction:
-    """The finite factor sum_{k=0}^{1-r} (r-1)_k (r/3)_k^3 / (k! (2r/3)_k^3)."""
-    return hypergeometric_sum(
-        upper=(Fraction(r - 1), Fraction(r, 3), Fraction(r, 3), Fraction(r, 3)),
-        lower=(Fraction(2 * r, 3),) * 3,
-        n_terms=(1 - r) + 1,
-    )
-
-
-def _parity_sign(n: int) -> int:
-    return -1 if n % 2 else 1
-
-
 def rhs_form(claim_id: str, p: int, r: int | None = None) -> ClosedForm:
     """Closed-form right side at (p, r), as an unevaluated product."""
     fam = family(claim_id)
     r = resolve_r(claim_id, r)
-    name = fam.id
-    if name == "lr3":
-        if p % 4 == 1:
-            return ClosedForm(
-                Fraction(-1), ((Fraction(1, 4), 4),), Fraction(1), "p%4=1"
-            )
-        return ClosedForm(
-            Fraction(-(p * p), 16), ((Fraction(1, 4), 4),), Fraction(1), "p%4=3"
-        )
-    if name == "d2":
-        if p % 6 == 1:
-            return ClosedForm(
-                Fraction(-p), ((Fraction(1, 3), 9),), Fraction(1), "p%6=1"
-            )
-        return ClosedForm(
-            Fraction(-10 * p ** 4, 27), ((Fraction(1, 3), 9),), Fraction(1), "p%6=5"
-        )
-    if name == "a1":
-        if p % 6 == 1:
-            return ClosedForm(
-                Fraction(140 * p ** 4), ((Fraction(2, 3), 9),), Fraction(1), "p%6=1"
-            )
-        return ClosedForm(
-            Fraction(378 * p), ((Fraction(2, 3), 9),), Fraction(1), "p%6=5"
-        )
-    if name == "thm1":
-        return ClosedForm(Fraction(0), (), Fraction(1), "rhs-zero")
-    gammas = (
-        (1 + Fraction(r, 3), 2),
-        (1 + Fraction(2 * r, 3), -3),
-        (1 - Fraction(r, 3), -4),
-    )
-    if name in ("thm2", "conj1"):
-        coeff = Fraction(_parity_sign(r + 1) * 80 * r * p ** 4, 81)
-    else:  # conj3
-        coeff = Fraction(_parity_sign(r) * 8 * r * p, 3)
-    return ClosedForm(coeff, gammas, _weighted_tail_sum(r), "gamma-closed-form")
+    case = fam.cases.get(p % fam.case_modulus)
+    if case is None:
+        raise InadmissibleInstanceError(f"({fam.id}, p={p}): no closed form for this p")
+    coefficient, label = case
+    finite_sum = _weighted_tail_sum(r) if fam.tail_sum else Fraction(1)
+    return ClosedForm(coefficient(p, r), fam.gammas(r), finite_sum, label)
 
 
 def _assemble_residue(form: ClosedForm, ctx: PadicContext, full_precision: bool) -> Residue:
@@ -333,18 +348,12 @@ def _assemble_residue(form: ClosedForm, ctx: PadicContext, full_precision: bool)
     return Residue(ctx.p ** v * acc % ctx.modulus, ctx)
 
 
-def _hand_verified(fam: FamilyInfo, p: int) -> bool:
-    """thm2/conj1 at p = 2: outside the odd-p Gamma evaluator, established
-    by direct hand computation instead."""
-    return fam.id in ("thm2", "conj1") and p == 2
-
-
 def rhs_residue(claim_id: str, p: int, r: int | None = None, ctx: PadicContext | None = None) -> Residue:
     """Residue of the closed form mod p^k (k from ctx, default the family's)."""
     fam = family(claim_id)
     if ctx is None:
         ctx = PadicContext(p, fam.modulus_exponent)
-    if _hand_verified(fam, p):
+    if p in fam.hand_verified:
         raise UnsupportedInstanceError(
             "the Gamma evaluator requires odd p; the p = 2, r = 1 instance "
             "is established by direct hand computation and excluded here"
@@ -404,6 +413,11 @@ def _resolve_exponent(fam: FamilyInfo, modulus_exponent: int | None) -> int:
 LHS_GUARD_DIGITS = 3
 
 
+def _finite(w):
+    """A valuation as reported: None for the infinite valuation of zero."""
+    return None if w == math.inf else w
+
+
 def verify(
     claim_id: str,
     p: int,
@@ -414,11 +428,7 @@ def verify(
     valuation of the difference."""
     fam = family(claim_id)
     rr = resolve_r(claim_id, r)
-    adm = admissible(claim_id, p, rr)
-    if not adm:
-        raise InadmissibleInstanceError(
-            f"({fam.id}, p={p}, r={rr}): {adm.reason}"
-        )
+    _require_admissible(fam.id, p, rr)
     k = _resolve_exponent(fam, modulus_exponent)
     started = time.perf_counter()
     ctx = PadicContext(p, k)
@@ -447,7 +457,7 @@ def verify(
         case_label=form.case_label,
         lhs_residue=lhs.value % ctx.modulus,
         rhs_residue=rhs.value,
-        witness_valuation=None if witness == math.inf else witness,
+        witness_valuation=_finite(witness),
         passed=passed,
         elapsed_ms=elapsed,
     )
@@ -480,14 +490,16 @@ def scan(
     """Verify every admissible (p, r) with p <= p_max, ascending by (p, r).
 
     Inadmissible pairs are skipped and counted; admissible pairs outside
-    machine verification (p = 2 for the Gamma-closed-form families) are
-    listed separately, not verified.
+    machine verification (the family's hand-verified primes) are listed
+    separately, not verified.  An r that a fixed-weight family does not
+    take, or an empty r set, raises ValueError.
     """
     fam = family(claim_id)
-    if fam.takes_r:
-        rs = sorted(set(fam.default_r_values if r_values is None else r_values))
-    else:
-        rs = [fam.canonical_r]
+    if r_values is None:
+        r_values = fam.default_r_values
+    rs = sorted({resolve_r(fam.id, r) for r in r_values})
+    if not rs:
+        raise ValueError("the r set is empty")
     k = _resolve_exponent(fam, modulus_exponent)
     instances = []
     skipped = 0
@@ -497,7 +509,7 @@ def scan(
             if not admissible(claim_id, p, r):
                 skipped += 1
                 continue
-            if _hand_verified(fam, p):
+            if p in fam.hand_verified:
                 excluded.append(
                     (p, r, "established by direct hand computation; "
                            "outside the odd-p Gamma evaluator")
@@ -562,11 +574,6 @@ class ProofChain:
             self.status = "fail"
 
 
-def _witness_of(difference: Fraction, p: int):
-    w = vp(difference, p)
-    return None if w == math.inf else w
-
-
 def _cyc_valuation(u: CycElement, p: int):
     """Coordinate-wise valuation min_i v_p(coefficient_i), read off the
     integer numerators and their one denominator."""
@@ -574,53 +581,32 @@ def _cyc_valuation(u: CycElement, p: int):
     return top - vp(u.den, p)
 
 
+def _start_chain(claim_id: str, p: int, r: int, skip_reason: str) -> ProofChain:
+    """The preamble every chain shares: an inadmissible instance raises,
+    and p = 2, where the field reductions need an odd prime, is skipped."""
+    _require_admissible(claim_id, p, r)
+    chain = ProofChain(claim_id, p, r)
+    if p == 2:
+        chain.status, chain.reason = "skipped", skip_reason
+    return chain
+
+
 def proof_chain_thm1(p: int, r: int) -> ProofChain:
     """Replay the derivation of the fifth-power vanishing claim at (p, r):
     a seven-slot transformation instance over Q(i), the conjugate-product
     reduction mod p^4, tail handling, and the final Karlsson-Minton zero."""
-    adm = admissible("thm1", p, r)
-    if not adm:
-        raise InadmissibleInstanceError(f"(thm1, p={p}, r={r}): {adm.reason}")
-    chain = ProofChain("thm1", p, r)
-    if p == 2:
-        chain.status = "skipped"
-        chain.reason = (
-            "the chain's quadratic-field reductions need an odd prime; "
-            "the claim itself is still verified directly"
-        )
+    chain = _start_chain(
+        "thm1", p, r,
+        "the chain's quadratic-field reductions need an odd prime; "
+        "the claim itself is still verified directly",
+    )
+    if chain.status == "skipped":
         return chain
     n = (3 * p - r) // 5
-    i_unit = CycElement.zeta(4)
-    cst = lambda x: CycElement.from_rational(4, x)
     a = Fraction(r, 5)
-    b = Fraction(r + 5, 10)
-    c = Fraction(r + 3 * p, 5)
-    d = cst(a) + cst(Fraction(3 * p, 5)) * i_unit
-    e = cst(a) - cst(Fraction(3 * p, 5)) * i_unit
-    one = CycElement.one(4)
-
-    lhs76 = hypergeometric_sum(
-        upper=(cst(a), cst(1 + a / 2), cst(b), cst(c), d, e, Fraction(-n)),
-        lower=(
-            cst(a / 2),
-            cst(1 + a - b),
-            cst(1 + a - c),
-            one + cst(a) - d,
-            one + cst(a) - e,
-            cst(1 + a + n),
-        ),
-        n_terms=n + 1,
-    )
-    prefactor = (
-        rising(cst(a + 1), n)
-        * rising(one + cst(a) - d - e, n)
-        / (rising(one + cst(a) - d, n) * rising(one + cst(a) - e, n))
-    )
-    f43_lower = (Fraction(2 * r - 3 * p, 5), Fraction(r + 5, 10), Fraction(5 - 3 * p, 5))
-    f43_a = hypergeometric_sum(
-        upper=(cst(Fraction(5 - r - 6 * p, 10)), d, e, cst(Fraction(r - 3 * p, 5))),
-        lower=tuple(cst(x) for x in f43_lower),
-        n_terms=n + 1,
+    shift = Fraction(3 * p, 5) * CycElement.zeta(4)
+    lhs76, prefactor, f43_a = _whipple_sides(
+        a, Fraction(r + 5, 10), Fraction(r + 3 * p, 5), a + shift, a - shift, n
     )
     chain._add(
         "transformation-instance",
@@ -637,7 +623,7 @@ def proof_chain_thm1(p: int, r: int) -> ProofChain:
         "series-reduction",
         "transformed series matches (1/r) * weighted sum mod p^4",
         4,
-        _witness_of(diff, p) if ok_rational else None,
+        _finite(vp(diff, p)) if ok_rational else None,
         ok_rational and vp(diff, p) >= 4,
     )
 
@@ -655,7 +641,7 @@ def proof_chain_thm1(p: int, r: int) -> ProofChain:
         "tail-vanishing",
         f"terms with {n} < k < {p} vanish mod p per ratio and mod p^5 in full",
         5,
-        None if tail_witness == math.inf else tail_witness,
+        _finite(tail_witness),
         tail_ratio_ok and tail_witness >= 5,
     )
 
@@ -665,10 +651,11 @@ def proof_chain_thm1(p: int, r: int) -> ProofChain:
         "prefactor-valuation",
         "rising-factorial prefactor is divisible by p^2",
         2,
-        None if pref_v == math.inf else pref_v,
+        _finite(pref_v),
         pref_ok and pref_v >= 2,
     )
 
+    f43_lower = (Fraction(2 * r - 3 * p, 5), Fraction(r + 5, 10), Fraction(5 - 3 * p, 5))
     f43_b = hypergeometric_sum(
         upper=(Fraction(5 - r - 6 * p, 10), a, a, Fraction(r - 3 * p, 5)),
         lower=f43_lower,
@@ -681,7 +668,7 @@ def proof_chain_thm1(p: int, r: int) -> ProofChain:
         "four-slot series with conjugate imaginary shifts matches the "
         "unshifted one mod p^2",
         2,
-        _witness_of(diff_ab, p) if ok_a_rational else None,
+        _finite(vp(diff_ab, p)) if ok_a_rational else None,
         ok_a_rational and vp(diff_ab, p) >= 2,
     )
 
@@ -700,7 +687,7 @@ def proof_chain_thm1(p: int, r: int) -> ProofChain:
         "real-shift-swap",
         "unshifted four-slot series matches the real-shifted one mod p^2",
         2,
-        _witness_of(diff_bc, p),
+        _finite(vp(diff_bc, p)),
         vp(diff_bc, p) >= 2,
     )
 
@@ -726,78 +713,25 @@ def proof_chain_thm1(p: int, r: int) -> ProofChain:
     return chain
 
 
+
+
 def proof_chain_thm2(p: int, r: int) -> ProofChain:
     """Replay the derivation of the sixth-power Gamma claim at (p, r): a
     transformation instance over Q(zeta_5), conjugate-product reduction
     mod p^5, two exact rising-factorial extractions, the mod-p^5 ratio
     closed form, and the Gamma quotient form mod p."""
-    adm = admissible("thm2", p, r)
-    if not adm:
-        raise InadmissibleInstanceError(f"(thm2, p={p}, r={r}): {adm.reason}")
-    chain = ProofChain("thm2", p, r)
-    if p == 2:
-        chain.status = "skipped"
-        chain.reason = (
-            "instance established by direct hand computation; the chain "
-            "needs an odd prime"
-        )
+    chain = _start_chain(
+        "thm2", p, r,
+        "instance established by direct hand computation; the chain "
+        "needs an odd prime",
+    )
+    if chain.status == "skipped":
         return chain
     n = (2 * p - r) // 3
-    m = 1 - r
     z = CycElement.zeta(5)
-    cst = lambda x: CycElement.from_rational(5, x)
-    one = CycElement.one(5)
-    t = cst(Fraction(r, 3))
-    a = cst(Fraction(2 * p, 3)) * z
-    b = cst(Fraction(2 * p, 3)) * z ** 2
-    c = cst(Fraction(2 * p, 3)) * z ** 3
-
-    lhs76 = hypergeometric_sum(
-        upper=(
-            t,
-            one + Fraction(1, 2) * t,
-            Fraction(-n),
-            t - a,
-            t - b,
-            t - c,
-            one - t - m + n + a + b + c,
-        ),
-        lower=(
-            Fraction(1, 2) * t,
-            one + t + n,
-            one + a,
-            one + b,
-            one + c,
-            2 * t + m - n - a - b - c,
-        ),
-        n_terms=n + 1,
-    )
-    ratio = (
-        rising(one + t, n)
-        * rising(a + b + 2 - m - t, n)
-        * rising(a + c + 2 - m - t, n)
-        * rising(b + c + 2 - m - t, n)
-        / (
-            rising(one + a, n)
-            * rising(one + b, n)
-            * rising(one + c, n)
-            * rising(a + b + c + 1 - m - 2 * t, n)
-        )
-    )
-    linear = (
-        (a + b + 1 - m - t) * (a + c + 1 - m - t) * (b + c + 1 - m - t)
-    ) / (
-        (a + b + n + 1 - m - t) * (a + c + n + 1 - m - t) * (b + c + n + 1 - m - t)
-    )
-    tail43 = hypergeometric_sum(
-        upper=(
-            Fraction(-m),
-            Fraction(-n),
-            a + b + c + 1 - m - 2 * t,
-            a + b + c + 1 + n - m - t,
-        ),
-        lower=(a + b + 1 - m - t, a + c + 1 - m - t, b + c + 1 - m - t),
-        n_terms=min(m, n) + 1,
+    scale = Fraction(2 * p, 3)
+    lhs76, ratio, linear, tail43 = _d1_sides(
+        Fraction(r, 3), scale * z, scale * z ** 2, scale * z ** 3, n, 1 - r
     )
     chain._add(
         "transformation-instance",
@@ -814,24 +748,22 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
         "series-reduction",
         "transformed series matches (1/r) * weighted sum mod p^5",
         5,
-        _witness_of(diff1, p) if ok_rational else None,
+        _finite(vp(diff1, p)) if ok_rational else None,
         ok_rational and vp(diff1, p) >= 5,
     )
 
-    tail_target = 8 * _weighted_tail_sum(r)
-    diff2 = linear * tail43 - cst(tail_target)
-    w2 = _cyc_valuation(diff2, p)
+    w2 = _cyc_valuation(linear * tail43 - 8 * _weighted_tail_sum(r), p)
     chain._add(
         "remainder-block",
         "linear factors times the terminating series match 8 * finite sum "
         "mod p in every coordinate",
         1,
-        None if w2 == math.inf else w2,
+        _finite(w2),
         w2 >= 1,
     )
 
     lead_lhs = pochhammer(1 + Fraction(r, 3), n)
-    lead_rhs = Fraction(2 * p, 3) * pochhammer(1 + Fraction(r, 3), n - 1)
+    lead_rhs = scale * pochhammer(1 + Fraction(r, 3), n - 1)
     chain._add(
         "leading-pochhammer-extraction",
         "the top factor 2p/3 splits off the leading rising factorial exactly",
@@ -843,13 +775,12 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
     j0 = (p - 2 * r - 3) // 3
     block = (p + r) // 3
     pair_sums = (z + z ** 2, z + z ** 3, z ** 2 + z ** 3)
-    paired_lhs = one
-    paired_rhs = cst(Fraction(5 * p ** 3, 27))
-    for s in pair_sums:
-        paired_lhs = paired_lhs * rising(cst(1 + Fraction(2 * r, 3)) + Fraction(2 * p, 3) * s, n)
-        paired_rhs = paired_rhs * rising(cst(1 + Fraction(2 * r, 3)) + Fraction(2 * p, 3) * s, j0)
-    for s in pair_sums:
-        paired_rhs = paired_rhs * rising(one + Fraction(p, 3) * (2 * s + 1), block)
+    shifted = [1 + Fraction(2 * r, 3) + scale * s for s in pair_sums]
+    paired_lhs = math.prod(rising(x, n) for x in shifted)
+    paired_rhs = Fraction(5 * p ** 3, 27) * math.prod(
+        rising(x, j0) * rising(1 + Fraction(p, 3) * (2 * s + 1), block)
+        for x, s in zip(shifted, pair_sums)
+    )
     chain._add(
         "paired-pochhammer-extraction",
         "the three paired rising factorials factor through 5p^3/27 exactly",
@@ -865,33 +796,26 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
         / pochhammer(Fraction(1), n) ** 4
     )
     sign_n = _parity_sign(n)
-    diff6 = ratio - cst(sign_n * Fraction(10 * p ** 4, 81) * unit_ratio)
-    w6 = _cyc_valuation(diff6, p)
+    w6 = _cyc_valuation(ratio - sign_n * Fraction(10 * p ** 4, 81) * unit_ratio, p)
     chain._add(
         "ratio-closed-form",
         "the full rising-factorial ratio matches its rational closed form "
         "mod p^5 in every coordinate",
         5,
-        None if w6 == math.inf else w6,
+        _finite(w6),
         w6 >= 5,
     )
 
     mod_p = PadicContext(p, 1)
-    g1 = gamma_p(1 + Fraction(r, 3), mod_p).value
-    g2 = gamma_p(1 + Fraction(2 * r, 3), mod_p).value
-    g3 = gamma_p(1 - Fraction(r, 3), mod_p).value
-    gamma_lift = (
-        _parity_sign(n + r + 1)
-        * g1 ** 2
-        * pow(g2, -3, p)
-        * pow(g3, -4, p)
-    ) % p
+    gamma_lift = _parity_sign(n + r + 1) % p
+    for argument, exponent in _gamma_quotient(r):
+        gamma_lift = gamma_lift * pow(gamma_p(argument, mod_p).value, exponent, p) % p
     diff8 = unit_ratio - gamma_lift
     chain._add(
         "gamma-quotient-form",
         "the rational ratio matches the Gamma quotient form mod p",
         1,
-        _witness_of(diff8, p),
+        _finite(vp(diff8, p)),
         vp(diff8, p) >= 1,
     )
 
@@ -903,7 +827,7 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
         "weighted sum matches the assembled closed form mod p^5, in "
         "agreement with direct verification",
         5,
-        _witness_of(diff7, p),
+        _finite(vp(diff7, p)),
         vp(diff7, p) >= 5 and report.passed,
     )
     return chain

@@ -160,11 +160,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--pmax", type=int, default=None,
                         help="largest prime to test (default: the family's desk-scale bound)")
     p_scan.add_argument("--r-set", default=None,
-                        help="comma-separated r values (default: the family's list)")
+                        help="comma-separated r values (default: the family's list); "
+                        "a fixed-weight family takes only its own r")
     p_scan.add_argument("--modk", type=int, default=None)
     p_scan.add_argument(
         "--workers", type=int,
-        default=int(os.environ.get("SCLAB_WORKERS", "1")),
+        # a string default goes through type=int at parse time, so a bad
+        # SCLAB_WORKERS is a usage error like a bad --workers
+        default=os.environ.get("SCLAB_WORKERS", "1"),
         help="parallel workers for the sweep (default: SCLAB_WORKERS or 1)",
     )
     common(p_scan)

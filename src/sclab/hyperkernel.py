@@ -7,8 +7,10 @@ A series here is a finite weighted sum
                      ---------------------------------
                         k!^e  *  prod_j (b_j)_k
 
-with all scalars in one coefficient domain.  Everything is exact: a check
-returns True only when both sides are literally equal as field elements.
+with all scalars in Q or in one cyclotomic field; rational scalars stay
+Fractions next to field elements.  Everything is exact: a check returns
+True only when both sides are literally equal as field elements.  The
+claim chains take their sides from the same builders the checks use.
 ``eval_truncated_residue`` is the one modular route: the residue of a
 rational series mod p^K, exact whenever its term denominators are p-adic
 units.
@@ -47,23 +49,12 @@ def rising(a: Scalar, n: int) -> Scalar:
     return pochhammer(a, n)
 
 
-def _common_domain(values: Sequence[Scalar]):
-    """Pick the coefficient domain and return (coerce, zero, one)."""
-    order = None
-    for v in values:
-        if isinstance(v, CycElement):
-            if order is not None and order != v.order:
-                raise ValueError("mixed cyclotomic orders in one series")
-            order = v.order
-    if order is None:
-        return as_rational, Fraction(0), Fraction(1)
-
-    def coerce(x):
-        if isinstance(x, CycElement):
-            return x
-        return CycElement.from_rational(order, as_rational(x))
-
-    return coerce, CycElement.zero(order), CycElement.one(order)
+def _scalars(values: Sequence[Scalar]) -> list:
+    """The values as Fractions and CycElements of one order.  Rationals
+    stay Fractions, so they meet field elements on the scalar multiply."""
+    if len({v.order for v in values if isinstance(v, CycElement)}) > 1:
+        raise ValueError("mixed cyclotomic orders in one series")
+    return [v if isinstance(v, CycElement) else as_rational(v) for v in values]
 
 
 @dataclass(frozen=True)
@@ -136,30 +127,29 @@ def eval_truncated(spec: SeriesSpec) -> Scalar:
     Over Q the term is carried as a reduced integer pair and one Fraction
     is built per term; over Q(i) or Q(zeta_5) the field arithmetic runs
     step by step."""
-    values = list(spec.upper) + list(spec.lower) + [spec.argument]
-    if not any(isinstance(v, CycElement) for v in values):
+    values = [*spec.upper, *spec.lower, spec.argument]
+    field = next((v for v in values if isinstance(v, CycElement)), None)
+    if field is None:
         return _eval_rational(spec)
-    coerce, zero, one = _common_domain(values)
-    upper = [coerce(a) for a in spec.upper]
-    lower = [coerce(b) for b in spec.lower]
-    z = coerce(spec.argument)
+    *params, z = _scalars(values)
+    upper, lower = params[: len(spec.upper)], params[len(spec.upper) :]
     n_terms = spec.truncation
     for b in lower:
         for t in range(n_terms - 1):
-            if b + t == zero:
+            if b + t == 0:
                 raise PoleInRangeError(
                     f"lower parameter {b!r} vanishes at shift {t}"
                 )
     w_slope, w_const = (as_rational(w) for w in spec.weight)
-    total = zero
-    term = one
+    total = CycElement.zero(field.order)
+    term = CycElement.one(field.order)
     for k in range(n_terms):
         total = total + (w_slope * k + w_const) * term
         if k + 1 < n_terms:
             num = z
             for a in upper:
                 num = num * (a + k)
-            den = one * Fraction(k + 1) ** spec.factorial_power
+            den = Fraction(k + 1) ** spec.factorial_power
             for b in lower:
                 den = den * (b + k)
             term = term * num / den
@@ -241,41 +231,40 @@ def hypergeometric_sum(upper, lower, n_terms: int, argument: Scalar = 1) -> Scal
 
 def _nonzero_or_pole(*factors) -> None:
     for f in factors:
-        if f == 0 or (isinstance(f, CycElement) and f.is_zero):
+        if f == 0:
             raise PoleInRangeError("prefactor denominator vanishes")
 
 
-def check_whipple(a, b, c, d, e, n: int) -> bool:
+def _whipple_sides(a, b, c, d, e, n: int):
     """The classical reduction of a terminating well-poised series of seven
-    parameter slots to a four-slot series with a rising-factorial prefactor.
-    Returns True iff both sides agree exactly."""
+    parameter slots to a four-slot series with a rising-factorial prefactor,
+    returned unevaluated for reuse: (seven-slot series, prefactor,
+    four-slot series)."""
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
-    coerce, _, one = _common_domain([a, b, c, d, e])
-    a, b, c, d, e = (coerce(x) for x in (a, b, c, d, e))
+    a, b, c, d, e = _scalars([a, b, c, d, e])
     half = Fraction(1, 2)
     lhs = hypergeometric_sum(
-        upper=(a, one + half * a, b, c, d, e, Fraction(-n)),
-        lower=(
-            half * a,
-            one + a - b,
-            one + a - c,
-            one + a - d,
-            one + a - e,
-            one + a + n,
-        ),
+        upper=(a, 1 + half * a, b, c, d, e, Fraction(-n)),
+        lower=(half * a, 1 + a - b, 1 + a - c, 1 + a - d, 1 + a - e, 1 + a + n),
         n_terms=n + 1,
     )
-    den1 = rising(one + a - d, n)
-    den2 = rising(one + a - e, n)
+    den1 = rising(1 + a - d, n)
+    den2 = rising(1 + a - e, n)
     _nonzero_or_pole(den1, den2)
     prefactor = rising(a + 1, n) * rising(a - d - e + 1, n) / (den1 * den2)
-    rhs = prefactor * hypergeometric_sum(
-        upper=(one + a - b - c, d, e, Fraction(-n)),
-        lower=(d + e - a - n, one + a - b, one + a - c),
+    series = hypergeometric_sum(
+        upper=(1 + a - b - c, d, e, Fraction(-n)),
+        lower=(d + e - a - n, 1 + a - b, 1 + a - c),
         n_terms=n + 1,
     )
-    return lhs == rhs
+    return lhs, prefactor, series
+
+
+def check_whipple(a, b, c, d, e, n: int) -> bool:
+    """Returns True iff both sides of ``_whipple_sides`` agree exactly."""
+    lhs, prefactor, series = _whipple_sides(a, b, c, d, e, n)
+    return lhs == prefactor * series
 
 
 def check_karlsson_minton(n: int, bs, ms) -> bool:
@@ -294,53 +283,37 @@ def check_karlsson_minton(n: int, bs, ms) -> bool:
         raise IdentityPreconditionError(
             f"need integer n > sum of shifts; got n={n}, sum={sum(ms)}"
         )
-    coerce, zero, _ = _common_domain(list(bs))
-    bs = [coerce(b) for b in bs]
+    bs = _scalars(bs)
     value = hypergeometric_sum(
-        upper=tuple([Fraction(-n)] + [b + m for b, m in zip(bs, ms)]),
-        lower=tuple(bs),
+        upper=(Fraction(-n), *(b + m for b, m in zip(bs, ms))),
+        lower=bs,
         n_terms=n + 1,
     )
-    return value == zero
+    return value == 0
 
 
 def _d1_sides(t, a, b, c, n: int, m: int):
     """Both sides of the seven-to-four slot transformation used by the
-    sixth-power claim chain, returned unevaluated for reuse."""
+    sixth-power claim chain, returned unevaluated for reuse: (seven-slot
+    series, rising-factorial ratio, linear factor, terminating tail)."""
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative integers")
-    coerce, _, one = _common_domain([t, a, b, c])
-    t, a, b, c = (coerce(x) for x in (t, a, b, c))
+    t, a, b, c = _scalars([t, a, b, c])
     half = Fraction(1, 2)
     lhs = hypergeometric_sum(
-        upper=(
-            t,
-            one + half * t,
-            Fraction(-n),
-            t - a,
-            t - b,
-            t - c,
-            one - t - m + n + a + b + c,
-        ),
-        lower=(
-            half * t,
-            one + t + n,
-            one + a,
-            one + b,
-            one + c,
-            2 * t + m - n - a - b - c,
-        ),
+        upper=(t, 1 + half * t, Fraction(-n), t - a, t - b, t - c, 1 - t - m + n + a + b + c),
+        lower=(half * t, 1 + t + n, 1 + a, 1 + b, 1 + c, 2 * t + m - n - a - b - c),
         n_terms=n + 1,
     )
     den = (
-        rising(one + a, n)
-        * rising(one + b, n)
-        * rising(one + c, n)
+        rising(1 + a, n)
+        * rising(1 + b, n)
+        * rising(1 + c, n)
         * rising(a + b + c + 1 - m - 2 * t, n)
     )
     _nonzero_or_pole(den)
     ratio = (
-        rising(one + t, n)
+        rising(1 + t, n)
         * rising(a + b + 2 - m - t, n)
         * rising(a + c + 2 - m - t, n)
         * rising(b + c + 2 - m - t, n)

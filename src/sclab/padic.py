@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
 from .rationals import as_rational, is_prime
@@ -109,11 +108,6 @@ class Residue:
 
     def __int__(self) -> int:
         return self.value
-
-
-def reduce_rational(x, ctx: PadicContext) -> Residue:
-    """Module-level spelling of ``ctx.reduce(x)``."""
-    return ctx.reduce(x)
 
 
 @dataclass(frozen=True)

@@ -399,24 +399,6 @@ class LaurentPolynomial:
         return self.poly.evaluate(x) * x ** self.shift
 
 
-def q_integer_laurent(n: int) -> LaurentPolynomial:
-    """[n] as a Laurent polynomial: 1 + q + ... + q^(n-1), and for n < 0
-    the identity [n] = -q^n [-n].  Evaluates to n at q = 1."""
-    if n == 0:
-        return LaurentPolynomial(QPolynomial.zero(), 0)
-    if n > 0:
-        return LaurentPolynomial(QPolynomial((1,) * n), 0)
-    return LaurentPolynomial(-QPolynomial((1,) * (-n)), n)
-
-
-def q_pochhammer_laurent(a_exponent: int, step: int, k: int) -> LaurentPolynomial:
-    """(q^a; q^step)_k as a Laurent polynomial."""
-    out = LaurentPolynomial.one()
-    for j in range(k):
-        out = out * LaurentPolynomial.unit_minus_q_power(a_exponent + step * j)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The quotient ring Q[q] / Phi_p(q)^power
 # ---------------------------------------------------------------------------

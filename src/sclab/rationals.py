@@ -14,12 +14,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-#: Canonical exact scalar type.  Alias so call sites document intent.
-BigRational = Fraction
-
-factorial = math.factorial
-
-
 def as_rational(x) -> Fraction:
     """Coerce an int or Fraction to Fraction.  Floats are rejected."""
     if isinstance(x, float):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
@@ -54,6 +56,25 @@ def test_admissible_examples():
     assert not admissible("d2", 3).ok
 
 
+# sha256 of json.dumps([[claim, p, r, admissible(claim, p, r).reason], ...])
+# over every family, 0 <= p <= 200 and -15 <= r <= 1: pins each side
+# condition's reason string and the order in which they are tried
+ADMISSIBLE_REASONS_SHA256 = (
+    "76606466e4c7e3862144e6181b1a8249a10138639be1d79b05f8315b61ac2abd"
+)
+
+
+def test_admissible_reasons_golden():
+    rows = [
+        [claim, p, r, admissible(claim, p, r).reason]
+        for claim in sorted(FAMILIES)
+        for p in range(201)
+        for r in range(-15, 2)
+    ]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == ADMISSIBLE_REASONS_SHA256
+
+
 def test_admissible_reports_reason():
     result = admissible("thm1", 3, 1)
     assert not result.ok and "mod 5" in result.reason
@@ -99,6 +120,14 @@ def test_lhs_spec_shape():
 def test_rhs_residue_thm1_is_zero():
     ctx = PadicContext(7, 4)
     assert rhs_residue("thm1", 7, 1, ctx).value == 0
+
+
+def test_rhs_form_refuses_a_prime_outside_its_case_table():
+    # 2 is neither 1 nor 3 mod 4, and 3 is neither 1 nor 5 mod 6
+    with pytest.raises(InadmissibleInstanceError):
+        rhs_form("lr3", 2)
+    with pytest.raises(InadmissibleInstanceError):
+        rhs_form("d2", 3)
 
 
 def test_rhs_residue_matches_full_precision():

@@ -156,6 +156,41 @@ def test_workers_default_from_environment(monkeypatch):
     assert args.workers == 3
 
 
+def test_bad_workers_environment_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("SCLAB_WORKERS", "four")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--claim", "lr3", "--pmax", "7"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "--workers" in err and "'four'" in err
+    cli.build_parser()  # building the parser alone does not read the value
+
+
+@pytest.mark.parametrize("r_set", ["5,7", "1,5", "-1"])
+def test_scan_refuses_r_set_for_fixed_weight_family(capsys, r_set):
+    code, out, err = run(capsys, "scan", "--claim", "d2", "--pmax", "7", f"--r-set={r_set}")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "fixed weight" in err
+
+
+def test_scan_accepts_canonical_r_for_fixed_weight_family(capsys):
+    code, out, _ = run(
+        capsys, "scan", "--claim", "d2", "--pmax", "7", "--r-set", "1",
+        "--format", "json", "--test-mode",
+    )
+    assert code == 0
+    assert [rec["p"] for rec in json.loads(out)] == [5, 7]
+
+
+@pytest.mark.parametrize("r_set", [" , ", ""])
+def test_scan_refuses_empty_r_set(capsys, r_set):
+    code, out, err = run(capsys, "scan", "--claim", "thm1", "--pmax", "7", f"--r-set={r_set}")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "empty" in err
+
+
 def test_identity_all_runs_every_fuzzer(capsys):
     code, out, _ = run(
         capsys, "identity", "--name", "all", "--trials", "5", "--seed", "1",
@@ -264,3 +299,48 @@ def test_identity_json_golden(capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == IDENTITY_GOLDEN_SHA256
+
+
+SKIPPED_CHAIN_GOLDEN = """[
+  {{
+    "claim": "{claim}",
+    "p": 2,
+    "r": 1,
+    "step": "skipped",
+    "modulus_exponent": null,
+    "witness_valuation": null,
+    "pass": true
+  }}
+]
+"""
+
+
+@pytest.mark.parametrize("claim", ["thm1", "thm2"])
+def test_proofchain_skipped_json_golden(capsys, claim):
+    code, out, _ = run(
+        capsys, "proofchain", "--claim", claim, "--p", "2", "--r", "1",
+        "--format", "json", "--test-mode",
+    )
+    assert code == 0
+    assert out == SKIPPED_CHAIN_GOLDEN.format(claim=claim)
+
+
+SCAN_THM2_TEXT_GOLDEN = """\
+claim=thm2  p=5  r=-2  modulus_exponent=5  case_label=gamma-closed-form  lhs_residue=0  rhs_residue=0  witness_valuation=5  pass=true  elapsed_ms=0
+claim=thm2  p=5  r=1  modulus_exponent=5  case_label=gamma-closed-form  lhs_residue=0  rhs_residue=0  witness_valuation=5  pass=true  elapsed_ms=0
+claim=thm2  p=7  r=-4  modulus_exponent=5  case_label=gamma-closed-form  lhs_residue=0  rhs_residue=0  witness_valuation=5  pass=true  elapsed_ms=0
+claim=thm2  p=7  r=-1  modulus_exponent=5  case_label=gamma-closed-form  lhs_residue=0  rhs_residue=0  witness_valuation=5  pass=true  elapsed_ms=0
+claim=thm2  p=11  r=-5  modulus_exponent=5  case_label=gamma-closed-form  lhs_residue=117128  rhs_residue=117128  witness_valuation=5  pass=true  elapsed_ms=0
+claim=thm2  p=11  r=-2  modulus_exponent=5  case_label=gamma-closed-form  lhs_residue=73205  rhs_residue=73205  witness_valuation=5  pass=true  elapsed_ms=0
+claim=thm2  p=11  r=1  modulus_exponent=5  case_label=gamma-closed-form  lhs_residue=102487  rhs_residue=102487  witness_valuation=5  pass=true  elapsed_ms=0
+claim=thm2  p=13  r=-4  modulus_exponent=5  case_label=gamma-closed-form  lhs_residue=114244  rhs_residue=114244  witness_valuation=5  pass=true  elapsed_ms=0
+claim=thm2  p=13  r=-1  modulus_exponent=5  case_label=gamma-closed-form  lhs_residue=314171  rhs_residue=314171  witness_valuation=5  pass=true  elapsed_ms=0
+9 passed, 0 failed, 20 inadmissible skipped, 1 hand-verified excluded
+excluded (p=2, r=1): established by direct hand computation; outside the odd-p Gamma evaluator
+"""
+
+
+def test_scan_text_golden(capsys):
+    code, out, _ = run(capsys, "scan", "--claim", "thm2", "--pmax", "13", "--test-mode")
+    assert code == 0
+    assert out == SCAN_THM2_TEXT_GOLDEN

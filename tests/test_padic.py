@@ -9,7 +9,6 @@ from sclab.padic import (
     PadicContext,
     Residue,
     congruent,
-    reduce_rational,
     vp,
 )
 
@@ -40,10 +39,6 @@ def test_reduce_examples():
 def test_reduce_rejects_non_integral():
     with pytest.raises(NonIntegralInputError):
         PadicContext(5, 2).reduce(Fraction(1, 5))
-
-
-def test_module_level_reduce():
-    assert reduce_rational(Fraction(1, 2), PadicContext(5, 2)).value == 13
 
 
 def test_congruent_examples():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sclab.rationals import factorial, is_prime, pochhammer, primes_in
+from sclab.rationals import is_prime, pochhammer, primes_in
 
 from conftest import random_rational
 
@@ -25,12 +25,6 @@ def test_pochhammer_vanishes_at_nonpositive_integers():
 def test_pochhammer_rejects_negative_length():
     with pytest.raises(ValueError):
         pochhammer(Fraction(1), -1)
-
-
-def test_factorial_values():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    assert factorial(10) == 3628800
 
 
 def test_primes_in_examples():
@@ -59,7 +53,7 @@ def test_pochhammer_recurrence(rng):
 
 def test_pochhammer_of_one_is_factorial():
     for n in range(30):
-        assert pochhammer(Fraction(1), n) == factorial(n)
+        assert pochhammer(Fraction(1), n) == math.factorial(n)
 
 
 def test_canonical_form_under_arithmetic(rng):

@@ -401,8 +401,8 @@ def _resolve_exponent(fam: FamilyInfo, modulus_exponent: int | None) -> int:
         return fam.modulus_exponent
     if not 1 <= modulus_exponent <= fam.modulus_exponent:
         raise ValueError(
-            f"modulus exponent for {fam.id} may be lowered but not raised "
-            f"above {fam.modulus_exponent}"
+            f"modulus exponent for {fam.id} must be between 1 and "
+            f"{fam.modulus_exponent}"
         )
     return modulus_exponent
 
@@ -573,6 +573,24 @@ class ProofChain:
         if not passed:
             self.status = "fail"
 
+    def exact(self, name, detail, holds):
+        """A step that is an exact identity: no modulus, no witness."""
+        self._add(name, detail, None, None, holds)
+
+    def congruence(self, name, detail, k, difference):
+        """A step that holds iff v_p(difference) >= k, the witness being
+        v_p(difference), taken coordinate-wise for a field element.  None
+        stands for a side that must be rational and is not: the step fails
+        with no witness."""
+        if difference is None:
+            self._add(name, detail, k, None, False)
+            return
+        if isinstance(difference, CycElement):
+            witness = _cyc_valuation(difference, self.p)
+        else:
+            witness = vp(difference, self.p)
+        self._add(name, detail, k, _finite(witness), witness >= k)
+
 
 def _cyc_valuation(u: CycElement, p: int):
     """Coordinate-wise valuation min_i v_p(coefficient_i), read off the
@@ -589,6 +607,26 @@ def _start_chain(claim_id: str, p: int, r: int, skip_reason: str) -> ProofChain:
     if p == 2:
         chain.status, chain.reason = "skipped", skip_reason
     return chain
+
+
+def _transformation_steps(chain: ProofChain, field_name: str, lhs76, rhs76) -> Fraction:
+    """The two steps every chain opens with: the seven-slot transformation
+    instance holds exactly over the field, and its rational left side is
+    (1/r) times the claim's weighted sum mod p^k.  Returns that sum."""
+    chain.exact(
+        "transformation-instance",
+        f"seven-slot transformation instance holds exactly over {field_name}",
+        lhs76 == rhs76,
+    )
+    k = family(chain.claim).modulus_exponent
+    series = lhs_value(chain.claim, chain.p, chain.r)
+    chain.congruence(
+        "series-reduction",
+        f"transformed series matches (1/r) * weighted sum mod p^{k}",
+        k,
+        lhs76.rational_value() - series / chain.r if lhs76.is_rational else None,
+    )
+    return series
 
 
 def proof_chain_thm1(p: int, r: int) -> ProofChain:
@@ -608,24 +646,7 @@ def proof_chain_thm1(p: int, r: int) -> ProofChain:
     lhs76, prefactor, f43_a = _whipple_sides(
         a, Fraction(r + 5, 10), Fraction(r + 3 * p, 5), a + shift, a - shift, n
     )
-    chain._add(
-        "transformation-instance",
-        "seven-slot transformation instance holds exactly over Q(i)",
-        None,
-        None,
-        lhs76 == prefactor * f43_a,
-    )
-
-    ok_rational = lhs76.is_rational
-    series = lhs_value("thm1", p, r)
-    diff = lhs76.rational_value() - series / r if ok_rational else None
-    chain._add(
-        "series-reduction",
-        "transformed series matches (1/r) * weighted sum mod p^4",
-        4,
-        _finite(vp(diff, p)) if ok_rational else None,
-        ok_rational and vp(diff, p) >= 4,
-    )
+    _transformation_steps(chain, "Q(i)", lhs76, prefactor * f43_a)
 
     tail_ratio_ok = True
     tail_witness = math.inf
@@ -645,14 +666,11 @@ def proof_chain_thm1(p: int, r: int) -> ProofChain:
         tail_ratio_ok and tail_witness >= 5,
     )
 
-    pref_ok = prefactor.is_rational
-    pref_v = vp(prefactor.rational_value(), p) if pref_ok else -1
-    chain._add(
+    chain.congruence(
         "prefactor-valuation",
         "rising-factorial prefactor is divisible by p^2",
         2,
-        _finite(pref_v),
-        pref_ok and pref_v >= 2,
+        prefactor.rational_value() if prefactor.is_rational else None,
     )
 
     f43_lower = (Fraction(2 * r - 3 * p, 5), Fraction(r + 5, 10), Fraction(5 - 3 * p, 5))
@@ -661,15 +679,12 @@ def proof_chain_thm1(p: int, r: int) -> ProofChain:
         lower=f43_lower,
         n_terms=n + 1,
     )
-    ok_a_rational = f43_a.is_rational
-    diff_ab = f43_a.rational_value() - f43_b if ok_a_rational else None
-    chain._add(
+    chain.congruence(
         "imaginary-shift-swap",
         "four-slot series with conjugate imaginary shifts matches the "
         "unshifted one mod p^2",
         2,
-        _finite(vp(diff_ab, p)) if ok_a_rational else None,
-        ok_a_rational and vp(diff_ab, p) >= 2,
+        f43_a.rational_value() - f43_b if f43_a.is_rational else None,
     )
 
     f43_c = hypergeometric_sum(
@@ -682,23 +697,19 @@ def proof_chain_thm1(p: int, r: int) -> ProofChain:
         lower=f43_lower,
         n_terms=n + 1,
     )
-    diff_bc = f43_b - f43_c
-    chain._add(
+    chain.congruence(
         "real-shift-swap",
         "unshifted four-slot series matches the real-shifted one mod p^2",
         2,
-        _finite(vp(diff_bc, p)),
-        vp(diff_bc, p) >= 2,
+        f43_b - f43_c,
     )
 
     ms = [(1 - r) // 2, (2 * p + r - 5) // 10, (2 * p + r - 5) // 5]
     km_ok = check_karlsson_minton(n, list(f43_lower), ms) and f43_c == 0
-    chain._add(
+    chain.exact(
         "karlsson-minton-vanishing",
         "the real-shifted series is an exact zero of the integrally "
         "shifted summation",
-        None,
-        None,
         km_ok,
     )
 
@@ -711,8 +722,6 @@ def proof_chain_thm1(p: int, r: int) -> ProofChain:
         report.passed,
     )
     return chain
-
-
 
 
 def proof_chain_thm2(p: int, r: int) -> ProofChain:
@@ -733,42 +742,20 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
     lhs76, ratio, linear, tail43 = _d1_sides(
         Fraction(r, 3), scale * z, scale * z ** 2, scale * z ** 3, n, 1 - r
     )
-    chain._add(
-        "transformation-instance",
-        "seven-slot transformation instance holds exactly over Q(zeta_5)",
-        None,
-        None,
-        lhs76 == ratio * linear * tail43,
-    )
-
-    series = lhs_value("thm2", p, r)
-    ok_rational = lhs76.is_rational
-    diff1 = lhs76.rational_value() - series / r if ok_rational else None
-    chain._add(
-        "series-reduction",
-        "transformed series matches (1/r) * weighted sum mod p^5",
-        5,
-        _finite(vp(diff1, p)) if ok_rational else None,
-        ok_rational and vp(diff1, p) >= 5,
-    )
-
-    w2 = _cyc_valuation(linear * tail43 - 8 * _weighted_tail_sum(r), p)
-    chain._add(
+    series = _transformation_steps(chain, "Q(zeta_5)", lhs76, ratio * linear * tail43)
+    chain.congruence(
         "remainder-block",
         "linear factors times the terminating series match 8 * finite sum "
         "mod p in every coordinate",
         1,
-        _finite(w2),
-        w2 >= 1,
+        linear * tail43 - 8 * _weighted_tail_sum(r),
     )
 
     lead_lhs = pochhammer(1 + Fraction(r, 3), n)
     lead_rhs = scale * pochhammer(1 + Fraction(r, 3), n - 1)
-    chain._add(
+    chain.exact(
         "leading-pochhammer-extraction",
         "the top factor 2p/3 splits off the leading rising factorial exactly",
-        None,
-        None,
         lead_lhs == lead_rhs,
     )
 
@@ -781,11 +768,9 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
         rising(x, j0) * rising(1 + Fraction(p, 3) * (2 * s + 1), block)
         for x, s in zip(shifted, pair_sums)
     )
-    chain._add(
+    chain.exact(
         "paired-pochhammer-extraction",
         "the three paired rising factorials factor through 5p^3/27 exactly",
-        None,
-        None,
         paired_lhs == paired_rhs,
     )
 
@@ -796,27 +781,23 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
         / pochhammer(Fraction(1), n) ** 4
     )
     sign_n = _parity_sign(n)
-    w6 = _cyc_valuation(ratio - sign_n * Fraction(10 * p ** 4, 81) * unit_ratio, p)
-    chain._add(
+    chain.congruence(
         "ratio-closed-form",
         "the full rising-factorial ratio matches its rational closed form "
         "mod p^5 in every coordinate",
         5,
-        _finite(w6),
-        w6 >= 5,
+        ratio - sign_n * Fraction(10 * p ** 4, 81) * unit_ratio,
     )
 
     mod_p = PadicContext(p, 1)
     gamma_lift = _parity_sign(n + r + 1) % p
     for argument, exponent in _gamma_quotient(r):
         gamma_lift = gamma_lift * pow(gamma_p(argument, mod_p).value, exponent, p) % p
-    diff8 = unit_ratio - gamma_lift
-    chain._add(
+    chain.congruence(
         "gamma-quotient-form",
         "the rational ratio matches the Gamma quotient form mod p",
         1,
-        _finite(vp(diff8, p)),
-        vp(diff8, p) >= 1,
+        unit_ratio - gamma_lift,
     )
 
     assembled = sign_n * Fraction(80 * r * p ** 4, 81) * unit_ratio * _weighted_tail_sum(r)

@@ -132,6 +132,28 @@ def _summary(records: list[dict], skipped: int = 0, excluded: int = 0) -> str:
     return ", ".join(parts)
 
 
+def _count(text: str) -> int:
+    """An argparse type for counts of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _modk(args) -> int | None:
+    """--modk checked against the family's modulus exponent, so that the
+    error names the flag and its range."""
+    top = claims.family(args.claim).modulus_exponent
+    if args.modk is not None and not 1 <= args.modk <= top:
+        raise ValueError(
+            f"--modk for {args.claim} must be between 1 and {top}, got {args.modk}"
+        )
+    return args.modk
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sclab",
@@ -174,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ident = sub.add_parser("identity", help="fuzz the transformation/summation identities")
     p_ident.add_argument("--name", choices=sorted(hyperkernel.FUZZERS) + ["all"], default="all")
-    p_ident.add_argument("--trials", type=int, default=200)
+    p_ident.add_argument("--trials", type=_count, default=200)
     p_ident.add_argument("--seed", type=int, default=0)
     common(p_ident)
 
@@ -197,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_verify(args) -> int:
-    report = claims.verify(args.claim, args.p, args.r, args.modk)
+    report = claims.verify(args.claim, args.p, args.r, _modk(args))
     records = [_report_record(report, args.test_mode)]
     _emit(records, args.format, args.out)
     if args.format == "text":
@@ -208,11 +230,13 @@ def _run_verify(args) -> int:
 def _run_scan(args) -> int:
     fam = claims.family(args.claim)
     p_max = fam.default_p_max if args.pmax is None else args.pmax
+    if p_max < 2:
+        raise ValueError(f"--pmax must be at least 2, got {p_max}")
     r_values = None
     if args.r_set is not None:
         r_values = [int(tok) for tok in args.r_set.split(",") if tok.strip()]
     result = claims.scan(
-        args.claim, p_max, r_values, args.modk, workers=max(args.workers, 1)
+        args.claim, p_max, r_values, _modk(args), workers=max(args.workers, 1)
     )
     records = [_report_record(rep, args.test_mode) for rep in result.reports]
     _emit(records, args.format, args.out)

@@ -1,4 +1,4 @@
-"""The Morita p-adic Gamma function mod p^k, with its classical toolkit.
+"""The Morita p-adic Gamma function mod p^k, and rising factorials through it.
 
 At a nonnegative integer m the function is the signed partial product
 
@@ -64,29 +64,13 @@ def ap(x, p: int) -> int:
 def _unit_range_product_naive(lo: int, hi: int, p: int, modulus: int) -> int:
     """Product of j in [lo, hi) coprime to p, one multiply per element.
 
-    This is the defining computation; the blocked version below and the
-    block-polynomial route of _gamma_at_integer must agree with it (pinned
-    by tests).
+    This is the defining computation; the block-polynomial route of
+    _gamma_at_integer must agree with it (pinned by tests).
     """
     acc = 1
     for j in range(lo, hi):
         if j % p:
             acc = acc * j % modulus
-    return acc
-
-
-def _unit_range_product(lo: int, hi: int, p: int, modulus: int) -> int:
-    """Blocked version of the same product: multiply each run between
-    consecutive multiples of p with math.prod, one reduction per run."""
-    acc = 1
-    start = lo
-    while start < hi:
-        if start % p == 0:
-            start += 1
-            continue
-        stop = min(start + (p - start % p), hi)
-        acc = acc * math.prod(range(start, stop)) % modulus
-        start = stop + 1
     return acc
 
 
@@ -143,9 +127,8 @@ def _block_product(blocks: int, p: int, modulus: int) -> int:
 @lru_cache(maxsize=512)
 def _gamma_at_integer(m: int, p: int, modulus: int) -> int:
     blocks = m // p
-    acc = _block_product(blocks, p, modulus) * _unit_range_product(
-        p * blocks + 1, m, p, modulus
-    )
+    # the tail pT+1 ... m-1 lies between two multiples of p: all units
+    acc = _block_product(blocks, p, modulus) * math.prod(range(p * blocks + 1, m))
     sign = -1 if m % 2 else 1
     return sign * acc % modulus
 

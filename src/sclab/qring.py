@@ -19,16 +19,14 @@ Three kernels keep the check off quadratic pure-Python loops:
   per-slot bias.  ``Fraction`` operands are cleared to integer numerators
   over one denominator first, and the product is divided once at the end.
   An operand with at most ``SPARSE_TERMS`` nonzero terms (a binomial, a
-  monomial) is multiplied by a zero-skipping loop instead.  A long
-  integer division by Phi_p^power (any divisor of degree above
-  ``PACKED_DIVISOR_DEGREE`` with leading coefficient +-1 and an inverse
-  series no wider than itself) goes by the same products, deg(divisor)
-  quotient digits at a time.
+  monomial) is multiplied by a zero-skipping loop instead.
 * Sparse fold.  Phi_p^power divides (q^p - 1)^power, which is monic with
-  power + 1 terms, so a ring product is first reduced mod (q^p - 1)^power
+  power + 1 terms, so a polynomial is first reduced mod (q^p - 1)^power
   in O((power + 1) n) and then mod Phi_p^power in at most ``power``
   division steps.  Reducing mod a multiple of the modulus first is a ring
-  homomorphism, so the residue is the same canonical remainder.
+  homomorphism, so the residue is the same canonical remainder.  Both
+  routes of the q-analogue check reduce this way: ring products, and the
+  cleared-denominator sum, which enters the ring as one element.
 * Sparse passes.  The cleared-denominator route multiplies and divides
   by (1 - q^e)^5 as five shift-and-subtract (or prefix-sum) passes over a
   coefficient list, and sums its terms into one running list.
@@ -45,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import comb, lcm
-from operator import add, attrgetter, mul, sub
+from operator import add, attrgetter, sub
 
 from .rationals import as_rational, is_prime
 
@@ -67,21 +65,12 @@ def _coefficient(c):
 # zero-skipping loop; packing it would cost more than it saves.
 SPARSE_TERMS = 16
 
-# Division goes by blocks of packed products only past this divisor degree;
-# below it the per-step comprehension is faster (the two cross near degree
-# 24 for Phi_p^4 with quotients of 1 to 40 times the divisor's length).
-PACKED_DIVISOR_DEGREE = 24
-
 _denominator = attrgetter("denominator")
-
-
-def _common_denominator(coeffs) -> int:
-    return lcm(*map(_denominator, coeffs))
 
 
 def _cleared(coeffs):
     """Integer numerators over one common denominator: (nums, den)."""
-    den = _common_denominator(coeffs)
+    den = lcm(*map(_denominator, coeffs))
     if den == 1:
         return coeffs, 1
     return [c.numerator * (den // c.denominator) for c in coeffs], den
@@ -136,41 +125,6 @@ def _sparse_mul(sparse, dense) -> list:
         if a:
             out[i:i + width] = [x + a * y for x, y in zip(out[i:i + width], dense)]
     return out
-
-
-def _reversed_inverse(divisor) -> list:
-    """The first d terms of 1 / rev(divisor) as a power series, where
-    rev(divisor) = x^d divisor(1/x) has constant term +-1 (an int divisor
-    of degree d with leading coefficient +-1)."""
-    lead = divisor[-1]
-    rev = divisor[::-1]
-    inv = [lead]
-    for i in range(1, len(divisor) - 1):
-        inv.append(-lead * sum(map(mul, rev[i:0:-1], inv)))
-    return inv
-
-
-def _packed_divmod(num, divisor: tuple, inv: list):
-    """Quotient and remainder of int sequences, the divisor of degree d
-    with leading coefficient +-1, d quotient digits at a time; ``inv`` is
-    ``_reversed_inverse(divisor)``.
-
-    The top m <= d remainder digits read from the top are rev(block) *
-    rev(divisor) mod x^m, so one truncated product with the inverse series
-    gives the block and one product with the divisor clears it.
-    """
-    d = len(divisor) - 1
-    rem = list(num)
-    quo = [0] * (len(rem) - d)
-    top = len(rem)
-    while top > d:
-        lo = max(top - d, d)
-        m = top - lo
-        block = _packed_mul(rem[top - 1:lo - 1:-1], inv[:m])[m - 1::-1]
-        quo[lo - d:top - d] = block
-        rem[lo - d:top] = map(sub, rem[lo - d:top], _packed_mul(block, divisor))
-        top = lo
-    return quo, rem[:d]
 
 
 class QPolynomial:
@@ -285,21 +239,6 @@ class QPolynomial:
         unit_lead = lead == 1 or lead == -1
         if len(rem) <= dv:
             return QPolynomial.zero(), QPolynomial(rem)
-        # A long integer quotient by a long divisor with leading coefficient
-        # +-1 goes by blocks of packed products, when the divisor's reversed
-        # inverse series is no wider than the divisor (Phi_p^power: its
-        # series is a truncated (1 - x)^power / (1 - x^p)^power).  A series
-        # that grows would widen every slot, so the comprehension below
-        # serves all other divisions, one window update per step.
-        if (
-            dv > PACKED_DIVISOR_DEGREE and unit_lead and len(rem) - dv > dv
-            and _common_denominator(self.coeffs) == 1
-            and _common_denominator(divisor.coeffs) == 1
-        ):
-            inv = _reversed_inverse(divisor.coeffs)
-            if _max_bits(inv) <= _max_bits(divisor.coeffs):
-                quo, rem = _packed_divmod(self.coeffs, divisor.coeffs, inv)
-                return QPolynomial._trusted(quo), QPolynomial._trusted(rem)
         lower = divisor.coeffs[:-1]
         quo = [0] * (len(rem) - dv)
         for top in range(len(rem) - 1, dv - 1, -1):
@@ -660,11 +599,12 @@ class QAnalogueReport:
 
 def verify_q_conjecture(p: int, r: int, exponent_twist: int = 0) -> QAnalogueReport:
     """Decide whether sum_{k<p} [10k+r] (q^r;q^5)_k^5 (q^5;q^5)_k^-5
-    q^(5(3-r)k/2) vanishes in Q[q]/(Phi_p^4), by two independent routes:
+    q^(5(3-r)k/2) vanishes in Q[q]/(Phi_p^4), by two independent
+    constructions:
 
     * directly in the quotient ring, and
-    * clearing denominators to a Laurent polynomial and testing exact
-      divisibility by Phi_p^4.
+    * clearing denominators to a Laurent polynomial, built with no ring
+      operation, whose divisibility by Phi_p^4 the ring's reduction tests.
 
     ``exponent_twist`` adds twist*k to the power of q in term k; the honest
     statement is twist 0, and a nonzero twist is the built-in negative
@@ -714,7 +654,7 @@ def verify_q_conjecture(p: int, r: int, exponent_twist: int = 0) -> QAnalogueRep
     # mod Phi_p^4 iff  T = sum_k (1-q^(10k+r)) U_k q^(estep*k)  does, since
     # 1-q, q and the cleared block are all units.
     cleared = _cleared_sum(p, r, estep + exponent_twist)
-    division_zero = (cleared.poly % ring.modulus).is_zero
+    division_zero = ring.element(cleared.poly).is_zero
 
     elapsed = (time.perf_counter() - started) * 1000.0
     return QAnalogueReport(

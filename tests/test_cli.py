@@ -191,6 +191,34 @@ def test_scan_refuses_empty_r_set(capsys, r_set):
     assert "error:" in err and "empty" in err
 
 
+@pytest.mark.parametrize("trials", ["-5", "0"])
+def test_identity_refuses_fewer_than_one_trial(capsys, trials):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["identity", "--trials", trials])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--trials" in err and "at least 1" in err
+
+
+@pytest.mark.parametrize("modk", ["0", "-1", "7"])
+@pytest.mark.parametrize("command", ["verify", "scan"])
+def test_modk_out_of_range_names_flag_and_range(capsys, command, modk):
+    where = ["--p", "7"] if command == "verify" else ["--pmax", "7"]
+    code, out, err = run(capsys, command, "--claim", "d2", *where, "--modk", modk)
+    assert code == 2
+    assert out == ""
+    assert "--modk" in err and "between 1 and 6" in err
+
+
+@pytest.mark.parametrize("pmax", ["1", "0", "-3"])
+def test_scan_pmax_below_two_names_flag_and_range(capsys, pmax):
+    code, out, err = run(capsys, "scan", "--claim", "lr3", "--pmax", pmax)
+    assert code == 2
+    assert out == ""
+    assert "--pmax" in err and "at least 2" in err
+
+
 def test_identity_all_runs_every_fuzzer(capsys):
     code, out, _ = run(
         capsys, "identity", "--name", "all", "--trials", "5", "--seed", "1",

@@ -8,7 +8,6 @@ from sclab.pgamma import (
     OddPrimeRequiredError,
     SpanHitsMultipleOfPError,
     _gamma_at_integer,
-    _unit_range_product,
     _unit_range_product_naive,
     ap,
     gamma_p,
@@ -59,16 +58,6 @@ def test_gamma_rejects_p_two():
 def test_gamma_rejects_non_padic():
     with pytest.raises(NonPadicArgumentError):
         gamma_p(Fraction(1, 3), PadicContext(3, 2))
-
-
-def test_blocked_product_matches_naive(rng):
-    for _ in range(60):
-        p = rng.choice(SMALL_PRIMES)
-        modulus = p ** rng.randint(1, 4)
-        m = rng.randint(0, 3000)
-        assert _unit_range_product(1, m, p, modulus) == _unit_range_product_naive(
-            1, m, p, modulus
-        )
 
 
 def _defining_gamma(m, p, modulus):

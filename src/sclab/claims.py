@@ -491,10 +491,12 @@ def scan(
 
     Inadmissible pairs are skipped and counted; admissible pairs outside
     machine verification (the family's hand-verified primes) are listed
-    separately, not verified.  An r that a fixed-weight family does not
-    take, or an empty r set, raises ValueError.
+    separately, not verified.  A p_max below 2, an r that a fixed-weight
+    family does not take, or an empty r set raises ValueError.
     """
     fam = family(claim_id)
+    if p_max < 2:
+        raise ValueError(f"p_max must be at least 2, got {p_max}")
     if r_values is None:
         r_values = fam.default_r_values
     rs = sorted({resolve_r(fam.id, r) for r in r_values})

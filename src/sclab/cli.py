@@ -186,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "a fixed-weight family takes only its own r")
     p_scan.add_argument("--modk", type=int, default=None)
     p_scan.add_argument(
-        "--workers", type=int,
-        # a string default goes through type=int at parse time, so a bad
+        "--workers", type=_count,
+        # a string default goes through the type at parse time, so a bad
         # SCLAB_WORKERS is a usage error like a bad --workers
         default=os.environ.get("SCLAB_WORKERS", "1"),
         help="parallel workers for the sweep (default: SCLAB_WORKERS or 1)",
@@ -236,7 +236,7 @@ def _run_scan(args) -> int:
     if args.r_set is not None:
         r_values = [int(tok) for tok in args.r_set.split(",") if tok.strip()]
     result = claims.scan(
-        args.claim, p_max, r_values, _modk(args), workers=max(args.workers, 1)
+        args.claim, p_max, r_values, _modk(args), workers=args.workers
     )
     records = [_report_record(rep, args.test_mode) for rep in result.reports]
     _emit(records, args.format, args.out)

@@ -2,9 +2,8 @@
 cyclotomic polynomial.
 
 Order 4 supplies the square root of -1, order 5 a primitive fifth root of
-unity; order 1 is plain Q kept in the same shape so generic series code
-does not special-case it.  Only these three orders exist here; there is
-no general number-field machinery.
+unity, and order 1 is plain Q.  Only these three orders exist here; there
+is no general number-field machinery.
 
 An element is phi(n) integer numerators over one positive integer
 denominator, in canonical form: gcd(den, *nums) = 1, so two elements are

@@ -7,13 +7,14 @@ A series here is a finite weighted sum
                      ---------------------------------
                         k!^e  *  prod_j (b_j)_k
 
-with all scalars in Q or in one cyclotomic field; rational scalars stay
-Fractions next to field elements.  Everything is exact: a check returns
-True only when both sides are literally equal as field elements.  The
-claim chains take their sides from the same builders the checks use.
-``eval_truncated_residue`` is the one modular route: the residue of a
-rational series mod p^K, exact whenever its term denominators are p-adic
-units.
+with all scalars in Q or in one cyclotomic field.  One recurrence,
+``_weighted_sum``, sums every series: rational values run as Fractions
+split into integers, even when they come as field elements, and only
+irrational values run field arithmetic.  ``eval_truncated`` divides its
+result once, exactly; ``eval_truncated_residue`` runs it mod p^K, exact
+whenever the term denominators are p-adic units.  A check returns True
+only when both sides are literally equal as field elements.  The claim
+chains take their sides from the same builders the checks use.
 """
 
 from __future__ import annotations
@@ -50,11 +51,17 @@ def rising(a: Scalar, n: int) -> Scalar:
 
 
 def _scalars(values: Sequence[Scalar]) -> list:
-    """The values as Fractions and CycElements of one order.  Rationals
-    stay Fractions, so they meet field elements on the scalar multiply."""
+    """The values as Fractions and CycElements of one order.  A rational
+    value becomes a Fraction even when it came as a CycElement, so only
+    irrational values run field arithmetic."""
     if len({v.order for v in values if isinstance(v, CycElement)}) > 1:
         raise ValueError("mixed cyclotomic orders in one series")
-    return [v if isinstance(v, CycElement) else as_rational(v) for v in values]
+    return [
+        (v.rational_value() if v.is_rational else v)
+        if isinstance(v, CycElement)
+        else as_rational(v)
+        for v in values
+    ]
 
 
 @dataclass(frozen=True)
@@ -75,141 +82,103 @@ class SeriesSpec:
             raise ValueError("factorial power must be nonnegative")
 
 
-def _integer_weight(weight) -> tuple[int, int, int]:
-    """The weight m*k + r as (step, start, den): (step*k + start) / den."""
-    w_slope, w_const = (as_rational(w) for w in weight)
-    return (
-        w_slope.numerator * w_const.denominator,
-        w_const.numerator * w_slope.denominator,
-        w_slope.denominator * w_const.denominator,
-    )
+def _split(value) -> tuple:
+    """A Fraction or CycElement as (integral numerator, int denominator)."""
+    if isinstance(value, CycElement):
+        return value * value.den, value.den
+    return value.numerator, value.denominator
 
 
-def _integer_ratios(spec: SeriesSpec):
-    """Split the term ratios of a rational spec into integers.
+def _demoted(value):
+    """An integral value as an int when it is rational, as the product of
+    a conjugate pair of parameters is."""
+    if isinstance(value, CycElement) and value.is_rational:
+        return value.nums[0]  # over denominator 1
+    return value
 
-    Raises PoleInRangeError when a lower rising factorial vanishes inside
-    the truncation, and otherwise returns an iterator over the pairs
-    (num_k, den_k), den_k nonzero, with term_{k+1} = term_k * num_k / den_k
-    for k = 0, ..., N - 2.  The ratio z * prod (a_i + k) / ((k + 1)^e *
-    prod (b_j + k)) is put over the parameters' denominators once.
+
+def _weighted_sum(spec: SeriesSpec, modulus: int = 0) -> tuple:
+    """The truncated sum as total / den, with total and den integral: ints,
+    or CycElements with denominator 1 when a parameter is irrational.
+
+    Every parameter is split once into an integral numerator over an int
+    denominator, so term k+1 = term k * num_k / den_k with integral num_k
+    and den_k.  The running term and the running sum share one denominator,
+    the weight's times the product of the den_k so far.  A nonzero modulus
+    reduces all three after each step.  The sum stops at a term that is
+    exactly zero (a terminating upper parameter).  Raises PoleInRangeError
+    when a lower rising factorial vanishes inside the truncation.
     """
-    upper = [as_rational(a) for a in spec.upper]
-    lower = [as_rational(b) for b in spec.lower]
-    z = as_rational(spec.argument)
+    *params, z = _scalars([*spec.upper, *spec.lower, spec.argument])
+    upper, lower = params[: len(spec.upper)], params[len(spec.upper) :]
     n_terms = spec.truncation
     for b in lower:
-        if b.denominator == 1 and 0 <= -b < n_terms - 1:
+        if isinstance(b, Fraction) and b.denominator == 1 and 0 <= -b < n_terms - 1:
             raise PoleInRangeError(f"lower parameter {b!r} vanishes at shift {-b}")
-    num_const = z.numerator * math.prod(b.denominator for b in lower)
-    den_const = z.denominator * math.prod(a.denominator for a in upper)
-    ups = [(a.numerator, a.denominator) for a in upper]
-    lows = [(b.numerator, b.denominator) for b in lower]
+    ups, lows = [_split(a) for a in upper], [_split(b) for b in lower]
+    z_num, z_den = _split(z)
+    num_const = z_num * math.prod(bd for _, bd in lows)
+    den_const = z_den * math.prod(ad for _, ad in ups)
+    w_slope, w_const = (as_rational(w) for w in spec.weight)
+    w_step = w_slope.numerator * w_const.denominator
+    w_start = w_const.numerator * w_slope.denominator
     e = spec.factorial_power
-
-    def ratios():
-        for k in range(n_terms - 1):
-            num = num_const
-            for an, ad in ups:
-                num *= an + k * ad
-            den = den_const * (k + 1) ** e
-            for bn, bd in lows:
-                den *= bn + k * bd
-            yield num, den
-
-    return ratios()
+    irrational = any(isinstance(v, CycElement) for v in (z, *upper, *lower))
+    total = w_start if n_terms else 0
+    term, den = 1, w_slope.denominator * w_const.denominator
+    for k in range(n_terms - 1):
+        num = num_const
+        for an, ad in ups:
+            num = num * (an + k * ad)
+        if num == 0:
+            break  # every later term is zero too
+        step = den_const * (k + 1) ** e
+        for bn, bd in lows:
+            step = step * (bn + k * bd)
+        if irrational:
+            num, step = _demoted(num), _demoted(step)
+        # term k+1, and the sum moved onto its denominator den * step
+        term = term * num
+        total = total * step + (w_step * (k + 1) + w_start) * term
+        den = den * step
+        if modulus:
+            term, total, den = term % modulus, total % modulus, den % modulus
+    return total, den
 
 
 def eval_truncated(spec: SeriesSpec) -> Scalar:
     """Exact value of the truncated sum; PoleInRangeError when a lower
     rising factorial vanishes anywhere inside the truncation range.
 
-    Over Q the term is carried as a reduced integer pair and one Fraction
-    is built per term; over Q(i) or Q(zeta_5) the field arithmetic runs
-    step by step."""
-    values = [*spec.upper, *spec.lower, spec.argument]
-    field = next((v for v in values if isinstance(v, CycElement)), None)
-    if field is None:
-        return _eval_rational(spec)
-    *params, z = _scalars(values)
-    upper, lower = params[: len(spec.upper)], params[len(spec.upper) :]
-    n_terms = spec.truncation
-    for b in lower:
-        for t in range(n_terms - 1):
-            if b + t == 0:
-                raise PoleInRangeError(
-                    f"lower parameter {b!r} vanishes at shift {t}"
-                )
-    w_slope, w_const = (as_rational(w) for w in spec.weight)
-    total = CycElement.zero(field.order)
-    term = CycElement.one(field.order)
-    for k in range(n_terms):
-        total = total + (w_slope * k + w_const) * term
-        if k + 1 < n_terms:
-            num = z
-            for a in upper:
-                num = num * (a + k)
-            den = Fraction(k + 1) ** spec.factorial_power
-            for b in lower:
-                den = den * (b + k)
-            term = term * num / den
-    return total
-
-
-def _eval_rational(spec: SeriesSpec) -> Fraction:
-    """eval_truncated over Q: the term is a coprime integer pair, updated
-    by the reduced step ratio with cross-cancellation."""
-    ratios = _integer_ratios(spec)
-    w_step, w_start, w_den = _integer_weight(spec.weight)
-    term_num, term_den = 1, w_den  # term k over the weight's denominator
-    total = Fraction(w_start, w_den) if spec.truncation else Fraction(0)
-    for k, (num, den) in enumerate(ratios, 1):
-        if num == 0:
-            break  # every later term is zero too
-        g = math.gcd(num, den)
-        num, den = num // g, den // g
-        g1, g2 = math.gcd(num, term_den), math.gcd(term_num, den)
-        term_num = (term_num // g2) * (num // g1)
-        term_den = (term_den // g1) * (den // g2)
-        total += Fraction((w_step * k + w_start) * term_num, term_den)
-    return total
+    The value is a Fraction, or a CycElement when any parameter is one.
+    It costs one division, at the end of ``_weighted_sum``."""
+    total, den = _weighted_sum(spec)
+    value = total * (den.inverse() if isinstance(den, CycElement) else Fraction(1, den))
+    values = (*spec.upper, *spec.lower, spec.argument)
+    element = next((v for v in values if isinstance(v, CycElement)), None)
+    if element is not None and not isinstance(value, CycElement):
+        return CycElement.from_rational(element.order, value)
+    return value
 
 
 def eval_truncated_residue(spec: SeriesSpec, ctx: PadicContext) -> Residue:
     """Residue mod p^K of the truncated sum of a rational spec, in O(N)
     integer multiplies mod p^K.
 
-    Each step's ratio is split into an integer numerator and denominator
-    (``_integer_ratios``).  The running term and the running sum share one
-    denominator, the product of the ratio denominators so far, which is
-    inverted once at the end.  That is exact when every denominator factor
-    of a nonzero term, and the weight's denominator, is prime to p;
-    NonIntegralInputError is raised otherwise.  The sum stops early at a
-    term that is exactly zero (a terminating upper parameter).
+    ``_weighted_sum`` runs mod p^K, and its one denominator is inverted at
+    the end.  That is exact when every denominator factor of a nonzero
+    term, and the weight's denominator, is prime to p;
+    NonIntegralInputError is raised otherwise.
     """
     values = list(spec.upper) + list(spec.lower) + [spec.argument] + list(spec.weight)
     if any(isinstance(v, CycElement) for v in values):
         raise TypeError("the residue route takes rational parameters only")
-    p, modulus = ctx.p, ctx.modulus
-    ratios = _integer_ratios(spec)
-    w_step, w_start, w_den = _integer_weight(spec.weight)
-    if w_den % p == 0:
-        raise NonIntegralInputError(f"the weight's denominator is divisible by {p}")
-    total = w_start if spec.truncation else 0  # the partial sum times den
-    term = den = 1  # the current term times den, and den
-    for k, (num, step_den) in enumerate(ratios, 1):
-        if num == 0:
-            break
-        if step_den % p == 0:
-            raise NonIntegralInputError(
-                f"the term ratio's denominator at k = {k - 1} is divisible by {p}"
-            )
-        # move the sum onto term k's denominator den * step_den
-        term = term * num % modulus
-        total = (total * step_den + (w_step * k + w_start) * term) % modulus
-        den = den * step_den % modulus
-    value = total * pow(den * w_den, -1, modulus) % modulus
-    return Residue(value, ctx)
+    total, den = _weighted_sum(spec, ctx.modulus)
+    if den % ctx.p == 0:
+        raise NonIntegralInputError(
+            f"a term's denominator or the weight's is divisible by {ctx.p}"
+        )
+    return Residue(total * pow(den, -1, ctx.modulus) % ctx.modulus, ctx)
 
 
 def hypergeometric_sum(upper, lower, n_terms: int, argument: Scalar = 1) -> Scalar:

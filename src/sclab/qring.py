@@ -628,12 +628,11 @@ def verify_q_conjecture(p: int, r: int, exponent_twist: int = 0) -> QAnalogueRep
     # common to every term and multiplies the sum once at the end: the
     # terms stay in Z[q], and only the inverse carries denominators.
     ring = QRing(p)
-    full_block = q_pochhammer(5, 5, p - 1, ring) ** 5
-    global_inverse = full_block.inverse()
     suffix = [ring.one] * (p + 1)  # suffix[k] = prod_{j=k+1}^{p-1} (1-q^(5j))^5
     for k in range(p - 2, -1, -1):
         step_factor = (ring.one - ring.q_power(5 * (k + 1))) ** 5
         suffix[k] = suffix[k + 1] * step_factor
+    global_inverse = suffix[0].inverse()  # of (q^5;q^5)_(p-1)^5
     total = ring.zero
     rising5 = ring.one  # (q^r; q^5)_k^5, maintained incrementally
     for k in range(p):

@@ -241,6 +241,12 @@ def test_scan_lr3_includes_every_odd_prime():
     assert result.all_passed
 
 
+@pytest.mark.parametrize("p_max", [1, 0, -3])
+def test_scan_refuses_p_max_below_two(p_max):
+    with pytest.raises(ValueError, match=f"p_max must be at least 2, got {p_max}"):
+        scan("lr3", p_max)
+
+
 def test_scan_excludes_hand_verified_instance():
     result = scan("thm2", 7, [1])
     assert [(p, r) for p, r, _ in result.excluded] == [(2, 1)]
@@ -413,6 +419,11 @@ def test_lhs_residue_matches_exact_value():
     for claim, p, r in instances:
         ctx = PadicContext(p, FAMILIES[claim].modulus_exponent + claims.LHS_GUARD_DIGITS)
         assert lhs_residue(claim, p, r, ctx) == ctx.reduce(lhs_value(claim, p, r)), (claim, p, r)
+
+
+def test_lhs_residue_matches_exact_value_at_a_large_prime():
+    ctx = PadicContext(2003, 7)
+    assert ctx.reduce(lhs_value("thm1", 2003, -1)) == lhs_residue("thm1", 2003, -1, ctx)
 
 
 def _verify_by_exact_sum(claim, p, r):

@@ -166,6 +166,26 @@ def test_bad_workers_environment_is_a_usage_error(monkeypatch, capsys):
     cli.build_parser()  # building the parser alone does not read the value
 
 
+@pytest.mark.parametrize("workers", ["-4", "0"])
+def test_scan_refuses_fewer_than_one_worker(capsys, workers):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--claim", "lr3", "--pmax", "7", "--workers", workers])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--workers" in err and "at least 1" in err
+
+
+def test_zero_workers_environment_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("SCLAB_WORKERS", "0")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--claim", "lr3", "--pmax", "7"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--workers" in err and "at least 1" in err
+
+
 @pytest.mark.parametrize("r_set", ["5,7", "1,5", "-1"])
 def test_scan_refuses_r_set_for_fixed_weight_family(capsys, r_set):
     code, out, err = run(capsys, "scan", "--claim", "d2", "--pmax", "7", f"--r-set={r_set}")

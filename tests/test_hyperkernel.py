@@ -314,24 +314,24 @@ def test_eval_truncated_residue_pole_detection():
     assert eval_truncated_residue(spec, ctx) == ctx.reduce(eval_truncated(spec))
 
 
-def _fraction_step_sum(spec):
-    """Reference: the term updated by one Fraction per factor."""
-    lower = [Fraction(b) for b in spec.lower]
-    for b in lower:
+def _step_sum(spec):
+    """Reference: the term updated one factor at a time, with one division
+    per step, in the parameters' own domain (Q, Q(i) or Q(zeta_5))."""
+    for b in spec.lower:
         for t in range(spec.truncation - 1):
             if b + t == 0:
                 raise PoleInRangeError(f"lower parameter {b!r} vanishes at shift {t}")
     total, term = Fraction(0), Fraction(1)
     for k in range(spec.truncation):
-        total += (spec.weight[0] * k + spec.weight[1]) * term
+        total = total + (spec.weight[0] * k + spec.weight[1]) * term
         if k + 1 == spec.truncation:
             break
-        num = Fraction(spec.argument)
+        num = spec.argument
         for a in spec.upper:
-            num *= a + k
+            num = num * (a + k)
         den = Fraction(k + 1) ** spec.factorial_power
-        for b in lower:
-            den *= b + k
+        for b in spec.lower:
+            den = den * (b + k)
         term = term * num / den
     return total
 
@@ -341,14 +341,15 @@ def test_eval_truncated_rational_route_matches_fraction_steps(rng):
     for _ in range(400):
         spec = _random_residue_spec(rng, rng.choice([3, 5, 7, 11, 13]))
         try:
-            want = _fraction_step_sum(spec)
+            want = _step_sum(spec)
         except PoleInRangeError:
             with pytest.raises(PoleInRangeError):
                 eval_truncated(spec)
             continue
         got = eval_truncated(spec)
         assert type(got) is Fraction and got == want
-        # the same spec over Q(zeta_1) runs the field route
+        # over Q(zeta_1) every value is rational, so the same spec runs on
+        # Fractions and comes back as a CycElement
         field = SeriesSpec(
             upper=tuple(CycElement.from_rational(1, a) for a in spec.upper),
             lower=spec.lower,
@@ -360,3 +361,99 @@ def test_eval_truncated_rational_route_matches_fraction_steps(rng):
         assert eval_truncated(field).rational_value() == want
         checked += 1
     assert checked >= 300
+
+
+def _random_field_spec(rng, order):
+    """A spec over Q(i) or Q(zeta_5) with an irrational argument and at
+    least one irrational upper and lower parameter; the other parameters
+    are rational, and a rational lower one is sometimes a pole."""
+    degree = {4: 2, 5: 4}[order]
+
+    def irrational():
+        while True:
+            coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(degree)]
+            value = CycElement(order, coeffs)
+            if not value.is_rational:
+                return value
+
+    def rational(lower):
+        if lower and rng.random() < 0.25:
+            return Fraction(-rng.randint(0, 4))
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+    def slots(lower):
+        values = [irrational()] + [
+            irrational() if rng.random() < 0.5 else rational(lower)
+            for _ in range(rng.randint(0, 2))
+        ]
+        rng.shuffle(values)
+        return tuple(values)
+
+    return SeriesSpec(
+        upper=slots(False),
+        lower=slots(True),
+        argument=irrational(),
+        truncation=rng.randint(0, 7),
+        weight=(Fraction(rng.randint(-5, 5), rng.randint(1, 3)), Fraction(rng.randint(-5, 5), rng.randint(1, 3))),
+        factorial_power=rng.randint(0, 2),
+    )
+
+
+def test_eval_truncated_field_route_matches_field_steps(rng):
+    checked = poles = 0
+    for _ in range(400):
+        order = rng.choice([4, 5])
+        spec = _random_field_spec(rng, order)
+        try:
+            want = _step_sum(spec)
+        except PoleInRangeError:
+            with pytest.raises(PoleInRangeError):
+                eval_truncated(spec)
+            poles += 1
+            continue
+        got = eval_truncated(spec)
+        assert isinstance(got, CycElement) and got.order == order
+        assert got == want
+        checked += 1
+    assert checked >= 300 and poles
+
+
+def test_rational_valued_field_lower_parameter_is_a_pole():
+    spec = SeriesSpec(
+        upper=(CycElement.zeta(4),), lower=(CycElement.from_rational(4, -2),), truncation=5
+    )
+    with pytest.raises(PoleInRangeError):
+        eval_truncated(spec)
+
+
+def test_rational_valued_field_spec_returns_a_field_element():
+    rational = SeriesSpec(
+        upper=(Fraction(1, 2), Fraction(2)),
+        lower=(Fraction(3),),
+        argument=Fraction(-1, 3),
+        truncation=6,
+        weight=(Fraction(2), Fraction(1)),
+    )
+    field = SeriesSpec(
+        upper=(CycElement.from_rational(5, Fraction(1, 2)), Fraction(2)),
+        lower=(CycElement.from_rational(5, 3),),
+        argument=CycElement.from_rational(5, Fraction(-1, 3)),
+        truncation=6,
+        weight=(Fraction(2), Fraction(1)),
+    )
+    value = eval_truncated(field)
+    assert isinstance(value, CycElement) and value.order == 5
+    assert value == eval_truncated(rational)
+
+
+def test_mixed_cyclotomic_orders_are_refused():
+    spec = SeriesSpec(
+        upper=(CycElement.zeta(4),), lower=(), argument=CycElement.zeta(5), truncation=3
+    )
+    with pytest.raises(ValueError):
+        eval_truncated(spec)
+    spec = SeriesSpec(
+        upper=(CycElement.from_rational(4, 1),), lower=(CycElement.from_rational(5, 2),)
+    )
+    with pytest.raises(ValueError):
+        eval_truncated(spec)

@@ -47,7 +47,6 @@ from .hyperkernel import (
     eval_truncated,
     eval_truncated_residue,
     hypergeometric_sum,
-    rising,
 )
 from .padic import PadicContext, Residue, vp
 from .pgamma import gamma_p
@@ -650,14 +649,14 @@ def proof_chain_thm1(p: int, r: int) -> ProofChain:
     )
     _transformation_steps(chain, "Q(i)", lhs76, prefactor * f43_a)
 
+    # valuations add, so the tail terms (10k + r) (a)_k^5 / k!^5 are never
+    # formed: v_p((a)_k / k!) moves by v_p(a + k - 1) - v_p(k) per step
     tail_ratio_ok = True
     tail_witness = math.inf
-    rising_a, k_factorial = pochhammer(a, n), math.factorial(n)
+    ratio_v = vp(pochhammer(a, n) / math.factorial(n), p)
     for k in range(n + 1, p):
-        rising_a *= a + (k - 1)
-        k_factorial *= k
-        ratio_v = vp(rising_a / k_factorial, p)
-        term_v = vp((10 * k + r) * rising_a ** 5 / Fraction(k_factorial) ** 5, p)
+        ratio_v += vp(a + k - 1, p) - vp(k, p)
+        term_v = vp(10 * k + r, p) + 5 * ratio_v
         tail_ratio_ok = tail_ratio_ok and ratio_v >= 1
         tail_witness = min(tail_witness, term_v)
     chain._add(
@@ -765,9 +764,9 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
     block = (p + r) // 3
     pair_sums = (z + z ** 2, z + z ** 3, z ** 2 + z ** 3)
     shifted = [1 + Fraction(2 * r, 3) + scale * s for s in pair_sums]
-    paired_lhs = math.prod(rising(x, n) for x in shifted)
+    paired_lhs = math.prod(pochhammer(x, n) for x in shifted)
     paired_rhs = Fraction(5 * p ** 3, 27) * math.prod(
-        rising(x, j0) * rising(1 + Fraction(p, 3) * (2 * s + 1), block)
+        pochhammer(x, j0) * pochhammer(1 + Fraction(p, 3) * (2 * s + 1), block)
         for x, s in zip(shifted, pair_sums)
     )
     chain.exact(

@@ -22,7 +22,7 @@ from . import claims, hyperkernel, qring
 FORMATS = ("text", "json", "csv")
 
 
-def _report_record(report: claims.CongruenceReport, test_mode: bool) -> dict:
+def _report_record(report: claims.CongruenceReport) -> dict:
     # Residues are decimal strings: p^6 exceeds 64 bits already at p = 41.
     return {
         "claim": report.claim,
@@ -34,40 +34,28 @@ def _report_record(report: claims.CongruenceReport, test_mode: bool) -> dict:
         "rhs_residue": str(report.rhs_residue),
         "witness_valuation": report.witness_valuation,
         "pass": report.passed,
-        "elapsed_ms": 0 if test_mode else round(report.elapsed_ms, 3),
+        "elapsed_ms": round(report.elapsed_ms, 3),
     }
 
 
-def _chain_records(chain: claims.ProofChain, test_mode: bool) -> list[dict]:
-    records = []
-    for step in chain.steps:
-        records.append(
-            {
-                "claim": chain.claim,
-                "p": chain.p,
-                "r": chain.r,
-                "step": step.name,
-                "modulus_exponent": step.modulus_exponent,
-                "witness_valuation": step.witness_valuation,
-                "pass": step.passed,
-            }
-        )
-    if not chain.steps:  # skipped chain
-        records.append(
-            {
-                "claim": chain.claim,
-                "p": chain.p,
-                "r": chain.r,
-                "step": "skipped",
-                "modulus_exponent": None,
-                "witness_valuation": None,
-                "pass": chain.status != "fail",
-            }
-        )
-    return records
+def _chain_records(chain: claims.ProofChain) -> list[dict]:
+    # a skipped chain has no steps and reports one "skipped" record
+    steps = chain.steps or [claims.ChainStep("skipped", chain.reason, None, None, True)]
+    return [
+        {
+            "claim": chain.claim,
+            "p": chain.p,
+            "r": chain.r,
+            "step": step.name,
+            "modulus_exponent": step.modulus_exponent,
+            "witness_valuation": step.witness_valuation,
+            "pass": step.passed,
+        }
+        for step in steps
+    ]
 
 
-def _qreport_record(report: qring.QAnalogueReport, test_mode: bool) -> dict:
+def _qreport_record(report: qring.QAnalogueReport) -> dict:
     return {
         "claim": "qthm1",
         "p": report.p,
@@ -77,7 +65,7 @@ def _qreport_record(report: qring.QAnalogueReport, test_mode: bool) -> dict:
         "division_zero": report.division_zero,
         "methods_agree": report.methods_agree,
         "pass": report.zero,
-        "elapsed_ms": 0 if test_mode else round(report.elapsed_ms, 3),
+        "elapsed_ms": round(report.elapsed_ms, 3),
     }
 
 
@@ -218,16 +206,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_verify(args) -> int:
+def _run_verify(args) -> tuple:
     report = claims.verify(args.claim, args.p, args.r, _modk(args))
-    records = [_report_record(report, args.test_mode)]
-    _emit(records, args.format, args.out)
-    if args.format == "text":
-        print(_summary(records))
-    return 0 if report.passed else 1
+    records = [_report_record(report)]
+    return records, [_summary(records)], 0 if report.passed else 1
 
 
-def _run_scan(args) -> int:
+def _run_scan(args) -> tuple:
     fam = claims.family(args.claim)
     p_max = fam.default_p_max if args.pmax is None else args.pmax
     if p_max < 2:
@@ -238,16 +223,13 @@ def _run_scan(args) -> int:
     result = claims.scan(
         args.claim, p_max, r_values, _modk(args), workers=args.workers
     )
-    records = [_report_record(rep, args.test_mode) for rep in result.reports]
-    _emit(records, args.format, args.out)
-    if args.format == "text":
-        print(_summary(records, result.skipped_inadmissible, len(result.excluded)))
-        for p, r, reason in result.excluded:
-            print(f"excluded (p={p}, r={r}): {reason}")
-    return 0 if result.all_passed else 1
+    records = [_report_record(rep) for rep in result.reports]
+    footer = [_summary(records, result.skipped_inadmissible, len(result.excluded))]
+    footer += [f"excluded (p={p}, r={r}): {reason}" for p, r, reason in result.excluded]
+    return records, footer, 0 if result.all_passed else 1
 
 
-def _run_identity(args) -> int:
+def _run_identity(args) -> tuple:
     names = sorted(hyperkernel.FUZZERS) if args.name == "all" else [args.name]
     records = []
     for name in names:
@@ -261,39 +243,30 @@ def _run_identity(args) -> int:
                 "pass": result.passed,
             }
         )
-    _emit(records, args.format, args.out)
-    if args.format == "text":
-        print(_summary(records))
-    return 0 if all(rec["pass"] for rec in records) else 1
+    return records, [_summary(records)], 0 if all(rec["pass"] for rec in records) else 1
 
 
-def _run_qverify(args) -> int:
+def _run_qverify(args) -> tuple:
     report = qring.verify_q_conjecture(args.p, args.r, exponent_twist=args.twist)
-    records = [_qreport_record(report, args.test_mode)]
-    _emit(records, args.format, args.out)
-    if args.format == "text":
-        verdict = "holds" if report.zero else "conjecture violated"
-        if not report.methods_agree:
-            verdict = "internal error: methods disagree"
-        print(f"q-analogue at (p={args.p}, r={args.r}): {verdict}")
+    verdict = "holds" if report.zero else "conjecture violated"
+    code = 0 if report.zero else 1
     if not report.methods_agree:
-        return 2
-    return 0 if report.zero else 1
+        verdict, code = "internal error: methods disagree", 2
+    footer = [f"q-analogue at (p={args.p}, r={args.r}): {verdict}"]
+    return [_qreport_record(report)], footer, code
 
 
-def _run_proofchain(args) -> int:
+def _run_proofchain(args) -> tuple:
     chain = (
         claims.proof_chain_thm1(args.p, args.r)
         if args.claim == "thm1"
         else claims.proof_chain_thm2(args.p, args.r)
     )
-    records = _chain_records(chain, args.test_mode)
-    _emit(records, args.format, args.out)
-    if args.format == "text":
-        print(f"chain status: {chain.status}" + (f" ({chain.reason})" if chain.reason else ""))
-    return 0 if chain.status != "fail" else 1
+    footer = [f"chain status: {chain.status}" + (f" ({chain.reason})" if chain.reason else "")]
+    return _chain_records(chain), footer, 0 if chain.status != "fail" else 1
 
 
+# Each runner returns (records, footer lines for --format text, exit code).
 _RUNNERS = {
     "verify": _run_verify,
     "scan": _run_scan,
@@ -307,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _RUNNERS[args.command](args)
+        records, footer, code = _RUNNERS[args.command](args)
     except (
         claims.InadmissibleInstanceError,
         claims.UnsupportedInstanceError,
@@ -315,6 +288,14 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.test_mode:
+        for rec in records:
+            if "elapsed_ms" in rec:
+                rec["elapsed_ms"] = 0
+    _emit(records, args.format, args.out)
+    if args.format == "text":
+        print("\n".join(footer))
+    return code
 
 
 if __name__ == "__main__":

@@ -98,8 +98,7 @@ class CycElement:
     def from_rational(cls, order: int, value) -> "CycElement":
         if order not in _MODULUS:
             raise ValueError(f"unsupported cyclotomic order {order}")
-        if type(value) is not Fraction:
-            value = as_rational(value)
+        value = as_rational(value)
         nums = [0] * len(_MODULUS[order])
         nums[0] = value.numerator
         return cls._make(order, nums, value.denominator)
@@ -116,6 +115,15 @@ class CycElement:
     @classmethod
     def one(cls, order: int) -> "CycElement":
         return cls(order, [1])
+
+    @property
+    def numerator(self) -> "CycElement":
+        """den * self, integral with denominator 1, as for int and Fraction."""
+        return CycElement._make(self.order, self.nums, 1)
+
+    @property
+    def denominator(self) -> int:
+        return self.den
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -162,7 +170,7 @@ class CycElement:
 
     def __mul__(self, other):
         if not isinstance(other, CycElement):  # a rational scalar
-            c = other if type(other) is Fraction else as_rational(other)
+            c = as_rational(other)
             nums = [a * c.numerator for a in self.nums]
             return CycElement._make(self.order, nums, self.den * c.denominator)
         other = self._wrap(other)

@@ -10,7 +10,9 @@ A series here is a finite weighted sum
 with all scalars in Q or in one cyclotomic field.  One recurrence,
 ``_weighted_sum``, sums every series: rational values run as Fractions
 split into integers, even when they come as field elements, and only
-irrational values run field arithmetic.  ``eval_truncated`` divides its
+irrational values run field arithmetic.  It reads each parameter through
+``numerator``/``denominator``, as does ``rationals.pochhammer``, the one
+rising factorial the identity sides use.  ``eval_truncated`` divides its
 result once, exactly; ``eval_truncated_residue`` runs it mod p^K, exact
 whenever the term denominators are p-adic units.  A check returns True
 only when both sides are literally equal as field elements.  The claim
@@ -38,16 +40,6 @@ class PoleInRangeError(ArithmeticError):
 
 class IdentityPreconditionError(ValueError):
     """The identity's side conditions fail; the check is not attempted."""
-
-
-def rising(a: Scalar, n: int) -> Scalar:
-    """Rising factorial for any supported scalar domain."""
-    if isinstance(a, CycElement):
-        out = CycElement.one(a.order)
-        for j in range(n):
-            out = out * (a + j)
-        return out
-    return pochhammer(a, n)
 
 
 def _scalars(values: Sequence[Scalar]) -> list:
@@ -82,13 +74,6 @@ class SeriesSpec:
             raise ValueError("factorial power must be nonnegative")
 
 
-def _split(value) -> tuple:
-    """A Fraction or CycElement as (integral numerator, int denominator)."""
-    if isinstance(value, CycElement):
-        return value * value.den, value.den
-    return value.numerator, value.denominator
-
-
 def _demoted(value):
     """An integral value as an int when it is rational, as the product of
     a conjugate pair of parameters is."""
@@ -101,13 +86,14 @@ def _weighted_sum(spec: SeriesSpec, modulus: int = 0) -> tuple:
     """The truncated sum as total / den, with total and den integral: ints,
     or CycElements with denominator 1 when a parameter is irrational.
 
-    Every parameter is split once into an integral numerator over an int
-    denominator, so term k+1 = term k * num_k / den_k with integral num_k
-    and den_k.  The running term and the running sum share one denominator,
-    the weight's times the product of the den_k so far.  A nonzero modulus
-    reduces all three after each step.  The sum stops at a term that is
-    exactly zero (a terminating upper parameter).  Raises PoleInRangeError
-    when a lower rising factorial vanishes inside the truncation.
+    Every parameter is split once, through ``numerator``/``denominator``,
+    into an integral numerator over an int denominator, so term k+1 =
+    term k * num_k / den_k with integral num_k and den_k.  The running term
+    and the running sum share one denominator, the weight's times the
+    product of the den_k so far.  A nonzero modulus reduces all three after
+    each step.  The sum stops at a term that is exactly zero (a terminating
+    upper parameter).  Raises PoleInRangeError when a lower rising
+    factorial vanishes inside the truncation.
     """
     *params, z = _scalars([*spec.upper, *spec.lower, spec.argument])
     upper, lower = params[: len(spec.upper)], params[len(spec.upper) :]
@@ -115,8 +101,9 @@ def _weighted_sum(spec: SeriesSpec, modulus: int = 0) -> tuple:
     for b in lower:
         if isinstance(b, Fraction) and b.denominator == 1 and 0 <= -b < n_terms - 1:
             raise PoleInRangeError(f"lower parameter {b!r} vanishes at shift {-b}")
-    ups, lows = [_split(a) for a in upper], [_split(b) for b in lower]
-    z_num, z_den = _split(z)
+    ups = [(a.numerator, a.denominator) for a in upper]
+    lows = [(b.numerator, b.denominator) for b in lower]
+    z_num, z_den = z.numerator, z.denominator
     num_const = z_num * math.prod(bd for _, bd in lows)
     den_const = z_den * math.prod(ad for _, ad in ups)
     w_slope, w_const = (as_rational(w) for w in spec.weight)
@@ -218,10 +205,10 @@ def _whipple_sides(a, b, c, d, e, n: int):
         lower=(half * a, 1 + a - b, 1 + a - c, 1 + a - d, 1 + a - e, 1 + a + n),
         n_terms=n + 1,
     )
-    den1 = rising(1 + a - d, n)
-    den2 = rising(1 + a - e, n)
+    den1 = pochhammer(1 + a - d, n)
+    den2 = pochhammer(1 + a - e, n)
     _nonzero_or_pole(den1, den2)
-    prefactor = rising(a + 1, n) * rising(a - d - e + 1, n) / (den1 * den2)
+    prefactor = pochhammer(a + 1, n) * pochhammer(a - d - e + 1, n) / (den1 * den2)
     series = hypergeometric_sum(
         upper=(1 + a - b - c, d, e, Fraction(-n)),
         lower=(d + e - a - n, 1 + a - b, 1 + a - c),
@@ -275,17 +262,17 @@ def _d1_sides(t, a, b, c, n: int, m: int):
         n_terms=n + 1,
     )
     den = (
-        rising(1 + a, n)
-        * rising(1 + b, n)
-        * rising(1 + c, n)
-        * rising(a + b + c + 1 - m - 2 * t, n)
+        pochhammer(1 + a, n)
+        * pochhammer(1 + b, n)
+        * pochhammer(1 + c, n)
+        * pochhammer(a + b + c + 1 - m - 2 * t, n)
     )
     _nonzero_or_pole(den)
     ratio = (
-        rising(1 + t, n)
-        * rising(a + b + 2 - m - t, n)
-        * rising(a + c + 2 - m - t, n)
-        * rising(b + c + 2 - m - t, n)
+        pochhammer(1 + t, n)
+        * pochhammer(a + b + 2 - m - t, n)
+        * pochhammer(a + c + 2 - m - t, n)
+        * pochhammer(b + c + 2 - m - t, n)
         / den
     )
     lin_num = (a + b + 1 - m - t) * (a + c + 1 - m - t) * (b + c + 1 - m - t)
@@ -335,10 +322,8 @@ def conjugate_product_congruence(a, b, p: int, k: int, order: int) -> bool:
     base = CycElement.from_rational(order, a)
     step = CycElement.from_rational(order, b * p)
     plain = pochhammer(a, k)
-    factors = [rising(base + step * root ** j, k) for j in range(order)]
-    full = CycElement.one(order)
-    for f in factors:
-        full = full * f
+    factors = [pochhammer(base + step * root ** j, k) for j in range(order)]
+    full = math.prod(factors)
     if not full.is_rational:
         return False
     if order == 5:
@@ -383,63 +368,54 @@ def _random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-8, 8), rng.choice(FUZZ_DENOMINATORS))
 
 
-def fuzz_whipple(trials: int = 200, seed: int = 0, max_n: int = 6) -> IdentityFuzzResult:
-    result = IdentityFuzzResult("whipple", trials, seed)
+def _fuzz(name, trials, seed, max_n, draw, check) -> IdentityFuzzResult:
+    """Run ``check`` on one draw per trial.  A draw of None, or one whose
+    check meets a pole, is skipped and resampled from the trial's stream;
+    a failing draw is recorded as its argument tuple."""
+    result = IdentityFuzzResult(name, trials, seed)
     for i in range(trials):
         rng = _trial_rng(seed, i)
-        while True:  # skip-and-resample on poles
-            params = tuple(_random_rational(rng) for _ in range(5))
-            n = rng.randint(0, max_n)
+        while True:
+            args = draw(rng, max_n)
+            if args is None:
+                continue
             try:
-                ok = check_whipple(*params, n)
+                ok = check(*args)
             except (PoleInRangeError, ZeroDivisionError):
                 continue
             break
         if not ok:
-            result.failures.append((*params, n))
+            result.failures.append(args)
     return result
+
+
+def fuzz_whipple(trials: int = 200, seed: int = 0, max_n: int = 6) -> IdentityFuzzResult:
+    def draw(rng, max_n):
+        params = tuple(_random_rational(rng) for _ in range(5))
+        return (*params, rng.randint(0, max_n))
+
+    return _fuzz("whipple", trials, seed, max_n, draw, check_whipple)
 
 
 def fuzz_karlsson_minton(trials: int = 200, seed: int = 0, max_n: int = 6) -> IdentityFuzzResult:
-    result = IdentityFuzzResult("km", trials, seed)
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        while True:
-            depth = rng.randint(1, 3)
-            ms = [rng.randint(0, 2) for _ in range(depth)]
-            if sum(ms) >= max_n:
-                continue
-            n = rng.randint(sum(ms) + 1, max_n)
-            bs = []
-            for _ in range(depth):
-                bq = _random_rational(rng)
-                bs.append(bq if bq != 0 else Fraction(1, 2))
-            try:
-                ok = check_karlsson_minton(n, bs, ms)
-            except (PoleInRangeError, ZeroDivisionError):
-                continue
-            break
-        if not ok:
-            result.failures.append((n, tuple(bs), tuple(ms)))
-    return result
+    def draw(rng, max_n):
+        depth = rng.randint(1, 3)
+        ms = tuple(rng.randint(0, 2) for _ in range(depth))
+        if sum(ms) >= max_n:
+            return None
+        n = rng.randint(sum(ms) + 1, max_n)
+        bs = tuple(_random_rational(rng) or Fraction(1, 2) for _ in range(depth))
+        return n, bs, ms
+
+    return _fuzz("km", trials, seed, max_n, draw, check_karlsson_minton)
 
 
 def fuzz_d1(trials: int = 200, seed: int = 0, max_n: int = 6) -> IdentityFuzzResult:
-    result = IdentityFuzzResult("d1", trials, seed)
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        while True:
-            params = tuple(_random_rational(rng) for _ in range(4))
-            n = rng.randint(0, max_n)
-            m = rng.randint(0, max_n)
-            try:
-                ok = check_d1(*params, n, m)
-            except (PoleInRangeError, ZeroDivisionError):
-                continue
-            break
-        if not ok:
-            result.failures.append((*params, n, m))
-    return result
+    def draw(rng, max_n):
+        params = tuple(_random_rational(rng) for _ in range(4))
+        return (*params, rng.randint(0, max_n), rng.randint(0, max_n))
+
+    return _fuzz("d1", trials, seed, max_n, draw, check_d1)
 
 
 FUZZERS = {

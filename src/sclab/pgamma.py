@@ -177,4 +177,4 @@ def pochhammer_residue_via_gamma(a, n: int, ctx: PadicContext) -> Residue:
 
 def pochhammer_residue_direct(a, n: int, ctx: PadicContext) -> Residue:
     """Reference route: exact rising factorial, then one reduction."""
-    return ctx.reduce(pochhammer(as_rational(a), n))
+    return ctx.reduce(pochhammer(a, n))

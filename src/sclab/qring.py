@@ -615,8 +615,6 @@ def verify_q_conjecture(p: int, r: int, exponent_twist: int = 0) -> QAnalogueRep
     adm = admissible("thm1", p, r)
     if not adm:
         raise InadmissibleInstanceError(f"(q-analogue, p={p}, r={r}): {adm.reason}")
-    if p == 5:
-        raise InadmissibleInstanceError("p = 5 collides with the step of the q-shifted factorials")
     started = time.perf_counter()
     exponent_num = 5 * (3 - r)
     assert exponent_num % 2 == 0  # r is odd for admissible instances

@@ -1,4 +1,4 @@
-"""Exact rational scalars, rising factorials, and prime enumeration.
+"""Exact rational scalars, the rising factorial, and prime enumeration.
 
 Rational scalars are ``fractions.Fraction``, which already maintains the
 canonical form the rest of the package relies on: positive denominator,
@@ -6,7 +6,9 @@ numerator and denominator coprime.  The hot kernels take them apart into
 integers: cyclotomic elements are integer numerators over one
 denominator, quotient-ring coefficients are ``int``, and series steps and
 residues run on integer numerators and denominators.  No floating point
-is used anywhere.
+is used anywhere.  ``pochhammer`` is the one rising factorial over Q,
+Q(i) and Q(zeta_5): it reads its argument through ``numerator`` and
+``denominator``, which int, Fraction and CycElement all have.
 """
 
 from __future__ import annotations
@@ -15,25 +17,34 @@ import math
 from fractions import Fraction
 
 def as_rational(x) -> Fraction:
-    """Coerce an int or Fraction to Fraction.  Floats are rejected."""
+    """Coerce an int or Fraction to Fraction.  Floats are rejected.  A
+    Fraction is returned as it is: Fractions are immutable."""
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass a Fraction or int")
     return Fraction(x)
 
 
-def pochhammer(a, n: int) -> Fraction:
-    """Rising factorial a(a+1)...(a+n-1), with the empty product 1 for n = 0.
+def pochhammer(a, n: int):
+    """Rising factorial a(a+1)...(a+n-1), with the empty product 1 for n = 0:
+    a Fraction for an int or Fraction ``a``, a CycElement of a's order for a
+    field element.  ``a`` is split once into an integral numerator over an
+    int denominator; the n integral factors are multiplied without a gcd,
+    and the product is divided once by den^n.
 
     A nonpositive integer ``a`` legitimately yields 0 once the factors
     cross zero (terminating series); that is not an error.
     """
     if n < 0:
         raise ValueError("pochhammer length must be nonnegative")
-    a = as_rational(a)
-    out = Fraction(1)
-    for j in range(n):
-        out *= a + j
-    return out
+    if isinstance(a, float):
+        raise TypeError("floats are not exact; pass a Fraction, int or CycElement")
+    num, den = a.numerator, a.denominator
+    out = num if n else num ** 0  # the empty product in num's domain
+    for j in range(1, n):
+        out = out * (num + j * den)
+    return out * Fraction(1, den ** n)
 
 
 def is_prime(n: int) -> bool:

@@ -341,6 +341,28 @@ def test_proof_chain_thm1():
     assert all(step.passed for step in chain.steps)
 
 
+def _tail_step_by_values(p, r):
+    """The thm1 chain's tail step read off the values themselves: form
+    (a)_k / k! and (10k + r) (a)_k^5 / k!^5 and take their valuations.
+    Returns (passed, witness)."""
+    a, n = Fraction(r, 5), (3 * p - r) // 5
+    rising = math.prod((a + j for j in range(n)), start=Fraction(1))
+    factorial = math.factorial(n)
+    ratio_ok, witness = True, math.inf
+    for k in range(n + 1, p):
+        rising *= a + (k - 1)
+        factorial *= k
+        ratio_ok = ratio_ok and vp(rising / factorial, p) >= 1
+        witness = min(witness, vp((10 * k + r) * rising ** 5 / Fraction(factorial) ** 5, p))
+    return ratio_ok and witness >= 5, None if witness == math.inf else witness
+
+
+@pytest.mark.parametrize("p, r", [(397, -9), (409, -3), (211, -7), (19, -3), (13, -1), (7, 1)])
+def test_proof_chain_thm1_tail_step_matches_fifth_powers(p, r):
+    tail = next(s for s in proof_chain_thm1(p, r).steps if s.name == "tail-vanishing")
+    assert (tail.passed, tail.witness_valuation) == _tail_step_by_values(p, r)
+
+
 def test_proof_chain_thm1_skips_p_two():
     chain = proof_chain_thm1(2, 1)
     assert chain.status == "skipped"

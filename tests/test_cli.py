@@ -1,5 +1,7 @@
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -392,3 +394,17 @@ def test_scan_text_golden(capsys):
     code, out, _ = run(capsys, "scan", "--claim", "thm2", "--pmax", "13", "--test-mode")
     assert code == 0
     assert out == SCAN_THM2_TEXT_GOLDEN
+
+
+def test_readme_command_lines_run(capsys):
+    # every `sclab ...` line of the README's command-line block runs as
+    # written; the one marked as the negative control must exit 1
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("sclab ")]
+    assert sum("negative control" in line for line in lines) == 1
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        expected = 1 if "negative control" in line else 0
+        assert cli.main(argv) == expected, line
+        capsys.readouterr()

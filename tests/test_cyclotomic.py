@@ -10,7 +10,7 @@ from sclab.cyclotomic import (
     OrderMismatchError,
     root_power_sum_check,
 )
-from sclab.hyperkernel import rising
+from sclab.rationals import pochhammer
 
 from conftest import random_rational
 
@@ -115,7 +115,7 @@ def test_galois_symmetric_products_are_rational(rng):
                     CycElement.from_rational(order, a)
                     + CycElement.from_rational(order, b * p) * root ** j
                 )
-                product = product * rising(shifted, k)
+                product = product * pochhammer(shifted, k)
             assert product.is_rational
 
 

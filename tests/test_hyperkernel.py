@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from sclab import hyperkernel
 from sclab.cyclotomic import CycElement
 from sclab.hyperkernel import (
     IdentityPreconditionError,
@@ -18,9 +19,9 @@ from sclab.hyperkernel import (
     fuzz_karlsson_minton,
     fuzz_whipple,
     hypergeometric_sum,
-    rising,
 )
 from sclab.padic import NonIntegralInputError, PadicContext, vp
+from sclab.rationals import pochhammer
 
 # Frozen by the direct-summation oracle below: the weighted fifth-power sum
 # at p = 7, r = 1, whose 7-adic valuation is 4.
@@ -206,8 +207,8 @@ def test_series_with_field_argument():
     by_hand = (
         CycElement.one(4)
         + Fraction(1, 2) * Fraction(2) / Fraction(3) * i
-        + rising(Fraction(1, 2), 2) * rising(Fraction(2), 2)
-        / (Fraction(2) * rising(Fraction(3), 2))
+        + pochhammer(Fraction(1, 2), 2) * pochhammer(Fraction(2), 2)
+        / (Fraction(2) * pochhammer(Fraction(3), 2))
         * (i * i)
     )
     assert value == by_hand
@@ -215,10 +216,26 @@ def test_series_with_field_argument():
 
 def test_rising_generic_matches_rational():
     z = CycElement.zeta(5)
-    value = rising(CycElement.from_rational(5, Fraction(1, 2)), 4)
+    value = pochhammer(CycElement.from_rational(5, Fraction(1, 2)), 4)
     assert value.is_rational
-    assert value.rational_value() == rising(Fraction(1, 2), 4)
-    assert rising(z, 0) == CycElement.one(5)
+    assert value.rational_value() == pochhammer(Fraction(1, 2), 4)
+    assert pochhammer(z, 0) == CycElement.one(5)
+
+
+def test_fuzz_failures_are_the_drawn_arguments(monkeypatch):
+    # every check is made to fail after it runs, so poles still resample
+    # and each trial records its draw; the first draws at seed 0 are frozen
+    for name in ("check_whipple", "check_karlsson_minton", "check_d1"):
+        check = getattr(hyperkernel, name)
+        monkeypatch.setattr(hyperkernel, name, lambda *args, _check=check: _check(*args) and False)
+    F = Fraction
+    whipple = fuzz_whipple(trials=4, seed=0).failures
+    assert whipple[0] == (F(-5, 3), F(-1, 7), F(0), F(-5, 2), F(7, 2), 1)
+    km = fuzz_karlsson_minton(trials=4, seed=0).failures
+    assert km[:2] == [(3, (F(1, 2),), (1,)), (5, (F(4, 5), F(8, 3), F(-1, 2)), (0, 0, 2))]
+    d1 = fuzz_d1(trials=4, seed=0).failures
+    assert d1[0] == (F(-5, 3), F(-1, 7), F(0), F(-5, 2), 6, 5)
+    assert len(whipple) == len(km) == len(d1) == 4
 
 
 def _random_residue_spec(rng, p):

@@ -201,6 +201,13 @@ def test_conjecture_rejects_inadmissible_pairs():
         verify_q_conjecture(3, 1)
 
 
+def test_conjecture_is_never_admissible_at_p_five():
+    # 2p + r = 0 (mod 5) at p = 5 forces 5 | r, and thm1 needs r prime to 5
+    for r in range(-60, 2):
+        with pytest.raises(InadmissibleInstanceError):
+            verify_q_conjecture(5, r)
+
+
 def test_binomial_factor():
     assert binomial_factor(3).coeffs == (
         Fraction(1), Fraction(0), Fraction(0), Fraction(-1),

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from sclab.rationals import is_prime, pochhammer, primes_in
+from sclab.cyclotomic import CycElement
+from sclab.rationals import as_rational, is_prime, pochhammer, primes_in
 
 from conftest import random_rational
 
@@ -64,3 +65,71 @@ def test_canonical_form_under_arithmetic(rng):
         for value in (x + y, x * y, x - y):
             assert value.denominator > 0
             assert math.gcd(abs(value.numerator), value.denominator) == 1
+
+
+def _rising_reference(a, n):
+    """One factor at a time, each product canonical in a's own domain."""
+    out = CycElement.one(a.order) if isinstance(a, CycElement) else Fraction(1)
+    for j in range(n):
+        out = out * (a + j)
+    return out
+
+
+def _random_scalar(rng, order):
+    """An int or Fraction for order 1, else an element of Q(i) or Q(zeta_5);
+    every fifth value is a small integer, so that some products cross 0."""
+    if rng.random() < 0.2:
+        value = rng.randint(-12, 3)
+        return value if order == 1 else CycElement.from_rational(order, value)
+    if order == 1:
+        return random_rational(rng)
+    return CycElement(order, [random_rational(rng) for _ in range(order - 1)])
+
+
+def test_pochhammer_matches_factor_by_factor_product(rng):
+    for trial in range(240):
+        order = (1, 4, 5)[trial % 3]
+        a = _random_scalar(rng, order)
+        n = rng.randint(0, 40)
+        value, expected = pochhammer(a, n), _rising_reference(a, n)
+        assert type(value) is type(expected)
+        assert value == expected
+        if isinstance(a, CycElement):
+            assert value.order == a.order
+
+
+def test_pochhammer_result_types():
+    assert type(pochhammer(3, 0)) is Fraction and pochhammer(3, 0) == 1
+    assert type(pochhammer(3, 4)) is Fraction and pochhammer(3, 4) == 360
+    for order in (1, 4, 5):
+        one = pochhammer(CycElement.zeta(order), 0)
+        assert isinstance(one, CycElement) and one.order == order
+        assert one == CycElement.one(order)
+    # a rational-valued field element still gives a field element
+    value = pochhammer(CycElement.from_rational(5, Fraction(1, 2)), 3)
+    assert isinstance(value, CycElement) and value.order == 5
+    assert value.rational_value() == Fraction(15, 8)
+
+
+def test_pochhammer_rejects_floats_and_negative_length():
+    with pytest.raises(TypeError):
+        pochhammer(0.5, 2)
+    with pytest.raises(ValueError):
+        pochhammer(CycElement.zeta(4), -1)
+
+
+def test_cyc_element_numerator_over_denominator(rng):
+    for order in (1, 4, 5):
+        for _ in range(30):
+            x = CycElement(order, [random_rational(rng) for _ in range(rng.randint(0, 5))])
+            assert x.numerator.den == 1
+            assert x.numerator == x * x.denominator
+            assert x.numerator * Fraction(1, x.denominator) == x
+
+
+def test_as_rational_keeps_fractions():
+    f = Fraction(-7, 5)
+    assert as_rational(f) is f
+    assert type(as_rational(3)) is Fraction and as_rational(3) == 3
+    with pytest.raises(TypeError):
+        as_rational(0.5)

@@ -33,6 +33,13 @@ class OrderMismatchError(ValueError):
     """Raised when two elements from different cyclotomic orders are mixed."""
 
 
+def _degree(order: int) -> int:
+    """phi(n), the number of numerators; ValueError for an unsupported n."""
+    if order not in _MODULUS:
+        raise ValueError(f"unsupported cyclotomic order {order}")
+    return len(_MODULUS[order])
+
+
 def _reduce(order: int, nums: list[int]) -> list[int]:
     """The remainder of an integer polynomial mod Phi_n, of length phi(n)."""
     mod = _MODULUS[order]
@@ -69,8 +76,7 @@ class CycElement:
     __slots__ = ("order", "nums", "den")
 
     def __new__(cls, order: int, coeffs) -> "CycElement":
-        if order not in _MODULUS:
-            raise ValueError(f"unsupported cyclotomic order {order}")
+        _degree(order)
         vec = [as_rational(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in vec)) if vec else 1
         nums = [c.numerator * (den // c.denominator) for c in vec]
@@ -96,25 +102,24 @@ class CycElement:
 
     @classmethod
     def from_rational(cls, order: int, value) -> "CycElement":
-        if order not in _MODULUS:
-            raise ValueError(f"unsupported cyclotomic order {order}")
         value = as_rational(value)
-        nums = [0] * len(_MODULUS[order])
+        nums = [0] * _degree(order)
         nums[0] = value.numerator
         return cls._make(order, nums, value.denominator)
 
     @classmethod
     def zeta(cls, order: int) -> "CycElement":
         """The residue class of x: i for order 4, a fifth root for order 5."""
-        return cls(order, [0, 1])
+        _degree(order)
+        return cls._make(order, _reduce(order, [0, 1]), 1)
 
     @classmethod
     def zero(cls, order: int) -> "CycElement":
-        return cls(order, [])
+        return cls._make(order, [0] * _degree(order), 1)
 
     @classmethod
     def one(cls, order: int) -> "CycElement":
-        return cls(order, [1])
+        return cls._make(order, [1] + [0] * (_degree(order) - 1), 1)
 
     @property
     def numerator(self) -> "CycElement":

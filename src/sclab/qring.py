@@ -5,12 +5,12 @@ the fifth-power vanishing claim.
 Divisibility by Phi_p^4 is tested over Q[q]; Phi_p is monic, so for
 integer polynomials this coincides with divisibility over Z[q] and no
 content bookkeeping is needed.  For the same reason coefficients stay in
-Z: every modulus and every (1 - q^e)^n divisor here is monic up to sign,
-so multiplying, adding and reducing integer polynomials never leaves Z.
-A coefficient is an ``int`` whenever it is integral and a ``Fraction``
-only when it is not, which happens only in the ring inverse.
+Z: every modulus here is monic up to sign, so multiplying, adding and
+reducing integer polynomials never leaves Z.  A coefficient is an ``int``
+whenever it is integral and a ``Fraction`` only when it is not, which
+happens only in the ring inverse.
 
-Three kernels keep the check off quadratic pure-Python loops:
+Two kernels keep the ring off quadratic pure-Python loops:
 
 * Packed multiply.  A dense product packs each operand's signed ``int``
   coefficients into one integer, in byte-aligned slots wide enough for
@@ -24,16 +24,18 @@ Three kernels keep the check off quadratic pure-Python loops:
   power + 1 terms, so a polynomial is first reduced mod (q^p - 1)^power
   in O((power + 1) n) and then mod Phi_p^power in at most ``power``
   division steps.  Reducing mod a multiple of the modulus first is a ring
-  homomorphism, so the residue is the same canonical remainder.  Both
-  routes of the q-analogue check reduce this way: ring products, and the
-  cleared-denominator sum, which enters the ring as one element.
-* Sparse passes.  The cleared-denominator route multiplies and divides
-  by (1 - q^e)^5 as five shift-and-subtract (or prefix-sum) passes over a
-  coefficient list, and sums its terms into one running list.
+  homomorphism, so the residue is the same canonical remainder.
+
+The q-analogue check's second route builds no polynomial at all.  For a
+prime ell = 1 (mod p), Phi_p splits mod ell into distinct linear factors
+q - omega, so a polynomial is 0 in F_ell[q]/Phi_p^4 exactly when its
+expansion at q = omega (1 + eps) vanishes mod eps^4 at every root omega.
+That route runs the same recurrence as the ring on these 4-term jets, the
+evaluation at roots of unity of Guo and Zudilin's "q-microscope" (Adv.
+Math. 346, 2019).
 
 Negative powers of q are legal everywhere: q is a unit in the quotient
-ring, and the polynomial route tracks a Laurent shift that is a unit as
-well.
+ring, and the jet formula for q^m holds for every integer m.
 """
 
 from __future__ import annotations
@@ -41,9 +43,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
 from math import comb, lcm
-from operator import add, attrgetter, sub
+from operator import attrgetter
 
 from .rationals import as_rational, is_prime
 
@@ -219,14 +220,6 @@ class QPolynomial:
         factor = _coefficient(factor)
         return QPolynomial([c * factor for c in self.coeffs])
 
-    def shift(self, amount: int) -> "QPolynomial":
-        """Multiply by q^amount (amount >= 0)."""
-        if amount < 0:
-            raise ValueError("use LaurentPolynomial for negative shifts")
-        if self.is_zero:
-            return self
-        return QPolynomial._trusted((0,) * amount + self.coeffs)
-
     def __divmod__(self, divisor: "QPolynomial"):
         """Quotient and remainder.  A leading coefficient of +-1 is its own
         inverse, so integer operands stay in integer arithmetic; any other
@@ -255,19 +248,6 @@ class QPolynomial:
     def __mod__(self, divisor: "QPolynomial") -> "QPolynomial":
         return divmod(self, divisor)[1]
 
-    def exact_div(self, divisor: "QPolynomial") -> "QPolynomial":
-        quo, rem = divmod(self, divisor)
-        if not rem.is_zero:
-            raise ValueError("division is not exact")
-        return quo
-
-    def evaluate(self, x) -> Fraction:
-        x = as_rational(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __repr__(self):
         return f"QPolynomial({list(self.coeffs)!r})"
 
@@ -277,65 +257,6 @@ def cyclotomic_poly(p: int) -> QPolynomial:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return QPolynomial((1,) * p)
-
-
-def binomial_factor(exponent: int) -> QPolynomial:
-    """The polynomial 1 - q^e for e >= 1."""
-    if exponent < 1:
-        raise ValueError("exponent must be positive")
-    return QPolynomial((1,) + (0,) * (exponent - 1) + (-1,))
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials: q^shift * poly, for the clear-denominator route
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LaurentPolynomial:
-    poly: QPolynomial
-    shift: int = 0
-
-    @classmethod
-    def one(cls) -> "LaurentPolynomial":
-        return cls(QPolynomial.one(), 0)
-
-    @classmethod
-    def q_power(cls, exponent: int) -> "LaurentPolynomial":
-        return cls(QPolynomial.one(), exponent)
-
-    @classmethod
-    def unit_minus_q_power(cls, exponent: int) -> "LaurentPolynomial":
-        """1 - q^e for any integer e (including e <= 0)."""
-        if exponent == 0:
-            return cls(QPolynomial.zero(), 0)
-        if exponent > 0:
-            return cls(binomial_factor(exponent), 0)
-        # 1 - q^e = -q^e (1 - q^-e)
-        return cls(-binomial_factor(-exponent), exponent)
-
-    def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return LaurentPolynomial(self.poly * other.poly, self.shift + other.shift)
-
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        lo = min(self.shift, other.shift)
-        return LaurentPolynomial(
-            self.poly.shift(self.shift - lo) + other.poly.shift(other.shift - lo),
-            lo,
-        )
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return self + LaurentPolynomial(-other.poly, other.shift)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.poly.is_zero
-
-    def evaluate(self, x) -> Fraction:
-        x = as_rational(x)
-        if x == 0:
-            raise ZeroDivisionError("Laurent polynomials cannot be evaluated at 0")
-        return self.poly.evaluate(x) * x ** self.shift
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +502,10 @@ def q_pochhammer(a_exponent: int, step: int, k: int, ring: QRing) -> "QRingEleme
 
 @dataclass(frozen=True)
 class QAnalogueReport:
+    """``ring_zero``: the sum is 0 in Q[q]/Phi_p^4, decided exactly.
+    ``division_zero``: the cleared sum T vanishes to order 4 at every root
+    of Phi_p in F_ell (the name is older than the jet route)."""
+
     p: int
     r: int
     exponent_twist: int
@@ -600,11 +525,11 @@ class QAnalogueReport:
 def verify_q_conjecture(p: int, r: int, exponent_twist: int = 0) -> QAnalogueReport:
     """Decide whether sum_{k<p} [10k+r] (q^r;q^5)_k^5 (q^5;q^5)_k^-5
     q^(5(3-r)k/2) vanishes in Q[q]/(Phi_p^4), by two independent
-    constructions:
-
-    * directly in the quotient ring, and
-    * clearing denominators to a Laurent polynomial, built with no ring
-      operation, whose divisibility by Phi_p^4 the ring's reduction tests.
+    constructions: exactly in the quotient ring (``_ring_sum``), and by
+    jets at the roots of Phi_p mod a prime (``_root_jets``) of the cleared
+    sum T = sum_k (1 - q^(10k+r)) q^(step*k) (q^r;q^5)_k^5 S_k^5, with
+    S_k = prod_{k<j<p} (1 - q^(5j)).  The sum is T / ((1 - q) S_0^5), and
+    1 - q and S_0 are units.
 
     ``exponent_twist`` adds twist*k to the power of q in term k; the honest
     statement is twist 0, and a nonzero twist is the built-in negative
@@ -618,40 +543,11 @@ def verify_q_conjecture(p: int, r: int, exponent_twist: int = 0) -> QAnalogueRep
     started = time.perf_counter()
     exponent_num = 5 * (3 - r)
     assert exponent_num % 2 == 0  # r is odd for admissible instances
-    estep = exponent_num // 2
+    step = exponent_num // 2 + exponent_twist
 
-    # Route 1: the quotient ring.  (q^5;q^5)_k^-5 is rebuilt as the suffix
-    # product (prod_{k<j<p} (1-q^(5j)))^5 times one global inverse, so the
-    # extended Euclid runs once rather than once per term.  The inverse is
-    # common to every term and multiplies the sum once at the end: the
-    # terms stay in Z[q], and only the inverse carries denominators.
-    ring = QRing(p)
-    suffix = [ring.one] * (p + 1)  # suffix[k] = prod_{j=k+1}^{p-1} (1-q^(5j))^5
-    for k in range(p - 2, -1, -1):
-        step_factor = (ring.one - ring.q_power(5 * (k + 1))) ** 5
-        suffix[k] = suffix[k + 1] * step_factor
-    global_inverse = suffix[0].inverse()  # of (q^5;q^5)_(p-1)^5
-    total = ring.zero
-    rising5 = ring.one  # (q^r; q^5)_k^5, maintained incrementally
-    for k in range(p):
-        if k:
-            rising5 = rising5 * (ring.one - ring.q_power(r + 5 * (k - 1))) ** 5
-        term = (
-            q_integer(10 * k + r, ring)
-            * ring.q_power(estep * k + exponent_twist * k)
-            * rising5
-            * suffix[k]
-        )
-        total = total + term
-    total = total * global_inverse
-    ring_zero = total.is_zero
-
-    # Route 2: clear denominators.  With U_k = (q^r;q^5)_k^5 S_k^5 (S_k the
-    # polynomial suffix product) and [n] = (1-q^n)/(1-q), the sum vanishes
-    # mod Phi_p^4 iff  T = sum_k (1-q^(10k+r)) U_k q^(estep*k)  does, since
-    # 1-q, q and the cleared block are all units.
-    cleared = _cleared_sum(p, r, estep + exponent_twist)
-    division_zero = ring.element(cleared.poly).is_zero
+    total, block = _ring_sum(QRing(p), r, step)
+    ring_zero = (total * block.inverse()).is_zero
+    division_zero = not any(map(any, _root_jets(p, r, step)))
 
     elapsed = (time.perf_counter() - started) * 1000.0
     return QAnalogueReport(
@@ -664,84 +560,86 @@ def verify_q_conjecture(p: int, r: int, exponent_twist: int = 0) -> QAnalogueRep
     )
 
 
-def _cleared_sum(p: int, r: int, step: int) -> LaurentPolynomial:
-    """T = sum_{k<p} (1 - q^(10k+r)) U_k q^(step*k), the cleared-denominator
-    form of the q-analogue sum, U_k = (q^r;q^5)_k^5 S_k^5 with
-    S_k = prod_{k<j<p} (1 - q^(5j)).
-
-    U_k is maintained by one exact division and one multiplication by a
-    binomial fifth power per step, both as sparse passes, and T is summed
-    into one running coefficient list from q^base up.
-    """
-    u_poly = [1]
-    for j in range(1, p):
-        u_poly = _mul_binomial_power(u_poly, 5 * j, 5)
-    u_shift = 0
-    total, base = [], 0
-    for k in range(p):
+def _ring_sum(ring: QRing, r: int, step: int) -> tuple:
+    """Route 1: (sum_k [10k+r] q^(step*k) (q^r;q^5)_k^5 S_k^5, S_0^5) in the
+    ring.  The q-analogue sum is the first over the second, so the terms
+    stay in Z[q] and the caller's one inverse carries the denominators."""
+    suffix = [ring.one] * ring.p  # suffix[k] = S_k^5
+    for k in range(ring.p - 2, -1, -1):
+        suffix[k] = suffix[k + 1] * (ring.one - ring.q_power(5 * (k + 1))) ** 5
+    total = ring.zero
+    rising5 = ring.one  # (q^r; q^5)_k^5
+    for k in range(ring.p):
         if k:
-            u_poly = _div_binomial_power(u_poly, 5 * k, 5)
-            e = r + 5 * (k - 1)
-            if e >= 0:
-                u_poly = _mul_binomial_power(u_poly, e, 5)
-            else:
-                # (1 - q^e)^5 = -q^(5e) (1 - q^-e)^5
-                u_poly = [-c for c in _mul_binomial_power(u_poly, -e, 5)]
-                u_shift += 5 * e
-        shift = u_shift + step * k
-        base = _add_shifted(total, base, u_poly, shift, add)
-        base = _add_shifted(total, base, u_poly, shift + 10 * k + r, sub)
-    return LaurentPolynomial(QPolynomial._trusted(total), base)
+            rising5 = rising5 * (ring.one - ring.q_power(r + 5 * (k - 1))) ** 5
+            if rising5.is_zero:
+                break  # it holds Phi_p^5, and so does every later term
+        total = total + (
+            q_integer(10 * k + r, ring) * ring.q_power(step * k) * rising5 * suffix[k]
+        )
+    return total, suffix[0]
 
 
-def _binomial_power(exponent: int, power: int) -> QPolynomial:
-    """(1 - q^e)^power as a dense polynomial; the reference the sparse
-    passes are tested against."""
-    out = QPolynomial.one()
-    for _ in range(power):
-        out = out * binomial_factor(exponent)
-    return out
+def _jet_prime(p: int) -> tuple:
+    """(ell, omega): the first prime ell = 1 (mod p) above 2^61, and a
+    primitive p-th root of unity omega mod ell, the first h^((ell-1)/p)
+    other than 1 for h = 2, 3, ..."""
+    ell = (1 << 61) + 1 + -(1 << 61) % p
+    while not is_prime(ell):
+        ell += p
+    h = 2
+    while pow(h, (ell - 1) // p, ell) == 1:
+        h += 1
+    return ell, pow(h, (ell - 1) // p, ell)
 
 
-def _mul_binomial_power(coeffs: list, exponent: int, power: int) -> list:
-    """coeffs * (1 - q^e)^power by ``power`` shift-and-subtract passes."""
-    pad = (0,) * exponent
-    out = coeffs
-    for _ in range(power):
-        out = list(map(sub, chain(out, pad), chain(pad, out)))
-    return out
+def _jet_mul(a, b, ell: int) -> tuple:
+    """The product of two jets mod (ell, eps^4)."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0 % ell,
+        (a0 * b1 + a1 * b0) % ell,
+        (a0 * b2 + a1 * b1 + a2 * b0) % ell,
+        (a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0) % ell,
+    )
 
 
-def _div_binomial_power(coeffs: list, exponent: int, power: int) -> list:
-    """coeffs / (1 - q^e)^power by ``power`` running sums along each residue
-    class mod e; ValueError when the division is not exact.
+def _root_jets(p: int, r: int, step: int):
+    """Route 2: yields the jets T(omega^i (1 + eps)) mod (ell, eps^4) for
+    i = 1 .. p-1 in turn, by ``_ring_sum``'s recurrence.  T has no
+    denominators, so no jet is inverted, and each root costs O(p) jet
+    products."""
+    ell, omega = _jet_prime(p)
 
-    Q = P / (1 - q^e) satisfies Q_i = P_i + Q_(i-e).  Run over the whole of
-    P, the ``power`` sums leave the top power*e entries zero exactly when
-    the division is exact, and what lies below them is the quotient.
-    """
-    out = list(coeffs)
-    for s in range(min(exponent, len(out))):
-        column = out[s::exponent]
-        for _ in range(power):
-            column = accumulate(column)
-        out[s::exponent] = column
-    cut = max(len(out) - power * exponent, 0)
-    if any(out[cut:]):
-        raise ValueError("division is not exact")
-    del out[cut:]
-    return out
+    def jet(terms, powers):
+        """The jet of sum c q^m over (c, m) in terms: c w^m (1 + eps)^m."""
+        out = [0, 0, 0, 0]
+        for c, m in terms:
+            x = c * powers[m % p]
+            binomials = (1, m, m * (m - 1) // 2, m * (m - 1) * (m - 2) // 6)
+            out = [o + x * b for o, b in zip(out, binomials)]
+        return tuple(o % ell for o in out)
 
-
-def _add_shifted(total: list, base: int, coeffs: list, shift: int, op) -> int:
-    """total <- op(total, q^shift * coeffs) in place, where total holds the
-    coefficients from q^base up; returns the new base."""
-    if shift < base:
-        total[:0] = [0] * (base - shift)
-        base = shift
-    lo = shift - base
-    hi = lo + len(coeffs)
-    if hi > len(total):
-        total.extend([0] * (hi - len(total)))
-    total[lo:hi] = map(op, total[lo:hi], coeffs)
-    return base
+    for i in range(1, p):
+        w = pow(omega, i, ell)
+        powers = [1] * p  # powers[j] = w^j
+        for j in range(1, p):
+            powers[j] = powers[j - 1] * w % ell
+        suffix = [(1, 0, 0, 0)] * p  # suffix[k] = S_k
+        for k in range(p - 2, -1, -1):
+            suffix[k] = _jet_mul(suffix[k + 1], jet(((1, 0), (-1, 5 * k + 5)), powers), ell)
+        total = (0, 0, 0, 0)
+        rising = (1, 0, 0, 0)  # (q^r; q^5)_k
+        for k in range(p):
+            if k:
+                rising = _jet_mul(rising, jet(((1, 0), (-1, r + 5 * k - 5)), powers), ell)
+                if not rising[0]:
+                    break  # rising^5 vanishes to order 5 from here on
+            u = _jet_mul(rising, suffix[k], ell)
+            u2 = _jet_mul(u, u, ell)
+            u5 = _jet_mul(_jet_mul(u2, u2, ell), u, ell)
+            cleared = jet(((1, step * k), (-1, step * k + 10 * k + r)), powers)
+            term = _jet_mul(cleared, u5, ell)
+            total = tuple((t + v) % ell for t, v in zip(total, term))
+        yield total

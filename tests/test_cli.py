@@ -110,6 +110,12 @@ def test_missing_r_exits_2(capsys):
     assert code == 2
 
 
+def test_prime_beyond_the_primality_bound_exits_2(capsys):
+    code, _, err = run(capsys, "verify", "--claim", "lr3", "--p", str(10**25))
+    assert code == 2
+    assert "3317044064679887385961981" in err
+
+
 def test_qverify_inadmissible_exits_2(capsys):
     code, _, err = run(capsys, "qverify", "--p", "11", "--r", "-1")
     assert code == 2

@@ -64,6 +64,22 @@ def test_order_mismatch_rejected():
 def test_unsupported_order_rejected():
     with pytest.raises(ValueError):
         CycElement(7, [1])
+    for build in (CycElement.one, CycElement.zero, CycElement.zeta):
+        with pytest.raises(ValueError):
+            build(7)
+    with pytest.raises(ValueError):
+        CycElement.from_rational(7, 1)
+
+
+def test_constants_match_general_constructor():
+    for order in (1, 4, 5):
+        assert CycElement.one(order) == CycElement(order, [1])
+        assert CycElement.zero(order) == CycElement(order, [])
+        assert CycElement.zeta(order) == CycElement(order, [0, 1])
+        for u in (CycElement.one(order), CycElement.zero(order), CycElement.zeta(order)):
+            assert type(u.den) is int and all(type(a) is int for a in u.nums)
+        assert CycElement.zeta(order) ** 0 == CycElement.one(order)
+    assert CycElement.zeta(1) == CycElement.one(1)
 
 
 def test_root_power_sum():

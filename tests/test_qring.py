@@ -1,20 +1,22 @@
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
 from sclab.claims import InadmissibleInstanceError
 from sclab.qring import (
-    LaurentPolynomial,
     NonUnitFactorError,
     QPolynomial,
     QRing,
-    binomial_factor,
+    _jet_prime,
+    _ring_sum,
+    _root_jets,
     cyclotomic_poly,
     q_integer,
     q_pochhammer,
     verify_q_conjecture,
 )
-from sclab.rationals import pochhammer
+from sclab.rationals import is_prime, pochhammer
 
 
 def test_polynomial_canonical_form():
@@ -129,20 +131,36 @@ def test_ring_inverse_of_non_unit_rejected():
         phi_image.inverse()
 
 
-def test_laurent_arithmetic():
-    a = LaurentPolynomial.unit_minus_q_power(-2)
-    b = LaurentPolynomial.unit_minus_q_power(3)
-    product = a * b
-    assert product.evaluate(Fraction(2)) == (1 - Fraction(2) ** -2) * (1 - 8)
-    total = a + b
-    assert total.evaluate(Fraction(3)) == (1 - Fraction(3) ** -2) + (1 - 27)
+# Laurent polynomials q^shift * poly as test-local (QPolynomial, shift) pairs
 
 
-def _q_integer_laurent(n: int) -> LaurentPolynomial:
+def _binomial(e):
+    """1 - q^e for e != 0; 1 - q^e = q^e (q^-e - 1) when e < 0."""
+    if e > 0:
+        return QPolynomial((1,) + (0,) * (e - 1) + (-1,)), 0
+    return QPolynomial((-1,) + (0,) * (-e - 1) + (1,)), e
+
+
+def _pair_mul(a, b):
+    return a[0] * b[0], a[1] + b[1]
+
+
+def _pair_add(a, b):
+    low = min(a[1], b[1])
+    lifted = [QPolynomial((0,) * (s - low) + poly.coeffs) for poly, s in (a, b)]
+    return lifted[0] + lifted[1], low
+
+
+def _evaluate(pair, x):
+    poly, shift = pair
+    return sum(Fraction(c) * Fraction(x) ** (i + shift) for i, c in enumerate(poly.coeffs))
+
+
+def _q_integer_laurent(n: int):
     """[n] = 1 + q + ... + q^(n-1), and [n] = -q^n [-n] for n < 0."""
     if n >= 0:
-        return LaurentPolynomial(QPolynomial((1,) * n), 0)
-    return LaurentPolynomial(-QPolynomial((1,) * (-n)), n)
+        return QPolynomial((1,) * n), 0
+    return -QPolynomial((1,) * (-n)), n
 
 
 def test_summand_specializes_to_rational_term():
@@ -153,8 +171,8 @@ def test_summand_specializes_to_rational_term():
             value = Fraction(10 * k + r)
             for j in range(k):
                 value *= (
-                    _q_integer_laurent(r + 5 * j).evaluate(1)
-                    / _q_integer_laurent(5 + 5 * j).evaluate(1)
+                    _evaluate(_q_integer_laurent(r + 5 * j), 1)
+                    / _evaluate(_q_integer_laurent(5 + 5 * j), 1)
                 ) ** 5
             expected = (
                 (10 * k + r)
@@ -167,10 +185,10 @@ def test_summand_specializes_to_rational_term():
 def test_q_pochhammer_laurent_matches_ring():
     ring = QRing(7)
     for k in range(4):
-        laurent = LaurentPolynomial.one()
+        poly, shift = QPolynomial.one(), 0
         for j in range(k):
-            laurent = laurent * LaurentPolynomial.unit_minus_q_power(-1 + 5 * j)
-        in_ring = ring.element(laurent.poly) * ring.q_power(laurent.shift)
+            poly, shift = _pair_mul((poly, shift), _binomial(-1 + 5 * j))
+        in_ring = ring.element(poly) * ring.q_power(shift)
         assert in_ring == q_pochhammer(-1, 5, k, ring)
 
 
@@ -182,8 +200,8 @@ def test_conjecture_holds_small_instances():
 
 
 def test_conjecture_with_deeply_negative_r():
-    # r = -9 pushes several q-shifted factors to negative exponents,
-    # exercising the Laurent shift tracking on both routes
+    # r = -9 pushes several q-shifted factors to negative exponents, which
+    # the ring reaches through q^-1 and the jets through (1 + eps)^m, m < 0
     report = verify_q_conjecture(7, -9)
     assert report.zero and report.methods_agree
 
@@ -208,14 +226,6 @@ def test_conjecture_is_never_admissible_at_p_five():
             verify_q_conjecture(5, r)
 
 
-def test_binomial_factor():
-    assert binomial_factor(3).coeffs == (
-        Fraction(1), Fraction(0), Fraction(0), Fraction(-1),
-    )
-    with pytest.raises(ValueError):
-        binomial_factor(0)
-
-
 def _all_int(poly):
     return all(type(c) is int for c in poly.coeffs)
 
@@ -231,7 +241,7 @@ def test_integer_coefficients_stay_int(rng):
     assert _all_int((block * q_integer(9, ring)).residue)
     assert _all_int((block ** 5).residue)
     u = QPolynomial([rng.randint(-9, 9) for _ in range(30)])
-    for divisor in (cyclotomic_poly(7), binomial_factor(4), -binomial_factor(3)):
+    for divisor in (cyclotomic_poly(7), _binomial(4)[0], -_binomial(3)[0]):
         assert divisor.coeffs[-1] in (1, -1)
         quo, rem = divmod(u, divisor)
         assert _all_int(quo) and _all_int(rem)
@@ -453,71 +463,81 @@ def test_ring_fold_matches_dense_remainder(rng, p, power):
         assert ring.q_power(e).residue == _schoolbook_divmod(monomial, modulus)[1]
 
 
-def test_sparse_binomial_passes_match_dense_products(rng):
-    from sclab.qring import _binomial_power, _div_binomial_power, _mul_binomial_power
-
-    for _ in range(30):
-        u = _random_coeffs(rng, rng.randint(1, 80), rng.randint(1, 90))
-        e, power = rng.randint(1, 30), rng.randint(1, 5)
-        dense = _binomial_power(e, power)
-        product = _mul_binomial_power(u, e, power)
-        assert QPolynomial(product) == QPolynomial(u) * dense
-        assert QPolynomial(_div_binomial_power(product, e, power)) == QPolynomial(u)
-        assert QPolynomial(_div_binomial_power(product, e, power)) == QPolynomial(product).exact_div(dense)
-        spoiled = list(product)
-        spoiled[rng.randrange(len(spoiled))] += rng.choice([-1, 1])
-        with pytest.raises(ValueError):
-            _div_binomial_power(spoiled, e, power)
-        with pytest.raises(ValueError):
-            QPolynomial(spoiled).exact_div(dense)
-    with pytest.raises(ValueError):
-        _div_binomial_power([1, 2, 3], 4, 1)  # shorter than the divisor
-    assert _div_binomial_power([], 4, 5) == []
+def _fifth_power(pair):
+    square = _pair_mul(pair, pair)
+    return _pair_mul(_pair_mul(square, square), pair)
 
 
 def _dense_cleared_sum(p, r, step):
-    """Route 2's sum built from dense products, exact_div and Laurent
-    additions."""
-    from sclab.qring import _binomial_power
-
-    u, shift = QPolynomial.one(), 0
+    """The cleared sum T = sum_k (1 - q^(10k+r)) q^(step k) (q^r;q^5)_k^5
+    S_k^5 as a (poly, shift) pair, from dense products, exact divisions and
+    Laurent additions."""
+    u = QPolynomial.one(), 0
     for j in range(1, p):
-        u = u * _binomial_power(5 * j, 5)
-    total = LaurentPolynomial(QPolynomial.zero(), 0)
+        u = _pair_mul(u, _fifth_power(_binomial(5 * j)))
+    total = QPolynomial.zero(), 0
     for k in range(p):
         if k:
-            u = u.exact_div(_binomial_power(5 * k, 5))
-            e = r + 5 * (k - 1)
-            if e >= 0:
-                u = u * _binomial_power(e, 5)
-            else:
-                u = -(u * _binomial_power(-e, 5))
-                shift += 5 * e
-        total = total + (
-            LaurentPolynomial.unit_minus_q_power(10 * k + r)
-            * LaurentPolynomial(u, shift)
-            * LaurentPolynomial.q_power(step * k)
-        )
+            quo, rem = divmod(u[0], _fifth_power(_binomial(5 * k))[0])
+            assert rem.is_zero
+            u = _pair_mul((quo, u[1]), _fifth_power(_binomial(r + 5 * (k - 1))))
+        term = _pair_mul(_binomial(10 * k + r), (u[0], u[1] + step * k))
+        total = _pair_add(total, term)
     return total
 
 
-def _lowest_terms(laurent):
-    coeffs = laurent.poly.coeffs
-    low = next((i for i, c in enumerate(coeffs) if c), 0)
-    return coeffs[low:], laurent.shift + low
+def _jets_at_roots(poly, shift, p):
+    """poly(q) q^shift at q = w (1 + eps) mod (ell, eps^4), for the roots
+    w = omega^i, i = 1 .. p-1, with (ell, omega) from _jet_prime; the
+    coefficient of eps^j in (1 + eps)^m is m (m-1) ... (m-j+1) / j!."""
+    ell, omega = _jet_prime(p)
+    jets = []
+    for i in range(1, p):
+        w = pow(omega, i, ell)
+        jet = [0] * 4
+        for m, c in enumerate(poly.coeffs, shift):
+            x = c * pow(w, m % p, ell)
+            for j in range(4):
+                jet[j] += x * (prod(m - t for t in range(j)) // factorial(j))
+        jets.append(tuple(v % ell for v in jet))
+    return jets
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 13, 43, 103])
+def test_jet_prime_is_the_first_prime_one_mod_p_above_2_to_61(p):
+    ell, omega = _jet_prime(p)
+    assert ell > 1 << 61 and ell % p == 1 and is_prime(ell)
+    assert not any(is_prime(n) for n in range(ell - p, 1 << 61, -p))
+    assert omega != 1 and pow(omega, p, ell) == 1
 
 
 @pytest.mark.parametrize("p, r", [(7, 1), (7, -9), (13, -1)])
-@pytest.mark.parametrize("twist", [0, 1])
-def test_sparse_route2_matches_dense_route2(p, r, twist):
-    from sclab.qring import _cleared_sum
-
+@pytest.mark.parametrize("twist", [0, 1, 2, 3])
+def test_route2_jets_match_dense_cleared_sum(p, r, twist):
+    # the jets of the dense T's residue mod Phi_p^4, read at every root
+    # mod ell, are the jet route's; they vanish exactly without a twist
     step = 5 * (3 - r) // 2 + twist
-    sparse = _cleared_sum(p, r, step)
-    assert _lowest_terms(sparse) == _lowest_terms(_dense_cleared_sum(p, r, step))
-    # verify_q_conjecture decides route 2 by the ring's reduction; pin that
-    # reduction to long division by the modulus
-    ring = QRing(p)
-    residue = ring.element(sparse.poly).residue
-    assert residue == _schoolbook_divmod(sparse.poly.coeffs, ring.modulus.coeffs)[1]
-    assert residue.is_zero == (twist == 0)
+    poly, shift = _dense_cleared_sum(p, r, step)
+    residue = divmod(poly, QRing(p).modulus)[1]
+    jets = list(_root_jets(p, r, step))
+    assert jets == _jets_at_roots(residue, shift, p)
+    assert len(jets) == p - 1
+    assert (not any(map(any, jets))) == (twist == 0)
+
+
+@pytest.mark.parametrize("p, r", [(29, -3), (43, -1)])
+@pytest.mark.parametrize("twist", [0, 1])
+def test_route2_jets_match_route1_pre_inverse_sum(p, r, twist):
+    # T = (1 - q) times route 1's sum before its one inverse
+    step = 5 * (3 - r) // 2 + twist
+    total, _ = _ring_sum(QRing(p), r, step)
+    jets = list(_root_jets(p, r, step))
+    assert jets == _jets_at_roots(QPolynomial((1, -1)) * total.residue, 0, p)
+    assert (not any(map(any, jets))) == (twist == 0)
+
+
+def test_conjecture_near_p_100():
+    report = verify_q_conjecture(103, -1)
+    assert report.ring_zero and report.division_zero
+    control = verify_q_conjecture(103, -1, exponent_twist=1)
+    assert not control.ring_zero and not control.division_zero

@@ -43,6 +43,27 @@ def test_is_prime_matches_sieve():
     sieved = set(primes_in(2, 500))
     for n in range(500):
         assert is_prime(n) == (n in sieved)
+    # across the switch from trial division to Miller-Rabin at 10^6
+    lo, hi = 10**6 - 3000, 10**6 + 3000
+    sieved = set(primes_in(lo, hi))
+    for n in range(lo, hi):
+        assert is_prime(n) == (n in sieved)
+
+
+def test_is_prime_miller_rabin_range():
+    # strong pseudoprimes to bases 2, 3, 5, 7 and to bases 2 .. 23; 561 is
+    # a Carmichael number, caught below the switch
+    for n in (561, 3215031751, 3825123056546413051, (2**31 - 1) * (10**9 + 7)):
+        assert not is_prime(n)
+    for n in (2**31 - 1, 10**9 + 7, 2**61 - 1):
+        assert is_prime(n)
+    bound = 3317044064679887385961981
+    assert not is_prime(bound - 1)  # even
+    with pytest.raises(ValueError, match=str(bound)):
+        is_prime(bound)
+    for n in (bound + 1, 10**25, 10**25 + 13):
+        with pytest.raises(ValueError, match=str(bound)):
+            is_prime(n)
 
 
 def test_pochhammer_recurrence(rng):

@@ -347,8 +347,12 @@ def _assemble_residue(form: ClosedForm, ctx: PadicContext, full_precision: bool)
     return Residue(ctx.p ** v * acc % ctx.modulus, ctx)
 
 
-def rhs_residue(claim_id: str, p: int, r: int | None = None, ctx: PadicContext | None = None) -> Residue:
-    """Residue of the closed form mod p^k (k from ctx, default the family's)."""
+def rhs_residue(
+    claim_id: str, p: int, r: int | None = None, ctx: PadicContext | None = None,
+    *, _form: ClosedForm | None = None,
+) -> Residue:
+    """Residue of the closed form mod p^k (k from ctx, default the family's).
+    ``verify`` passes the ``rhs_form`` it already built as ``_form``."""
     fam = family(claim_id)
     if ctx is None:
         ctx = PadicContext(p, fam.modulus_exponent)
@@ -357,7 +361,9 @@ def rhs_residue(claim_id: str, p: int, r: int | None = None, ctx: PadicContext |
             "the Gamma evaluator requires odd p; the p = 2, r = 1 instance "
             "is established by direct hand computation and excluded here"
         )
-    return _assemble_residue(rhs_form(claim_id, p, r), ctx, full_precision=False)
+    if _form is None:
+        _form = rhs_form(claim_id, p, r)
+    return _assemble_residue(_form, ctx, full_precision=False)
 
 
 def rhs_residue_direct(claim_id: str, p: int, r: int | None = None, ctx: PadicContext | None = None) -> Residue:
@@ -433,8 +439,8 @@ def verify(
     ctx = PadicContext(p, k)
     wide = PadicContext(p, k + LHS_GUARD_DIGITS)
     lhs = lhs_residue(claim_id, p, rr, wide)
-    rhs = rhs_residue(claim_id, p, rr, ctx)
     form = rhs_form(claim_id, p, rr)
+    rhs = rhs_residue(claim_id, p, rr, ctx, _form=form)
     difference = (lhs.value - rhs.value) % wide.modulus
     if form.gamma_factors:
         # the right side is known only mod p^k, so any valuation past k

@@ -26,16 +26,16 @@ Two kernels keep the ring off quadratic pure-Python loops:
   division steps.  Reducing mod a multiple of the modulus first is a ring
   homomorphism, so the residue is the same canonical remainder.
 
-The q-analogue check's second route builds no polynomial at all.  For a
-prime ell = 1 (mod p), Phi_p splits mod ell into distinct linear factors
-q - omega, so a polynomial is 0 in F_ell[q]/Phi_p^4 exactly when its
-expansion at q = omega (1 + eps) vanishes mod eps^4 at every root omega.
-That route runs the same recurrence as the ring on these 4-term jets, the
-evaluation at roots of unity of Guo and Zudilin's "q-microscope" (Adv.
-Math. 346, 2019).
-
-Negative powers of q are legal everywhere: q is a unit in the quotient
-ring, and the jet formula for q^m holds for every integer m.
+The q-analogue check has two routes.  Route 1 builds the cleared sum in
+the ring forward by Horner's rule, so each product has a factor of at
+most six terms and takes the zero-skipping loop.  Route 2 builds no
+polynomial: for a prime ell = 1 (mod p), Phi_p splits mod ell into
+distinct linear factors q - omega, so a polynomial is 0 in
+F_ell[q]/Phi_p^4 exactly when its expansion at q = omega (1 + eps)
+vanishes mod eps^4 at every root omega.  It runs on these 4-term jets,
+the evaluation at roots of unity of Guo and Zudilin's "q-microscope"
+(Adv. Math. 346, 2019).  Negative powers of q are legal everywhere: q is
+a unit in the ring, and the jet of q^m is exact for every integer m.
 """
 
 from __future__ import annotations
@@ -322,11 +322,7 @@ class QRing:
         return self._q_inverse ** (-exponent)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, QRing)
-            and other.p == self.p
-            and other.power == self.power
-        )
+        return isinstance(other, QRing) and (other.p, other.power) == (self.p, self.power)
 
     def __hash__(self):
         return hash((self.p, self.power))
@@ -378,14 +374,12 @@ class QRingElement:
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        out = self.ring.one
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
+        out, base = self.ring.one, self
+        while exponent:
+            if exponent & 1:
                 out = out * base
             base = base * base
-            e >>= 1
+            exponent >>= 1
         return out
 
     def inverse(self) -> "QRingElement":
@@ -410,9 +404,7 @@ class QRingElement:
         """Reference route: extended Euclid straight against Phi_p^e.
         Exponentially slower coefficient growth; kept to pin the lifted
         inverse in tests."""
-        return QRingElement(
-            self.ring, _euclid_inverse(self.residue, self.ring.modulus)
-        )
+        return QRingElement(self.ring, _euclid_inverse(self.residue, self.ring.modulus))
 
     def __eq__(self, other):
         try:
@@ -528,8 +520,8 @@ def verify_q_conjecture(p: int, r: int, exponent_twist: int = 0) -> QAnalogueRep
     constructions: exactly in the quotient ring (``_ring_sum``), and by
     jets at the roots of Phi_p mod a prime (``_root_jets``) of the cleared
     sum T = sum_k (1 - q^(10k+r)) q^(step*k) (q^r;q^5)_k^5 S_k^5, with
-    S_k = prod_{k<j<p} (1 - q^(5j)).  The sum is T / ((1 - q) S_0^5), and
-    1 - q and S_0 are units.
+    S_k = prod_{k<j<p} (1 - q^(5j)).  The sum is T / ((1 - q) S_0^5); route
+    1 returns T and that unit, and inverts the unit once.
 
     ``exponent_twist`` adds twist*k to the power of q in term k; the honest
     statement is twist 0, and a nonzero twist is the built-in negative
@@ -550,34 +542,42 @@ def verify_q_conjecture(p: int, r: int, exponent_twist: int = 0) -> QAnalogueRep
     division_zero = not any(map(any, _root_jets(p, r, step)))
 
     elapsed = (time.perf_counter() - started) * 1000.0
-    return QAnalogueReport(
-        p=p,
-        r=r,
-        exponent_twist=exponent_twist,
-        ring_zero=ring_zero,
-        division_zero=division_zero,
-        elapsed_ms=elapsed,
-    )
+    return QAnalogueReport(p, r, exponent_twist, ring_zero, division_zero, elapsed)
 
 
 def _ring_sum(ring: QRing, r: int, step: int) -> tuple:
-    """Route 1: (sum_k [10k+r] q^(step*k) (q^r;q^5)_k^5 S_k^5, S_0^5) in the
-    ring.  The q-analogue sum is the first over the second, so the terms
-    stay in Z[q] and the caller's one inverse carries the denominators."""
-    suffix = [ring.one] * ring.p  # suffix[k] = S_k^5
-    for k in range(ring.p - 2, -1, -1):
-        suffix[k] = suffix[k + 1] * (ring.one - ring.q_power(5 * (k + 1))) ** 5
-    total = ring.zero
-    rising5 = ring.one  # (q^r; q^5)_k^5
+    """Route 1: (T, (1 - q) S_0^5) in the ring, T and S_0 as in
+    ``verify_q_conjecture``.  With D_k = (1 - q^(5k))^5, the Horner step
+    V <- V D_k + (1 - q^(10k+r)) q^(step*k) (q^r;q^5)_k^5 leaves V = T at
+    k = p - 1, and the block gathers every D_k.  Every factor has at most
+    six terms and enters the sparse multiply unreduced."""
+
+    def fifth(e):
+        """The terms (c, m) of (1 - q^e)^5 = sum c q^m."""
+        return [((-1) ** i * comb(5, i), e * i) for i in range(6)]
+
+    def times(x, terms):
+        """x * sum c q^m; a negative m (r < 0, small k) is shifted out
+        through ``q_power``."""
+        low = min(0, *(m for _, m in terms))
+        if low:
+            x = x * ring.q_power(low)
+        coeffs = [0] * (max(m for _, m in terms) - low + 1)
+        for c, m in terms:
+            coeffs[m - low] += c
+        return QRingElement(ring, x.residue * QPolynomial._trusted(coeffs))
+
+    total, block, rising5 = ring.zero, ring.from_coeffs((1, -1)), ring.one
     for k in range(ring.p):
         if k:
-            rising5 = rising5 * (ring.one - ring.q_power(r + 5 * (k - 1))) ** 5
-            if rising5.is_zero:
-                break  # it holds Phi_p^5, and so does every later term
-        total = total + (
-            q_integer(10 * k + r, ring) * ring.q_power(step * k) * rising5 * suffix[k]
-        )
-    return total, suffix[0]
+            d = fifth(5 * k)
+            total, block = times(total, d), times(block, d)
+            # the terms stop once rising5 holds Phi_p^5, the D_k do not:
+            # the whole block is p^5 (1 - q) mod Phi_p and inverts at once
+            rising5 = times(rising5, fifth(r + 5 * (k - 1)))
+        if not rising5.is_zero:
+            total = total + times(rising5, [(1, step * k), (-1, (step + 10) * k + r)])
+    return total, block
 
 
 def _jet_prime(p: int) -> tuple:
@@ -607,7 +607,7 @@ def _jet_mul(a, b, ell: int) -> tuple:
 
 def _root_jets(p: int, r: int, step: int):
     """Route 2: yields the jets T(omega^i (1 + eps)) mod (ell, eps^4) for
-    i = 1 .. p-1 in turn, by ``_ring_sum``'s recurrence.  T has no
+    i = 1 .. p-1 in turn, from the suffix products S_k.  T has no
     denominators, so no jet is inverted, and each root costs O(p) jet
     products."""
     ell, omega = _jet_prime(p)

@@ -44,7 +44,10 @@ def pochhammer(a, n: int):
     out = num if n else num ** 0  # the empty product in num's domain
     for j in range(1, n):
         out = out * (num + j * den)
-    return out * Fraction(1, den ** n)
+    scale = den ** n
+    if type(out) is int:
+        return Fraction(out, scale)
+    return out if scale == 1 else out * Fraction(1, scale)
 
 
 # Trial division is the faster below 10^6, even on primes (~11 us each way

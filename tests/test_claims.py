@@ -497,6 +497,24 @@ def test_verify_exact_fallback_when_residue_difference_vanishes(monkeypatch):
     assert rep.lhs_residue == PadicContext(2, 4).reduce(lhs_value("thm1", 2, 1)).value
 
 
+def test_verify_builds_the_closed_form_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        claims, "rhs_form", lambda *args: calls.append(args) or rhs_form(*args)
+    )
+    instances = [
+        ("lr3", 59, None), ("d2", 7, None), ("a1", 13, None), ("thm1", 13, -1),
+        ("thm2", 5, -2), ("conj1", 7, -1), ("conj3", 7, 1),
+    ]
+    for claim, p, r in instances:
+        calls.clear()
+        rep = verify(claim, p, r)
+        assert calls == [(claim, p, resolve_r(claim, r))] and rep.passed
+    # the hand-verified instance is still refused
+    with pytest.raises(UnsupportedInstanceError):
+        verify("thm2", 2, 1)
+
+
 def test_thm1_sweep_never_takes_the_exact_fallback(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"exact left side computed for {args}")

@@ -301,6 +301,25 @@ def test_route1_inverse_factors_out_of_the_sum(p, r, twist):
     assert verify_q_conjecture(p, r, twist).ring_zero == (twist == 0)
 
 
+@pytest.mark.parametrize("p, r", [(7, 1), (13, -1), (29, -3)])
+@pytest.mark.parametrize("twist", [0, 1])
+def test_route1_horner_sum_matches_suffix_terms(p, r, twist):
+    # the suffix-form terms over S_0^5 and the Horner sum over its block
+    # are the same element: sum(terms) * block == total * S_0^5
+    ring, terms, _ = _route1_terms(p, r, twist)
+    total, block = _ring_sum(ring, r, 5 * (3 - r) // 2 + twist)
+    s0_fifth = q_pochhammer(5, 5, p - 1, ring) ** 5
+    expected = ring.zero
+    for term in terms:
+        expected = expected + term
+    assert expected * block == total * s0_fifth
+    if p == 29:
+        # (q^-3;q^5)_k holds 1 - q^87 from k = 19 on, so the terms stop
+        # there, but the block still gathers every factor up to k = p - 1
+        assert terms[19].is_zero and not terms[18].is_zero
+        assert block == (ring.one - ring.q_power(1)) * s0_fifth
+
+
 def test_conjecture_at_larger_primes():
     report = verify_q_conjecture(29, -3)
     assert report.ring_zero and report.division_zero
@@ -528,11 +547,11 @@ def test_route2_jets_match_dense_cleared_sum(p, r, twist):
 @pytest.mark.parametrize("p, r", [(29, -3), (43, -1)])
 @pytest.mark.parametrize("twist", [0, 1])
 def test_route2_jets_match_route1_pre_inverse_sum(p, r, twist):
-    # T = (1 - q) times route 1's sum before its one inverse
+    # route 1's sum before its one inverse is T itself
     step = 5 * (3 - r) // 2 + twist
     total, _ = _ring_sum(QRing(p), r, step)
     jets = list(_root_jets(p, r, step))
-    assert jets == _jets_at_roots(QPolynomial((1, -1)) * total.residue, 0, p)
+    assert jets == _jets_at_roots(total.residue, 0, p)
     assert (not any(map(any, jets))) == (twist == 0)
 
 

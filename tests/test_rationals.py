@@ -126,6 +126,18 @@ def test_pochhammer_result_types():
         one = pochhammer(CycElement.zeta(order), 0)
         assert isinstance(one, CycElement) and one.order == order
         assert one == CycElement.one(order)
+    # den = 1 at n > 0 (and den > 1 at n = 0) skips the final scalar
+    # multiply; the result keeps a's domain and value
+    for a in (2, Fraction(2), Fraction(1, 3)):
+        for n in (0, 3):
+            value = pochhammer(a, n)
+            assert type(value) is Fraction and value == _rising_reference(Fraction(a), n)
+    for order in (4, 5):
+        for a in (CycElement.zeta(order) + 2, CycElement.zeta(order) / 3):
+            for n in (0, 1, 3):
+                value = pochhammer(a, n)
+                assert isinstance(value, CycElement) and value.order == order
+                assert value == _rising_reference(a, n)
     # a rational-valued field element still gives a field element
     value = pochhammer(CycElement.from_rational(5, Fraction(1, 2)), 3)
     assert isinstance(value, CycElement) and value.order == 5

@@ -219,7 +219,12 @@ def _run_scan(args) -> tuple:
         raise ValueError(f"--pmax must be at least 2, got {p_max}")
     r_values = None
     if args.r_set is not None:
-        r_values = [int(tok) for tok in args.r_set.split(",") if tok.strip()]
+        try:
+            r_values = [int(tok) for tok in args.r_set.split(",") if tok.strip()]
+        except ValueError:
+            raise ValueError(
+                f"--r-set takes comma-separated integers, got {args.r_set!r}"
+            ) from None
     result = claims.scan(
         args.claim, p_max, r_values, _modk(args), workers=args.workers
     )

@@ -18,24 +18,24 @@ Two kernels keep the ring off quadratic pure-Python loops:
   integers with CPython's bignum multiply and unpacks the slots with a
   per-slot bias.  ``Fraction`` operands are cleared to integer numerators
   over one denominator first, and the product is divided once at the end.
-  An operand with at most ``SPARSE_TERMS`` nonzero terms (a binomial, a
-  monomial) is multiplied by a zero-skipping loop instead.
+  An operand with at most ``SPARSE_TERMS`` nonzero terms (route 1's
+  folded factors) is multiplied by a zero-skipping loop instead.
 * Sparse fold.  Phi_p^power divides (q^p - 1)^power, which is monic with
-  power + 1 terms, so a polynomial is first reduced mod (q^p - 1)^power
-  in O((power + 1) n) and then mod Phi_p^power in at most ``power``
-  division steps.  Reducing mod a multiple of the modulus first is a ring
-  homomorphism, so the residue is the same canonical remainder.
+  power + 1 terms, so a polynomial is reduced mod (q^p - 1)^power in
+  O((power + 1) n), then mod Phi_p^power in at most ``power`` division
+  steps; the first step is a ring homomorphism, so the residue is the
+  same.  Powers of q enter the ring folded (``QRing._q_terms``).
 
 The q-analogue check has two routes.  Route 1 builds the cleared sum in
 the ring forward by Horner's rule, so each product has a factor of at
-most six terms and takes the zero-skipping loop.  Route 2 builds no
-polynomial: for a prime ell = 1 (mod p), Phi_p splits mod ell into
-distinct linear factors q - omega, so a polynomial is 0 in
+most six terms (24 once folded) and takes the zero-skipping loop.  Route
+2 builds no polynomial: for a prime ell = 1 (mod p), Phi_p splits mod
+ell into distinct linear factors q - omega, so a polynomial is 0 in
 F_ell[q]/Phi_p^4 exactly when its expansion at q = omega (1 + eps)
 vanishes mod eps^4 at every root omega.  It runs on these 4-term jets,
 the evaluation at roots of unity of Guo and Zudilin's "q-microscope"
 (Adv. Math. 346, 2019).  Negative powers of q are legal everywhere: q is
-a unit in the ring, and the jet of q^m is exact for every integer m.
+a unit in the ring, q^m folds for every integer m, and its jet is exact.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, lcm, prod
 from operator import attrgetter
 
 from .rationals import as_rational, is_prime
@@ -63,8 +63,9 @@ def _coefficient(c):
 
 
 # An operand with at most this many nonzero terms multiplies by the
-# zero-skipping loop; packing it would cost more than it saves.
-SPARSE_TERMS = 16
+# zero-skipping loop; packing it would cost more than it saves.  Route
+# 1's six-term factors, folded mod (q^p - 1)^4, have up to 6 * 4 terms.
+SPARSE_TERMS = 24
 
 _denominator = attrgetter("denominator")
 
@@ -165,12 +166,6 @@ class QPolynomial:
     @classmethod
     def one(cls) -> "QPolynomial":
         return cls((1,))
-
-    @classmethod
-    def monomial(cls, degree: int, coefficient=1) -> "QPolynomial":
-        if degree < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        return cls((0,) * degree + (coefficient,))
 
     @property
     def degree(self) -> int:
@@ -287,10 +282,6 @@ class QRing:
         self.degree_bound = modulus.degree
         # With Q = q^p: Q^power = sum_{j<power} fold[j] Q^j mod (Q - 1)^power.
         self._fold = [(-1) ** (power - j + 1) * comb(power, j) for j in range(power)]
-        # q is a unit: the modulus has constant term 1, so
-        # q * (-(modulus - 1)/q) = 1 - modulus = 1 in the ring.
-        inv_coeffs = [-c for c in modulus.coeffs[1:]]
-        self._q_inverse = QRingElement(self, QPolynomial(inv_coeffs))
 
     def _reduce(self, poly: QPolynomial) -> QPolynomial:
         """The remainder of ``poly`` mod Phi_p^power, through the fold mod
@@ -315,11 +306,25 @@ class QRing:
     def one(self) -> "QRingElement":
         return QRingElement(self, QPolynomial.one())
 
+    def _q_terms(self, terms) -> QPolynomial:
+        """sum c q^m over (c, m) in terms, m any integer, folded mod
+        (q^p - 1)^power to degree < power p.  With m = p n + s, 0 <= s < p,
+        Q = q^p: q^m = q^s Q^n, Q^n = sum_{j<power} C(n, j) (Q - 1)^j for
+        every integer n, as Q - 1 is nilpotent; C(n, j) is an integer."""
+        p, power = self.p, self.power
+        out = [0] * (power * p)
+        for c, m in terms:
+            n, s = divmod(m, p)
+            for i in range(power):  # Q^i gets sum_{j>=i} C(n, j) C(j, i) (-1)^(j-i)
+                t = power - 1 - i  # = (-1)^t C(n, i) C(n-i-1, t); c is c C(n, i)
+                top = prod(range(n - i - t, n - i))  # t! C(n-i-1, t)
+                out[s + p * i] += (-1) ** t * c * top // factorial(t)
+                c = c * (n - i) // (i + 1)
+        return QPolynomial._trusted(out)
+
     def q_power(self, exponent: int) -> "QRingElement":
         """q^e as a ring element, for any integer e."""
-        if exponent >= 0:
-            return self.element(QPolynomial.monomial(exponent))
-        return self._q_inverse ** (-exponent)
+        return self.element(self._q_terms([(1, exponent)]))
 
     def __eq__(self, other):
         return isinstance(other, QRing) and (other.p, other.power) == (self.p, self.power)
@@ -550,22 +555,15 @@ def _ring_sum(ring: QRing, r: int, step: int) -> tuple:
     ``verify_q_conjecture``.  With D_k = (1 - q^(5k))^5, the Horner step
     V <- V D_k + (1 - q^(10k+r)) q^(step*k) (q^r;q^5)_k^5 leaves V = T at
     k = p - 1, and the block gathers every D_k.  Every factor has at most
-    six terms and enters the sparse multiply unreduced."""
+    six terms and enters the sparse multiply folded to degree < 4p."""
 
     def fifth(e):
-        """The terms (c, m) of (1 - q^e)^5 = sum c q^m."""
-        return [((-1) ** i * comb(5, i), e * i) for i in range(6)]
+        """(1 - q^e)^5 = sum_i (-1)^i C(5, i) q^(ei), folded."""
+        return ring._q_terms([((-1) ** i * comb(5, i), e * i) for i in range(6)])
 
-    def times(x, terms):
-        """x * sum c q^m; a negative m (r < 0, small k) is shifted out
-        through ``q_power``."""
-        low = min(0, *(m for _, m in terms))
-        if low:
-            x = x * ring.q_power(low)
-        coeffs = [0] * (max(m for _, m in terms) - low + 1)
-        for c, m in terms:
-            coeffs[m - low] += c
-        return QRingElement(ring, x.residue * QPolynomial._trusted(coeffs))
+    def times(x, factor):
+        """x * factor; the factor leads, so its few terms drive the loop."""
+        return QRingElement(ring, factor * x.residue)
 
     total, block, rising5 = ring.zero, ring.from_coeffs((1, -1)), ring.one
     for k in range(ring.p):
@@ -576,7 +574,8 @@ def _ring_sum(ring: QRing, r: int, step: int) -> tuple:
             # the whole block is p^5 (1 - q) mod Phi_p and inverts at once
             rising5 = times(rising5, fifth(r + 5 * (k - 1)))
         if not rising5.is_zero:
-            total = total + times(rising5, [(1, step * k), (-1, (step + 10) * k + r)])
+            cleared = ring._q_terms([(1, step * k), (-1, (step + 10) * k + r)])
+            total = total + times(rising5, cleared)
     return total, block
 
 

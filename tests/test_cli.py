@@ -219,6 +219,14 @@ def test_scan_refuses_empty_r_set(capsys, r_set):
     assert "error:" in err and "empty" in err
 
 
+@pytest.mark.parametrize("r_set", ["a", "1,x"])
+def test_scan_r_set_of_non_integers_names_flag(capsys, r_set):
+    code, out, err = run(capsys, "scan", "--claim", "thm1", "--pmax", "7", f"--r-set={r_set}")
+    assert code == 2
+    assert out == ""
+    assert "--r-set" in err and "comma-separated integers" in err
+
+
 @pytest.mark.parametrize("trials", ["-5", "0"])
 def test_identity_refuses_fewer_than_one_trial(capsys, trials):
     with pytest.raises(SystemExit) as exc:

@@ -477,9 +477,17 @@ def test_ring_fold_matches_dense_remainder(rng, p, power):
         expected = QPolynomial([Fraction(c, den) for c in expected.coeffs])
         residue = ring.element(QPolynomial(u)).residue
         assert residue == expected and _canonical(residue)
-    for e in sorted({0, 1, p, p * power, 5 * p * p, rng.randint(0, 5 * p * p)}):
-        monomial = [0] * e + [1]
-        assert ring.q_power(e).residue == _schoolbook_divmod(monomial, modulus)[1]
+    # q^-1 = -(Phi_p^power - 1)/q: the modulus has constant term 1
+    q_inverse = ring.from_coeffs([-c for c in modulus[1:]])
+    top = 5 * p * p
+    exponents = {0, 1, p, p * power, top, rng.randint(0, top)}
+    for e in sorted(exponents | {-e for e in exponents}):
+        if e >= 0:
+            monomial = [0] * e + [1]
+            assert ring.q_power(e).residue == _schoolbook_divmod(monomial, modulus)[1]
+        else:
+            assert ring.q_power(e) == q_inverse ** -e
+        assert ring.q_power(e) * ring.q_power(-e) == ring.one
 
 
 def _fifth_power(pair):
@@ -545,14 +553,37 @@ def test_route2_jets_match_dense_cleared_sum(p, r, twist):
 
 
 @pytest.mark.parametrize("p, r", [(29, -3), (43, -1)])
-@pytest.mark.parametrize("twist", [0, 1])
+@pytest.mark.parametrize("twist", [0, 1, -40])
 def test_route2_jets_match_route1_pre_inverse_sum(p, r, twist):
-    # route 1's sum before its one inverse is T itself
+    # route 1's sum before its one inverse is T itself; at twist -40 the
+    # power step*k of q is negative for every k > 0
     step = 5 * (3 - r) // 2 + twist
     total, _ = _ring_sum(QRing(p), r, step)
     jets = list(_root_jets(p, r, step))
     assert jets == _jets_at_roots(total.residue, 0, p)
     assert (not any(map(any, jets))) == (twist == 0)
+
+
+@pytest.mark.parametrize("p, r", [(29, -3), (43, -1)])
+def test_route1_operands_stay_below_power_p(monkeypatch, p, r):
+    # every power of q enters route 1 folded mod (q^p - 1)^4, so no factor
+    # is as long as the raw (1 - q^(5k))^5, of degree 25k, and each product
+    # has a factor of at most 24 terms, which takes the zero-skipping loop
+    from sclab.qring import SPARSE_TERMS
+
+    ring = QRing(p)
+    lengths, fewest_terms = [], []
+    mul = QPolynomial.__mul__
+
+    def spy(a, b):
+        lengths.extend((len(a.coeffs), len(b.coeffs)))
+        fewest_terms.append(min(sum(map(bool, a.coeffs)), sum(map(bool, b.coeffs))))
+        return mul(a, b)
+
+    monkeypatch.setattr(QPolynomial, "__mul__", spy)
+    _ring_sum(ring, r, 5 * (3 - r) // 2)
+    assert lengths and max(lengths) <= ring.power * p
+    assert max(fewest_terms) <= SPARSE_TERMS
 
 
 def test_conjecture_near_p_100():

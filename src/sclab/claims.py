@@ -334,7 +334,8 @@ def _assemble_residue(form: ClosedForm, ctx: PadicContext, full_precision: bool)
     if scalar == 0:
         return Residue(0, ctx)
     v = vp(scalar, ctx.p)
-    assert v >= 0, "closed form is not p-integral"
+    if v < 0:
+        raise RuntimeError("closed form is not p-integral")
     if v >= ctx.k:
         return Residue(0, ctx)
     # The Gamma factors are units, so they only matter mod p^(k - v); the

@@ -7,14 +7,17 @@ is no general number-field machinery.
 
 An element is phi(n) integer numerators over one positive integer
 denominator, in canonical form: gcd(den, *nums) = 1, so two elements are
-equal exactly when their fields are.  Phi_n is monic with coefficients
-0 and +-1, so products are reduced in integers.  The inverse comes from the
-norm: u * prod_j sigma_j(u) = N(u) is rational, where sigma_j sends x to
-x^j over the units j mod n other than 1.
+equal exactly when their fields are.  The product of two numerator
+vectors is one closed form per order (``_PRODUCT``): at phi(n) <= 4
+coefficients a straight-line formula beats a convolution loop followed by
+a reduction.  The inverse comes from the norm through the same products:
+u * prod_j sigma_j(u) = N(u) is rational, where sigma_j sends x to x^j
+over the units j mod n other than 1.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -53,13 +56,33 @@ def _reduce(order: int, nums: list[int]) -> list[int]:
     return nums[:deg] + [0] * (deg - len(nums))
 
 
-def _convolve(u, v) -> list[int]:
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                out[i + j] += a * b
-    return out
+def _mul1(u, v) -> tuple[int]:
+    return (u[0] * v[0],)
+
+
+def _mul4(u, v) -> tuple[int, int]:
+    """(a0 + a1 x)(b0 + b1 x) with x^2 = -1."""
+    a0, a1 = u
+    b0, b1 = v
+    return (a0 * b0 - a1 * b1, a0 * b1 + a1 * b0)
+
+
+def _mul5(u, v) -> tuple[int, int, int, int]:
+    """The 7-term convolution c reduced by x^5 = 1 and then
+    x^4 = -(1 + x + x^2 + x^3): c_i + c_(i+5) - c_4, with c_7 = c_8 = 0."""
+    a0, a1, a2, a3 = u
+    b0, b1, b2, b3 = v
+    c4 = a1 * b3 + a2 * b2 + a3 * b1
+    return (
+        a0 * b0 + a2 * b3 + a3 * b2 - c4,
+        a0 * b1 + a1 * b0 + a3 * b3 - c4,
+        a0 * b2 + a1 * b1 + a2 * b0 - c4,
+        a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 - c4,
+    )
+
+
+# The product of two numerator vectors in Q[x]/Phi_n, by order.
+_PRODUCT = {1: _mul1, 4: _mul4, 5: _mul5}
 
 
 def _conjugate(order: int, nums, j: int) -> list[int]:
@@ -92,9 +115,10 @@ class CycElement:
             if g != 1:
                 nums, den = [a // g for a in nums], den // g
         out = object.__new__(cls)
-        object.__setattr__(out, "order", order)  # past the immutable __setattr__
-        object.__setattr__(out, "nums", tuple(nums))
-        object.__setattr__(out, "den", den)
+        # the slot descriptors write past the immutable __setattr__
+        _set_order(out, order)
+        _set_nums(out, tuple(nums))
+        _set_den(out, den)
         return out
 
     def __setattr__(self, name, value):  # immutable value type
@@ -168,19 +192,37 @@ class CycElement:
         return CycElement._make(self.order, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
-        return self + (-self._wrap(other))
+        den = self.den
+        if type(other) is int:
+            return CycElement._make(self.order, (self.nums[0] - den * other,) + self.nums[1:], den)
+        other = self._wrap(other)
+        d2 = other.den
+        if den == d2:
+            nums = [a - b for a, b in zip(self.nums, other.nums)]
+            return CycElement._make(self.order, nums, den)
+        g = math.gcd(den, d2)
+        s1, s2 = d2 // g, den // g
+        nums = [a * s1 - b * s2 for a, b in zip(self.nums, other.nums)]
+        return CycElement._make(self.order, nums, den * s1)
 
     def __rsub__(self, other):
+        den = self.den
+        if type(other) is int:
+            nums = [den * other - self.nums[0]] + [-a for a in self.nums[1:]]
+            return CycElement._make(self.order, nums, den)
         return self._wrap(other) - self
 
     def __mul__(self, other):
-        if not isinstance(other, CycElement):  # a rational scalar
-            c = as_rational(other)
-            nums = [a * c.numerator for a in self.nums]
-            return CycElement._make(self.order, nums, self.den * c.denominator)
-        other = self._wrap(other)
-        nums = _reduce(self.order, _convolve(self.nums, other.nums))
-        return CycElement._make(self.order, nums, self.den * other.den)
+        if type(other) is CycElement:
+            if other.order != self.order:
+                self._wrap(other)  # raises OrderMismatchError
+            nums = _PRODUCT[self.order](self.nums, other.nums)
+            return CycElement._make(self.order, nums, self.den * other.den)
+        if type(other) is int:
+            return CycElement._make(self.order, [a * other for a in self.nums], self.den)
+        c = as_rational(other)  # a rational scalar; floats raise TypeError
+        nums = [a * c.numerator for a in self.nums]
+        return CycElement._make(self.order, nums, self.den * c.denominator)
 
     __rmul__ = __mul__
 
@@ -193,13 +235,20 @@ class CycElement:
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        out = CycElement.one(self.order)
-        base = self
-        e = exponent
+        if exponent == 0:
+            return CycElement.one(self.order)
+        # square up to the lowest set bit, then fold in the higher ones;
+        # no product by one and no square past the top bit
+        base, e = self, exponent
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        out = base
+        e >>= 1
         while e:
+            base = base * base
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
         return out
 
@@ -207,12 +256,13 @@ class CycElement:
         """Multiplicative inverse from the norm: u^-1 = prod_j sigma_j(u) / N(u)."""
         if self.is_zero:
             raise ZeroDivisionError("zero has no inverse")
-        order = self.order
-        cofactor = [1]
-        for j in _CONJUGATES[order]:
-            cofactor = _reduce(order, _convolve(cofactor, _conjugate(order, self.nums, j)))
+        order, nums = self.order, self.nums
+        mul = _PRODUCT[order]
+        # order 1 has no conjugates: the cofactor is 1 and N(u) = u
+        conjugates = [_conjugate(order, nums, j) for j in _CONJUGATES[order]]
+        cofactor = functools.reduce(mul, conjugates) if conjugates else (1,)
         # nums * cofactor is the integer N(nums), a rational element
-        norm = _reduce(order, _convolve(self.nums, cofactor))[0]
+        norm = mul(nums, cofactor)[0]
         return CycElement._make(order, [self.den * a for a in cofactor], norm)
 
     # -- predicates ---------------------------------------------------------
@@ -243,6 +293,11 @@ class CycElement:
 
     def __repr__(self):
         return f"CycElement(order={self.order}, coeffs={self.coeffs})"
+
+
+_set_order, _set_nums, _set_den = (
+    CycElement.__dict__[name].__set__ for name in CycElement.__slots__
+)
 
 
 def root_power_sum_check(n: int) -> bool:

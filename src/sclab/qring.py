@@ -538,9 +538,7 @@ def verify_q_conjecture(p: int, r: int, exponent_twist: int = 0) -> QAnalogueRep
     if not adm:
         raise InadmissibleInstanceError(f"(q-analogue, p={p}, r={r}): {adm.reason}")
     started = time.perf_counter()
-    exponent_num = 5 * (3 - r)
-    assert exponent_num % 2 == 0  # r is odd for admissible instances
-    step = exponent_num // 2 + exponent_twist
+    step = 5 * (3 - r) // 2 + exponent_twist  # r is odd for admissible instances
 
     total, block = _ring_sum(QRing(p), r, step)
     ring_zero = (total * block.inverse()).is_zero

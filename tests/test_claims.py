@@ -541,3 +541,11 @@ def test_cyc_valuation_reads_numerators_and_denominator(rng):
         u = CycElement(order, coeffs)
         want = min((vp(c, p) for c in u.coeffs if c), default=math.inf)
         assert claims._cyc_valuation(u, p) == want
+
+
+def test_non_integral_closed_form_raises():
+    # an explicit raise, not an assert: under python -O the residue would
+    # otherwise be assembled from a float p ** v
+    form = claims.ClosedForm(Fraction(1, 7), (), Fraction(1), "test")
+    with pytest.raises(RuntimeError, match="not p-integral"):
+        claims._assemble_residue(form, PadicContext(7, 3), False)

@@ -338,9 +338,11 @@ PROOFCHAIN_GOLDEN_SHA256 = {
     ("thm1", 7, 1): "504e5ec1fa3952ab759c50ea264f758c21e14cc255cb8e8470136c0f0e5ac189",
     ("thm1", 13, -1): "59bbabc5e1e650d6f36a3f8d84773dd44ce215d763759026b5c8d58346b8f9a2",
     ("thm1", 397, -9): "801a032fe67dc1b5b0c3eeb618e4e371a604dba4cd5c6f42e264c335615f19ed",
+    ("thm1", 1009, -3): "7b4377dd58e854a7c972ab976bf94930b43781d7632121bfcc6c8be9ccf8e57e",
     ("thm2", 5, 1): "3f0c3cce2fd848c24d2eeec4cdfa3178c51510d2e927f0e036ff982466d8f24f",
     ("thm2", 13, -1): "78e5a59e0bd08cdb9b0974f90a2a6f664bc4a62456908e1d17e190507470583b",
     ("thm2", 401, 1): "e10b8b57cd2833c1ae9374bf3c868f715b7f60c0977e414f8845a39ce48fae56",
+    ("thm2", 1009, -1): "f29efd5d096b8be6e4408ee8f8396a94abed9bb5a6e9b9d1f97a9155e413480e",
 }
 IDENTITY_GOLDEN_SHA256 = "5794308202d32d0f9a745f81bfc39094b2027719b3eedc3500a8c17e92ab3a97"
 

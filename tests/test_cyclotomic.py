@@ -303,3 +303,88 @@ def test_canonical_form_and_hash_across_routes():
         "Fraction(0, 1), Fraction(3, 2)))"
     )
 
+
+
+def _big_coeffs(rng, order, den):
+    """phi(n) coefficients with 2000-4000-bit numerators of both signs, as
+    the proof chains reach at p ~ 400, over ``den``."""
+    deg = len(_REF_MODULUS[order]) - 1
+    return [
+        Fraction(rng.choice((-1, 1)) * rng.getrandbits(rng.randint(2000, 4000)), den)
+        for _ in range(deg)
+    ]
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_closed_form_products_match_reference_on_large_numerators(order):
+    rng = random.Random(f"cyclotomic-large:{order}")
+    for trial in range(12):
+        dens = (1, 1) if trial % 2 else (rng.getrandbits(80) | 1, rng.randint(2, 10**6))
+        cu, cv = _big_coeffs(rng, order, dens[0]), _big_coeffs(rng, order, dens[1])
+        u, v = CycElement(order, cu), CycElement(order, cv)
+        ru, rv = tuple(cu), tuple(cv)
+        got = u * v
+        _assert_canonical(got)
+        assert got.coeffs == _ref_mul(order, ru, rv)
+        assert (v * u) == got
+        inv = u.inverse()
+        _assert_canonical(inv)
+        assert inv.coeffs == _ref_inverse(order, ru)
+        assert (u - v).coeffs == tuple(a - b for a, b in zip(ru, rv))
+        assert (u ** 3).coeffs == _ref_mul(order, _ref_mul(order, ru, ru), ru)
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_scalars_on_either_side(order):
+    rng = random.Random(f"cyclotomic-scalars:{order}")
+    u = CycElement(order, _random_coeffs(rng, order) or [3])
+    for c in (0, 1, -7, 2**70, Fraction(-3, 14), Fraction(5), True, False):
+        want = u * CycElement.from_rational(order, c)
+        for got in (u * c, c * u):
+            _assert_canonical(got)
+            assert got == want and (got.nums, got.den) == (want.nums, want.den)
+        c_elem = CycElement.from_rational(order, c)
+        for got, ref in ((u - c, u - c_elem), (c - u, c_elem - u), (u + c, u + c_elem)):
+            _assert_canonical(got)
+            assert (got.nums, got.den) == (ref.nums, ref.den)
+        assert (c - u).coeffs == tuple(
+            Fraction(c) * (i == 0) - a for i, a in enumerate(u.coeffs)
+        )
+    for bad in (1.0, 0.5):
+        with pytest.raises(TypeError):
+            u * bad
+        with pytest.raises(TypeError):
+            bad * u
+    other = CycElement.zeta(5 if order != 5 else 4)
+    with pytest.raises(OrderMismatchError):
+        u * other
+    with pytest.raises(OrderMismatchError):
+        other * u
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_powers_match_repeated_products(order):
+    u = CycElement(order, [Fraction(3, 2), -1, Fraction(2, 5), 7][: len(CycElement.one(order).nums)])
+    acc = CycElement.one(order)
+    for e in range(18):
+        got = u ** e
+        assert (got.nums, got.den) == (acc.nums, acc.den)
+        inv = u ** -e
+        assert inv * acc == CycElement.one(order)
+        acc = acc * u
+    assert u ** 1 is u
+
+
+@pytest.mark.parametrize("order", [4, 5])
+def test_long_pochhammer_matches_reference_fold(order):
+    # (a)_300 folds 300 factors whose numerators reach thousands of bits
+    deg = len(_REF_MODULUS[order]) - 1
+    a = CycElement(order, [Fraction(3, 7), Fraction(2, 5), Fraction(-1, 3), Fraction(5, 11)][:deg])
+    ref = _ref_reduce(order, [1])
+    base = a.coeffs
+    for j in range(300):
+        ref = _ref_mul(order, ref, (base[0] + j,) + base[1:])
+    got = pochhammer(a, 300)
+    _assert_canonical(got)
+    assert got.coeffs == ref
+    assert max(abs(c).bit_length() for c in got.nums) > 2000

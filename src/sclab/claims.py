@@ -17,8 +17,11 @@ The ``lr3``/``d2`` closed forms are Long-Ramakrishna's (Adv. Math. 290,
 2016).
 
 The proof chains replay the derivations of ``thm1`` and ``thm2`` on the
-identity code in ``hyperkernel`` (``_whipple_sides``, ``_d1_sides``),
-the same sides the seeded fuzzers check.
+identity code in ``hyperkernel``, the same sides and series the seeded
+fuzzers check: ``_whipple_sides`` and ``_d1_sides`` for the
+transformations, ``_whipple_series`` for thm1's unshifted four-slot series,
+and ``_karlsson_minton_series`` for its real-shifted one, evaluated once
+and read by both steps that use it.
 
 A verification never asserts more than v_p(lhs - rhs) >= k for the
 family's modulus exponent k; the witness valuation is always reported.
@@ -42,8 +45,9 @@ from .cyclotomic import CycElement
 from .hyperkernel import (
     SeriesSpec,
     _d1_sides,
+    _karlsson_minton_series,
+    _whipple_series,
     _whipple_sides,
-    check_karlsson_minton,
     eval_truncated,
     eval_truncated_residue,
     hypergeometric_sum,
@@ -649,11 +653,9 @@ def proof_chain_thm1(p: int, r: int) -> ProofChain:
     if chain.status == "skipped":
         return chain
     n = (3 * p - r) // 5
-    a = Fraction(r, 5)
+    a, b, c = Fraction(r, 5), Fraction(r + 5, 10), Fraction(r + 3 * p, 5)
     shift = Fraction(3 * p, 5) * CycElement.zeta(4)
-    lhs76, prefactor, f43_a = _whipple_sides(
-        a, Fraction(r + 5, 10), Fraction(r + 3 * p, 5), a + shift, a - shift, n
-    )
+    lhs76, prefactor, f43_a = _whipple_sides(a, b, c, a + shift, a - shift, n)
     _transformation_steps(chain, "Q(i)", lhs76, prefactor * f43_a)
 
     # valuations add, so the tail terms (10k + r) (a)_k^5 / k!^5 are never
@@ -681,12 +683,7 @@ def proof_chain_thm1(p: int, r: int) -> ProofChain:
         prefactor.rational_value() if prefactor.is_rational else None,
     )
 
-    f43_lower = (Fraction(2 * r - 3 * p, 5), Fraction(r + 5, 10), Fraction(5 - 3 * p, 5))
-    f43_b = hypergeometric_sum(
-        upper=(Fraction(5 - r - 6 * p, 10), a, a, Fraction(r - 3 * p, 5)),
-        lower=f43_lower,
-        n_terms=n + 1,
-    )
+    f43_b = _whipple_series(a, b, c, a, a, n)
     chain.congruence(
         "imaginary-shift-swap",
         "four-slot series with conjugate imaginary shifts matches the "
@@ -695,30 +692,21 @@ def proof_chain_thm1(p: int, r: int) -> ProofChain:
         f43_a.rational_value() - f43_b if f43_a.is_rational else None,
     )
 
-    f43_c = hypergeometric_sum(
-        upper=(
-            Fraction(5 - r - 6 * p, 10),
-            Fraction(r + p, 5),
-            Fraction(r - p, 5),
-            Fraction(r - 3 * p, 5),
-        ),
-        lower=f43_lower,
-        n_terms=n + 1,
-    )
+    # at d, e = a +- p/5 Whipple's four-slot series is the Karlsson-Minton
+    # series with lower parameters a - n, 1 + a - b, 1 + a - c
+    ms = [(1 - r) // 2, (2 * p + r - 5) // 10, (2 * p + r - 5) // 5]
+    f43_c = _karlsson_minton_series(n, (a - n, 1 + a - b, 1 + a - c), ms)
     chain.congruence(
         "real-shift-swap",
         "unshifted four-slot series matches the real-shifted one mod p^2",
         2,
         f43_b - f43_c,
     )
-
-    ms = [(1 - r) // 2, (2 * p + r - 5) // 10, (2 * p + r - 5) // 5]
-    km_ok = check_karlsson_minton(n, list(f43_lower), ms) and f43_c == 0
     chain.exact(
         "karlsson-minton-vanishing",
         "the real-shifted series is an exact zero of the integrally "
         "shifted summation",
-        km_ok,
+        f43_c == 0,
     )
 
     report = verify("thm1", p, r)

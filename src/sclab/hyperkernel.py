@@ -15,8 +15,13 @@ irrational values run field arithmetic.  It reads each parameter through
 rising factorial the identity sides use.  ``eval_truncated`` divides its
 result once, exactly; ``eval_truncated_residue`` runs it mod p^K, exact
 whenever the term denominators are p-adic units.  A check returns True
-only when both sides are literally equal as field elements.  The claim
-chains take their sides from the same builders the checks use.
+only when both sides are literally equal as field elements.
+
+Every series of the identity checks comes from one of three builders:
+``_well_poised`` (the terminating very-well-poised seven-slot series, the
+left side of both transformations), ``_whipple_series`` (Whipple's
+four-slot series) and ``_karlsson_minton_series``.  The claim chains take
+their series from the same builders and sides the checks use.
 """
 
 from __future__ import annotations
@@ -191,30 +196,42 @@ def _nonzero_or_pole(*factors) -> None:
             raise PoleInRangeError("prefactor denominator vanishes")
 
 
+def _well_poised(a, params, n: int):
+    """The terminating very-well-poised series of seven parameter slots:
+    upper a, 1 + a/2, each param and -n; lower a/2, 1 + a - x for each
+    param x, and 1 + a + n."""
+    half = a / 2
+    return hypergeometric_sum(
+        upper=(a, 1 + half, *params, -n),
+        lower=(half, *(1 + a - x for x in params), 1 + a + n),
+        n_terms=n + 1,
+    )
+
+
+def _whipple_series(a, b, c, d, e, n: int):
+    """Whipple's terminating four-slot series: upper 1 + a - b - c, d, e,
+    -n; lower d + e - a - n, 1 + a - b, 1 + a - c."""
+    return hypergeometric_sum(
+        upper=(1 + a - b - c, d, e, -n),
+        lower=(d + e - a - n, 1 + a - b, 1 + a - c),
+        n_terms=n + 1,
+    )
+
+
 def _whipple_sides(a, b, c, d, e, n: int):
-    """The classical reduction of a terminating well-poised series of seven
-    parameter slots to a four-slot series with a rising-factorial prefactor,
-    returned unevaluated for reuse: (seven-slot series, prefactor,
-    four-slot series)."""
+    """Whipple's reduction of the well-poised series at params (b, c, d, e)
+    to his four-slot series with a rising-factorial prefactor, returned
+    unevaluated for reuse: (seven-slot series, prefactor, four-slot
+    series)."""
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
     a, b, c, d, e = _scalars([a, b, c, d, e])
-    half = Fraction(1, 2)
-    lhs = hypergeometric_sum(
-        upper=(a, 1 + half * a, b, c, d, e, Fraction(-n)),
-        lower=(half * a, 1 + a - b, 1 + a - c, 1 + a - d, 1 + a - e, 1 + a + n),
-        n_terms=n + 1,
-    )
+    lhs = _well_poised(a, (b, c, d, e), n)
     den1 = pochhammer(1 + a - d, n)
     den2 = pochhammer(1 + a - e, n)
     _nonzero_or_pole(den1, den2)
     prefactor = pochhammer(a + 1, n) * pochhammer(a - d - e + 1, n) / (den1 * den2)
-    series = hypergeometric_sum(
-        upper=(1 + a - b - c, d, e, Fraction(-n)),
-        lower=(d + e - a - n, 1 + a - b, 1 + a - c),
-        n_terms=n + 1,
-    )
-    return lhs, prefactor, series
+    return lhs, prefactor, _whipple_series(a, b, c, d, e, n)
 
 
 def check_whipple(a, b, c, d, e, n: int) -> bool:
@@ -223,13 +240,13 @@ def check_whipple(a, b, c, d, e, n: int) -> bool:
     return lhs == prefactor * series
 
 
-def check_karlsson_minton(n: int, bs, ms) -> bool:
-    """Vanishing of the terminating series with integrally shifted
-    parameter pairs: upper (-n, b_i + m_i), lower (b_i), unit argument.
+def _karlsson_minton_series(n: int, bs, ms):
+    """The terminating series with integrally shifted parameter pairs:
+    upper -n and b_i + m_i, lower b_i, unit argument.
 
-    Requires nonnegative integers m_i with n > sum(m_i); violating that
-    side condition raises IdentityPreconditionError because the sum need
-    not vanish there.
+    Karlsson-Minton says it vanishes for nonnegative integers m_i with
+    n > sum(m_i); violating that side condition raises
+    IdentityPreconditionError because the sum need not vanish there.
     """
     if len(bs) != len(ms):
         raise ValueError("parameter lists must have equal length")
@@ -240,59 +257,39 @@ def check_karlsson_minton(n: int, bs, ms) -> bool:
             f"need integer n > sum of shifts; got n={n}, sum={sum(ms)}"
         )
     bs = _scalars(bs)
-    value = hypergeometric_sum(
-        upper=(Fraction(-n), *(b + m for b, m in zip(bs, ms))),
-        lower=bs,
-        n_terms=n + 1,
+    return hypergeometric_sum(
+        upper=(-n, *(b + m for b, m in zip(bs, ms))), lower=bs, n_terms=n + 1
     )
-    return value == 0
+
+
+def check_karlsson_minton(n: int, bs, ms) -> bool:
+    """Exact check of the Karlsson-Minton vanishing; see
+    ``_karlsson_minton_series`` for the side conditions."""
+    return _karlsson_minton_series(n, bs, ms) == 0
 
 
 def _d1_sides(t, a, b, c, n: int, m: int):
     """Both sides of the seven-to-four slot transformation used by the
     sixth-power claim chain, returned unevaluated for reuse: (seven-slot
-    series, rising-factorial ratio, linear factor, terminating tail)."""
+    series, rising-factorial ratio, linear factor, terminating tail).
+
+    With s = a + b + c + 1 - m - t, the tail's lower parameters are
+    s - c, s - b, s - a (a + b + 1 - m - t, ...), and the well-poised
+    series has params t - a, t - b, t - c and s + n."""
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative integers")
     t, a, b, c = _scalars([t, a, b, c])
-    half = Fraction(1, 2)
-    lhs = hypergeometric_sum(
-        upper=(t, 1 + half * t, Fraction(-n), t - a, t - b, t - c, 1 - t - m + n + a + b + c),
-        lower=(half * t, 1 + t + n, 1 + a, 1 + b, 1 + c, 2 * t + m - n - a - b - c),
-        n_terms=n + 1,
-    )
-    den = (
-        pochhammer(1 + a, n)
-        * pochhammer(1 + b, n)
-        * pochhammer(1 + c, n)
-        * pochhammer(a + b + c + 1 - m - 2 * t, n)
-    )
+    s = a + b + c + 1 - m - t
+    lows = (s - c, s - b, s - a)
+    top, w = s - t, s + n
+    lhs = _well_poised(t, (t - a, t - b, t - c, w), n)
+    den = math.prod(pochhammer(x, n) for x in (1 + a, 1 + b, 1 + c, top))
     _nonzero_or_pole(den)
-    ratio = (
-        pochhammer(1 + t, n)
-        * pochhammer(a + b + 2 - m - t, n)
-        * pochhammer(a + c + 2 - m - t, n)
-        * pochhammer(b + c + 2 - m - t, n)
-        / den
-    )
-    lin_num = (a + b + 1 - m - t) * (a + c + 1 - m - t) * (b + c + 1 - m - t)
-    lin_den = (
-        (a + b + n + 1 - m - t)
-        * (a + c + n + 1 - m - t)
-        * (b + c + n + 1 - m - t)
-    )
+    ratio = pochhammer(1 + t, n) * math.prod(pochhammer(x + 1, n) for x in lows) / den
+    lin_den = math.prod(x + n for x in lows)
     _nonzero_or_pole(lin_den)
-    linear = lin_num / lin_den
-    tail = hypergeometric_sum(
-        upper=(
-            Fraction(-m),
-            Fraction(-n),
-            a + b + c + 1 - m - 2 * t,
-            a + b + c + 1 + n - m - t,
-        ),
-        lower=(a + b + 1 - m - t, a + c + 1 - m - t, b + c + 1 - m - t),
-        n_terms=min(m, n) + 1,
-    )
+    linear = math.prod(lows) / lin_den
+    tail = hypergeometric_sum(upper=(-m, -n, top, w), lower=lows, n_terms=min(m, n) + 1)
     return lhs, ratio, linear, tail
 
 
@@ -345,6 +342,7 @@ def conjugate_product_congruence(a, b, p: int, k: int, order: int) -> bool:
 # ---------------------------------------------------------------------------
 
 FUZZ_DENOMINATORS = (1, 2, 3, 5, 7)
+FUZZ_MAX_N = 6  # the largest n (and m) a fuzzer draws
 
 
 @dataclass
@@ -368,7 +366,7 @@ def _random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-8, 8), rng.choice(FUZZ_DENOMINATORS))
 
 
-def _fuzz(name, trials, seed, max_n, draw, check) -> IdentityFuzzResult:
+def _fuzz(name, trials, seed, draw, check) -> IdentityFuzzResult:
     """Run ``check`` on one draw per trial.  A draw of None, or one whose
     check meets a pole, is skipped and resampled from the trial's stream;
     a failing draw is recorded as its argument tuple."""
@@ -376,7 +374,7 @@ def _fuzz(name, trials, seed, max_n, draw, check) -> IdentityFuzzResult:
     for i in range(trials):
         rng = _trial_rng(seed, i)
         while True:
-            args = draw(rng, max_n)
+            args = draw(rng)
             if args is None:
                 continue
             try:
@@ -389,33 +387,33 @@ def _fuzz(name, trials, seed, max_n, draw, check) -> IdentityFuzzResult:
     return result
 
 
-def fuzz_whipple(trials: int = 200, seed: int = 0, max_n: int = 6) -> IdentityFuzzResult:
-    def draw(rng, max_n):
+def fuzz_whipple(trials: int = 200, seed: int = 0) -> IdentityFuzzResult:
+    def draw(rng):
         params = tuple(_random_rational(rng) for _ in range(5))
-        return (*params, rng.randint(0, max_n))
+        return (*params, rng.randint(0, FUZZ_MAX_N))
 
-    return _fuzz("whipple", trials, seed, max_n, draw, check_whipple)
+    return _fuzz("whipple", trials, seed, draw, check_whipple)
 
 
-def fuzz_karlsson_minton(trials: int = 200, seed: int = 0, max_n: int = 6) -> IdentityFuzzResult:
-    def draw(rng, max_n):
+def fuzz_karlsson_minton(trials: int = 200, seed: int = 0) -> IdentityFuzzResult:
+    def draw(rng):
         depth = rng.randint(1, 3)
         ms = tuple(rng.randint(0, 2) for _ in range(depth))
-        if sum(ms) >= max_n:
+        if sum(ms) >= FUZZ_MAX_N:
             return None
-        n = rng.randint(sum(ms) + 1, max_n)
+        n = rng.randint(sum(ms) + 1, FUZZ_MAX_N)
         bs = tuple(_random_rational(rng) or Fraction(1, 2) for _ in range(depth))
         return n, bs, ms
 
-    return _fuzz("km", trials, seed, max_n, draw, check_karlsson_minton)
+    return _fuzz("km", trials, seed, draw, check_karlsson_minton)
 
 
-def fuzz_d1(trials: int = 200, seed: int = 0, max_n: int = 6) -> IdentityFuzzResult:
-    def draw(rng, max_n):
+def fuzz_d1(trials: int = 200, seed: int = 0) -> IdentityFuzzResult:
+    def draw(rng):
         params = tuple(_random_rational(rng) for _ in range(4))
-        return (*params, rng.randint(0, max_n), rng.randint(0, max_n))
+        return (*params, rng.randint(0, FUZZ_MAX_N), rng.randint(0, FUZZ_MAX_N))
 
-    return _fuzz("d1", trials, seed, max_n, draw, check_d1)
+    return _fuzz("d1", trials, seed, draw, check_d1)
 
 
 FUZZERS = {

@@ -23,7 +23,10 @@ class NonIntegralInputError(ValueError):
 
 def vp(x, p: int) -> Valuation:
     """p-adic valuation of a rational; +infinity for 0, negative for
-    denominators divisible by p."""
+    denominators divisible by p.  Raises ValueError for p < 2, where no
+    valuation exists."""
+    if p < 2:
+        raise ValueError(f"a valuation needs p >= 2, got {p}")
     x = as_rational(x)
     if x == 0:
         return math.inf

@@ -130,12 +130,19 @@ def test_karlsson_minton_example():
 
 
 def test_karlsson_minton_instances_from_the_chain():
-    for p, r in [(7, 1), (13, -1)]:
+    # the fifth-power chain's last step: at d, e = a +- p/5 Whipple's
+    # four-slot series is the integrally shifted one, and it vanishes
+    for p, r in [(7, 1), (13, -1), (19, -3), (211, -7)]:
         n = (3 * p - r) // 5
+        a, b, c = Fraction(r, 5), Fraction(r + 5, 10), Fraction(r + 3 * p, 5)
         bs = [Fraction(2 * r - 3 * p, 5), Fraction(r + 5, 10), Fraction(5 - 3 * p, 5)]
+        assert bs == [a - n, 1 + a - b, 1 + a - c]
         ms = [(1 - r) // 2, (2 * p + r - 5) // 10, (2 * p + r - 5) // 5]
         assert sum(ms) < n
         assert check_karlsson_minton(n, bs, ms)
+        shift = Fraction(p, 5)
+        whipple = hyperkernel._whipple_series(a, b, c, a + shift, a - shift, n)
+        assert hyperkernel._karlsson_minton_series(n, bs, ms) == whipple == 0
 
 
 def test_karlsson_minton_guard():
@@ -236,6 +243,132 @@ def test_fuzz_failures_are_the_drawn_arguments(monkeypatch):
     d1 = fuzz_d1(trials=4, seed=0).failures
     assert d1[0] == (F(-5, 3), F(-1, 7), F(0), F(-5, 2), 6, 5)
     assert len(whipple) == len(km) == len(d1) == 4
+
+
+# References built from the hand-written parameter lists the sides were
+# first written with; the builders must give the same values.
+
+
+def _whipple_sides_by_hand(a, b, c, d, e, n):
+    half = Fraction(1, 2)
+    lhs = hypergeometric_sum(
+        upper=(a, 1 + half * a, b, c, d, e, Fraction(-n)),
+        lower=(half * a, 1 + a - b, 1 + a - c, 1 + a - d, 1 + a - e, 1 + a + n),
+        n_terms=n + 1,
+    )
+    prefactor = (
+        pochhammer(a + 1, n) * pochhammer(a - d - e + 1, n)
+        / (pochhammer(1 + a - d, n) * pochhammer(1 + a - e, n))
+    )
+    series = hypergeometric_sum(
+        upper=(1 + a - b - c, d, e, Fraction(-n)),
+        lower=(d + e - a - n, 1 + a - b, 1 + a - c),
+        n_terms=n + 1,
+    )
+    return lhs, prefactor, series
+
+
+def _d1_sides_by_hand(t, a, b, c, n, m):
+    half = Fraction(1, 2)
+    lhs = hypergeometric_sum(
+        upper=(t, 1 + half * t, Fraction(-n), t - a, t - b, t - c, 1 - t - m + n + a + b + c),
+        lower=(half * t, 1 + t + n, 1 + a, 1 + b, 1 + c, 2 * t + m - n - a - b - c),
+        n_terms=n + 1,
+    )
+    ratio = (
+        pochhammer(1 + t, n)
+        * pochhammer(a + b + 2 - m - t, n)
+        * pochhammer(a + c + 2 - m - t, n)
+        * pochhammer(b + c + 2 - m - t, n)
+        / (
+            pochhammer(1 + a, n)
+            * pochhammer(1 + b, n)
+            * pochhammer(1 + c, n)
+            * pochhammer(a + b + c + 1 - m - 2 * t, n)
+        )
+    )
+    linear = (
+        (a + b + 1 - m - t) * (a + c + 1 - m - t) * (b + c + 1 - m - t)
+        / ((a + b + n + 1 - m - t) * (a + c + n + 1 - m - t) * (b + c + n + 1 - m - t))
+    )
+    tail = hypergeometric_sum(
+        upper=(Fraction(-m), Fraction(-n), a + b + c + 1 - m - 2 * t, a + b + c + 1 + n - m - t),
+        lower=(a + b + 1 - m - t, a + c + 1 - m - t, b + c + 1 - m - t),
+        n_terms=min(m, n) + 1,
+    )
+    return lhs, ratio, linear, tail
+
+
+def _assert_same_sides(built, by_hand, args):
+    try:
+        expected = by_hand(*args)
+    except (PoleInRangeError, ZeroDivisionError):
+        with pytest.raises((PoleInRangeError, ZeroDivisionError)):
+            built(*args)
+        return False
+    assert built(*args) == expected, args
+    return True
+
+
+def test_identity_sides_match_hand_written_lists_on_rational_draws(rng):
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7)))
+
+    evaluated = 0
+    for _ in range(150):
+        whipple_args = (q(), q(), q(), q(), q(), rng.randint(0, 6))
+        evaluated += _assert_same_sides(
+            hyperkernel._whipple_sides, _whipple_sides_by_hand, whipple_args
+        )
+        d1_args = (q(), q(), q(), q(), rng.randint(0, 6), rng.randint(0, 6))
+        evaluated += _assert_same_sides(hyperkernel._d1_sides, _d1_sides_by_hand, d1_args)
+    assert evaluated > 200  # most draws meet no pole
+
+
+def test_identity_sides_match_hand_written_lists_at_chain_instances():
+    z = CycElement.zeta(5)
+    for p, r in [(5, 1), (13, -1), (199, -4), (401, 1)]:
+        scale = Fraction(2 * p, 3)
+        n = (2 * p - r) // 3
+        args = (Fraction(r, 3), scale * z, scale * z ** 2, scale * z ** 3, n, 1 - r)
+        assert _assert_same_sides(hyperkernel._d1_sides, _d1_sides_by_hand, args)
+    i = CycElement.zeta(4)
+    for p, r in [(7, 1), (13, -1), (211, -7)]:
+        n = (3 * p - r) // 5
+        a, b, c = Fraction(r, 5), Fraction(r + 5, 10), Fraction(r + 3 * p, 5)
+        shift = Fraction(3 * p, 5) * i
+        args = (a, b, c, a + shift, a - shift, n)
+        assert _assert_same_sides(hyperkernel._whipple_sides, _whipple_sides_by_hand, args)
+
+
+def test_fuzz_d1_draws_a_fixed_sequence(monkeypatch):
+    # every draw reaches the check, also those resampled after a pole
+    drawn = []
+    check = hyperkernel.check_d1
+
+    def recording_check(*args):
+        drawn.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(hyperkernel, "check_d1", recording_check)
+    assert fuzz_d1(trials=3, seed=1).passed
+    F = Fraction
+    assert drawn == [
+        (F(5, 3), F(3, 7), F(8, 5), F(-1), 4, 1),
+        (F(-3, 5), F(-1), F(4, 3), F(3, 7), 4, 3),
+        (F(5, 3), F(-1), F(0), F(-7), 2, 0),
+        (F(-8, 5), F(-6, 5), F(1), F(-1, 3), 6, 6),
+        (F(2), F(-8, 7), F(-3), F(-1), 4, 6),
+        (F(-2, 3), F(-1, 2), F(0), F(-1), 2, 1),
+        (F(-5), F(-2), F(7), F(1, 7), 3, 3),
+        (F(1), F(5, 3), F(-3, 5), F(2, 7), 5, 4),
+        (F(-5, 3), F(-1), F(6, 7), F(-7), 2, 2),
+        (F(-7, 3), F(8, 7), F(-3), F(-6, 5), 4, 2),
+        (F(3, 7), F(8, 7), F(-2), F(1, 2), 1, 5),
+    ]
+    drawn.clear()
+    assert fuzz_d1(trials=200, seed=308520).passed
+    assert len(drawn) == 326
 
 
 def _random_residue_spec(rng, p):

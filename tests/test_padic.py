@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from sclab.hyperkernel import conjugate_product_congruence
 from sclab.padic import (
     CongruenceCheck,
     NonIntegralInputError,
@@ -107,3 +108,13 @@ def test_residue_inverse():
     ctx = PadicContext(7, 2)
     r = ctx.reduce(Fraction(3, 5))
     assert (r * r.inverse()).value == 1
+
+
+def test_vp_refuses_p_below_two():
+    # at p = 1 the division loop would never end, and a negative p has no
+    # valuation to report
+    for p in (1, 0, -2):
+        with pytest.raises(ValueError):
+            vp(6, p)
+    with pytest.raises(ValueError):
+        conjugate_product_congruence(Fraction(1, 5), Fraction(3, 5), 1, 2, 4)

@@ -10,9 +10,10 @@ instead of the Gamma evaluator.  ``admissible``, ``lhs_spec``,
 family is adding one entry.
 
 Seven families are registered.  Two carry a free integer parameter r
-(``thm1``, ``thm2``); the conjectural ones (``conj1``, ``conj3``) share
-thm2's shape at other moduli; the remaining three (``lr3``, ``d2``,
-``a1``) are fixed series with a case split on the residue class of p.
+(``thm1``, ``thm2``); ``conj1`` is thm2's entry conjectured mod p^6 for
+p > 3, built from it by ``dataclasses.replace``; ``conj3`` shares thm2's
+series, Gamma quotient and finite sum; the remaining three (``lr3``,
+``d2``, ``a1``) take one r each and split on the residue class of p.
 The ``lr3``/``d2`` closed forms are Long-Ramakrishna's (Adv. Math. 290,
 2016).
 
@@ -35,7 +36,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -96,22 +97,24 @@ class FamilyInfo:
     description: str
     modulus_exponent: int
     takes_r: bool
-    canonical_r: int
-    default_r_values: tuple
+    default_r_values: tuple  # a fixed-weight family lists its one r
     conjecture: bool
     default_p_max: int
     # ordered (predicate(p, r), reason) pairs; the first that fails is reported
     conditions: tuple
     # r -> (a, e, m, c): the left side is sum_{k<p} (m*k + c) (a)_k^e / k!^e
     series: Callable
-    # p % case_modulus -> (coefficient(p, r) as a Fraction, case label); the
-    # right side is coefficient * prod Gamma_p(x)^j over gammas(r) * finite
-    # sum, the finite sum being _weighted_tail_sum(r) if tail_sum, else 1
+    # p % case_modulus -> (coefficient(p, r), case label); the right side
+    # is coefficient * finite_sum(r) * prod Gamma_p(x)^j over gammas(r)
     cases: dict
     case_modulus: int = 1
     gammas: Callable = lambda r: ()
-    tail_sum: bool = False
+    finite_sum: Callable = lambda r: Fraction(1)
     hand_verified: tuple = ()  # primes established by direct hand computation
+
+    @property
+    def canonical_r(self) -> int:
+        return self.default_r_values[0]
 
 
 def _parity_sign(n: int) -> int:
@@ -144,15 +147,24 @@ def _gamma_quotient(r: int) -> tuple:
 _R_AT_MOST_ONE = (lambda p, r: r <= 1, "r must be at most 1")
 _R_PRIME_TO_3 = (lambda p, r: gcd(r, 3) == 1, "r must be coprime to 3")
 _P_AT_LEAST_5 = (lambda p, r: p >= 5, "p must be at least 5")
-_THM2_CONDITIONS = (
-    _R_AT_MOST_ONE,
-    _R_PRIME_TO_3,
-    (lambda p, r: (p + r) % 3 == 0, "p + r must vanish mod 3"),
-    (lambda p, r: p >= 3 - r, "p must be at least 3 - r"),
+_THM2 = FamilyInfo(
+    "thm2",
+    "sixth-power series (weight 6k+r) vs Gamma closed form, mod p^5",
+    5, True, (1, -1, -2, -4, -5), False, 47,
+    conditions=(
+        _R_AT_MOST_ONE,
+        _R_PRIME_TO_3,
+        (lambda p, r: (p + r) % 3 == 0, "p + r must vanish mod 3"),
+        (lambda p, r: p >= 3 - r, "p must be at least 3 - r"),
+    ),
+    series=_sixth_power,
+    cases={
+        0: (lambda p, r: Fraction(_parity_sign(r + 1) * 80 * r * p ** 4, 81), "gamma-closed-form")
+    },
+    gammas=_gamma_quotient,
+    finite_sum=_weighted_tail_sum,
+    hand_verified=(2,),
 )
-_THM2_CASES = {
-    0: (lambda p, r: Fraction(_parity_sign(r + 1) * 80 * r * p ** 4, 81), "gamma-closed-form")
-}
 
 FAMILIES: dict[str, FamilyInfo] = {
     f.id: f
@@ -160,7 +172,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         FamilyInfo(
             "lr3",
             "cubed half-integer series vs fourth Gamma power, mod p^3",
-            3, False, 0, (0,), False, 97,
+            3, False, (0,), False, 97,
             conditions=((lambda p, r: p != 2, "p must be odd"),),
             series=lambda r: (Fraction(1, 2), 3, 0, 1),
             cases={
@@ -173,7 +185,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         FamilyInfo(
             "d2",
             "sixth-power series (weight 6k+1) vs ninth Gamma power, mod p^6",
-            6, False, 1, (1,), False, 23,
+            6, False, (1,), False, 23,
             conditions=(_P_AT_LEAST_5,),
             series=_sixth_power,
             cases={
@@ -186,7 +198,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         FamilyInfo(
             "a1",
             "sixth-power series (weight 6k-1) vs ninth Gamma power, mod p^5",
-            5, False, -1, (-1,), False, 47,
+            5, False, (-1,), False, 47,
             conditions=(_P_AT_LEAST_5,),
             series=_sixth_power,
             cases={
@@ -199,7 +211,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         FamilyInfo(
             "thm1",
             "fifth-power series (weight 10k+r) vanishing mod p^4",
-            4, True, 1, (1, -1, -3, -7, -9), False, 200,
+            4, True, (1, -1, -3, -7, -9), False, 200,
             conditions=(
                 _R_AT_MOST_ONE,
                 (lambda p, r: r % 2 != 0, "r must be odd"),
@@ -210,32 +222,20 @@ FAMILIES: dict[str, FamilyInfo] = {
             series=lambda r: (Fraction(r, 5), 5, 10, r),
             cases={0: (lambda p, r: Fraction(0), "rhs-zero")},
         ),
-        FamilyInfo(
-            "thm2",
-            "sixth-power series (weight 6k+r) vs Gamma closed form, mod p^5",
-            5, True, 1, (1, -1, -2, -4, -5), False, 47,
-            conditions=_THM2_CONDITIONS,
-            series=_sixth_power,
-            cases=_THM2_CASES,
-            gammas=_gamma_quotient,
-            tail_sum=True,
-            hand_verified=(2,),
-        ),
-        FamilyInfo(
-            "conj1",
-            "thm2 closed form conjecturally mod p^6 (p > 3)",
-            6, True, 1, (1, -1, -2, -4, -5), True, 23,
-            conditions=_THM2_CONDITIONS + ((lambda p, r: p > 3, "p must exceed 3"),),
-            series=_sixth_power,
-            cases=_THM2_CASES,
-            gammas=_gamma_quotient,
-            tail_sum=True,
-            hand_verified=(2,),
+        _THM2,
+        replace(
+            _THM2,
+            id="conj1",
+            description="thm2 closed form conjecturally mod p^6 (p > 3)",
+            modulus_exponent=6,
+            conjecture=True,
+            default_p_max=23,
+            conditions=_THM2.conditions + ((lambda p, r: p > 3, "p must exceed 3"),),
         ),
         FamilyInfo(
             "conj3",
             "sixth-power series vs linear-in-p Gamma form, conjecturally mod p^6",
-            6, True, 1, (1, -1, -2, -4, -5), True, 23,
+            6, True, (1, -1, -2, -4, -5), True, 23,
             conditions=(
                 _R_AT_MOST_ONE,
                 _R_PRIME_TO_3,
@@ -248,7 +248,7 @@ FAMILIES: dict[str, FamilyInfo] = {
                 0: (lambda p, r: Fraction(_parity_sign(r) * 8 * r * p, 3), "gamma-closed-form")
             },
             gammas=_gamma_quotient,
-            tail_sum=True,
+            finite_sum=_weighted_tail_sum,
         ),
     )
 }
@@ -314,10 +314,16 @@ def lhs_value(claim_id: str, p: int, r: int | None = None) -> Fraction:
     return eval_truncated(lhs_spec(claim_id, p, r))
 
 
+def _require_context_for(ctx: PadicContext, p: int) -> None:
+    if ctx.p != p:
+        raise ValueError(f"context is for p = {ctx.p}, not p = {p}")
+
+
 def lhs_residue(claim_id: str, p: int, r: int | None, ctx: PadicContext) -> Residue:
     """Residue of the claim's truncated series mod ctx's p^K.  Every term
     (wk + r)(a)_k^e / k!^e with k < p has a p-adic unit denominator, so
     this is exact, in O(p) modular multiplies."""
+    _require_context_for(ctx, p)
     return eval_truncated_residue(lhs_spec(claim_id, p, r), ctx)
 
 
@@ -329,8 +335,13 @@ def rhs_form(claim_id: str, p: int, r: int | None = None) -> ClosedForm:
     if case is None:
         raise InadmissibleInstanceError(f"({fam.id}, p={p}): no closed form for this p")
     coefficient, label = case
-    finite_sum = _weighted_tail_sum(r) if fam.tail_sum else Fraction(1)
-    return ClosedForm(coefficient(p, r), fam.gammas(r), finite_sum, label)
+    return ClosedForm(coefficient(p, r), fam.gammas(r), fam.finite_sum(r), label)
+
+
+def _gamma_product(factors, ctx: PadicContext) -> int:
+    """prod Gamma_p(x)^j over the (x, j) factors, mod ctx's p^k."""
+    m = ctx.modulus
+    return math.prod(pow(gamma_p(x, ctx).value, j, m) for x, j in factors) % m
 
 
 def _assemble_residue(form: ClosedForm, ctx: PadicContext, full_precision: bool) -> Residue:
@@ -345,11 +356,22 @@ def _assemble_residue(form: ClosedForm, ctx: PadicContext, full_precision: bool)
     # The Gamma factors are units, so they only matter mod p^(k - v); the
     # scalar's p-power is reattached after the unit part is assembled.
     unit_ctx = ctx if full_precision else PadicContext(ctx.p, ctx.k - v)
-    acc = unit_ctx.reduce(scalar / Fraction(ctx.p) ** v).value
-    for argument, exponent in form.gamma_factors:
-        g = gamma_p(argument, unit_ctx).value
-        acc = acc * pow(g, exponent, unit_ctx.modulus) % unit_ctx.modulus
+    unit = unit_ctx.reduce(scalar / Fraction(ctx.p) ** v).value
+    acc = unit * _gamma_product(form.gamma_factors, unit_ctx)
     return Residue(ctx.p ** v * acc % ctx.modulus, ctx)
+
+
+def _rhs_residue(claim_id, p, r, ctx, form, full_precision: bool) -> Residue:
+    fam = family(claim_id)
+    if ctx is None:
+        ctx = PadicContext(p, fam.modulus_exponent)
+    _require_context_for(ctx, p)
+    if p in fam.hand_verified:
+        raise UnsupportedInstanceError(
+            "the Gamma evaluator requires odd p; the p = 2, r = 1 instance "
+            "is established by direct hand computation and excluded here"
+        )
+    return _assemble_residue(form or rhs_form(claim_id, p, r), ctx, full_precision)
 
 
 def rhs_residue(
@@ -358,25 +380,12 @@ def rhs_residue(
 ) -> Residue:
     """Residue of the closed form mod p^k (k from ctx, default the family's).
     ``verify`` passes the ``rhs_form`` it already built as ``_form``."""
-    fam = family(claim_id)
-    if ctx is None:
-        ctx = PadicContext(p, fam.modulus_exponent)
-    if p in fam.hand_verified:
-        raise UnsupportedInstanceError(
-            "the Gamma evaluator requires odd p; the p = 2, r = 1 instance "
-            "is established by direct hand computation and excluded here"
-        )
-    if _form is None:
-        _form = rhs_form(claim_id, p, r)
-    return _assemble_residue(_form, ctx, full_precision=False)
+    return _rhs_residue(claim_id, p, r, ctx, _form, full_precision=False)
 
 
 def rhs_residue_direct(claim_id: str, p: int, r: int | None = None, ctx: PadicContext | None = None) -> Residue:
     """Reference route: every Gamma factor at full context precision."""
-    fam = family(claim_id)
-    if ctx is None:
-        ctx = PadicContext(p, fam.modulus_exponent)
-    return _assemble_residue(rhs_form(claim_id, p, r), ctx, full_precision=True)
+    return _rhs_residue(claim_id, p, r, ctx, None, full_precision=True)
 
 
 # ---------------------------------------------------------------------------
@@ -786,9 +795,7 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
     )
 
     mod_p = PadicContext(p, 1)
-    gamma_lift = _parity_sign(n + r + 1) % p
-    for argument, exponent in _gamma_quotient(r):
-        gamma_lift = gamma_lift * pow(gamma_p(argument, mod_p).value, exponent, p) % p
+    gamma_lift = _parity_sign(n + r + 1) * _gamma_product(_gamma_quotient(r), mod_p) % p
     chain.congruence(
         "gamma-quotient-form",
         "the rational ratio matches the Gamma quotient form mod p",

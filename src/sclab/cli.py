@@ -20,6 +20,7 @@ import sys
 from . import claims, hyperkernel, qring
 
 FORMATS = ("text", "json", "csv")
+_PROOF_CHAINS = {"thm1": claims.proof_chain_thm1, "thm2": claims.proof_chain_thm2}
 
 
 def _report_record(report: claims.CongruenceReport) -> dict:
@@ -198,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_q)
 
     p_chain = sub.add_parser("proofchain", help="replay a derivation step by step")
-    p_chain.add_argument("--claim", required=True, choices=["thm1", "thm2"])
+    p_chain.add_argument("--claim", required=True, choices=sorted(_PROOF_CHAINS))
     p_chain.add_argument("--p", required=True, type=int)
     p_chain.add_argument("--r", required=True, type=int)
     common(p_chain)
@@ -262,11 +263,7 @@ def _run_qverify(args) -> tuple:
 
 
 def _run_proofchain(args) -> tuple:
-    chain = (
-        claims.proof_chain_thm1(args.p, args.r)
-        if args.claim == "thm1"
-        else claims.proof_chain_thm2(args.p, args.r)
-    )
+    chain = _PROOF_CHAINS[args.claim](args.p, args.r)
     footer = [f"chain status: {chain.status}" + (f" ({chain.reason})" if chain.reason else "")]
     return _chain_records(chain), footer, 0 if chain.status != "fail" else 1
 

@@ -34,7 +34,7 @@ from typing import Sequence, Union
 
 from .cyclotomic import CycElement
 from .padic import NonIntegralInputError, PadicContext, Residue, vp
-from .rationals import as_rational, pochhammer
+from .rationals import as_rational, is_prime, pochhammer
 
 Scalar = Union[int, Fraction, CycElement]
 
@@ -311,6 +311,8 @@ def conjugate_product_congruence(a, b, p: int, k: int, order: int) -> bool:
     """
     if order not in (4, 5):
         raise ValueError("order must be 4 or 5")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     a = as_rational(a)
     b = as_rational(b)
     if vp(a, p) < 0 or vp(b, p) < 0:

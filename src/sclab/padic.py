@@ -9,7 +9,7 @@ when individual terms of a sum are p-integral only after cancellation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .rationals import as_rational, is_prime
@@ -47,7 +47,7 @@ class PadicContext:
 
     p: int
     k: int
-    modulus: int = 0
+    modulus: int = field(init=False)
 
     def __post_init__(self):
         if not is_prime(self.p):

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .padic import PadicContext, Residue, vp
-from .rationals import as_rational, pochhammer
+from .rationals import as_rational, is_prime, pochhammer
 
 
 class OddPrimeRequiredError(ValueError):
@@ -54,6 +54,8 @@ class SpanHitsMultipleOfPError(ValueError):
 
 def ap(x, p: int) -> int:
     """The representative of x mod p in {1, ..., p}."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     x = as_rational(x)
     if vp(x, p) < 0:
         raise NonPadicArgumentError(f"{x} is not a {p}-adic integer")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ import pytest
 from sclab import claims
 from sclab.claims import (
     FAMILIES,
+    FamilyInfo,
     InadmissibleInstanceError,
     UnsupportedInstanceError,
     admissible,
@@ -35,6 +37,30 @@ def test_family_registry():
     assert exponents == {
         "lr3": 3, "d2": 6, "a1": 5, "thm1": 4, "thm2": 5, "conj1": 6, "conj3": 6,
     }
+
+
+def test_conj1_is_thm2_conjectured_mod_p6():
+    # conj1 changes only what makes it a conjecture; everything else is
+    # thm2's entry, so the two cannot drift apart
+    thm2, conj1 = FAMILIES["thm2"], FAMILIES["conj1"]
+    changed = {
+        "id", "description", "modulus_exponent", "conjecture",
+        "default_p_max", "conditions",
+    }
+    for f in dataclasses.fields(FamilyInfo):
+        if f.name not in changed:
+            assert getattr(conj1, f.name) == getattr(thm2, f.name), f.name
+    assert (conj1.modulus_exponent, conj1.default_p_max) == (6, 23)
+    assert conj1.conjecture and not thm2.conjecture
+    assert conj1.conditions[:-1] == thm2.conditions
+    assert admissible("thm2", 2, 1) and not admissible("conj1", 2, 1)
+
+
+def test_fixed_weight_canonical_r_is_the_only_default():
+    fixed = [fam for fam in FAMILIES.values() if not fam.takes_r]
+    assert {fam.id for fam in fixed} == {"lr3", "d2", "a1"}
+    for fam in fixed:
+        assert fam.default_r_values == (fam.canonical_r,)
 
 
 def test_admissible_examples():
@@ -207,6 +233,19 @@ def test_verify_thm2_p2_is_out_of_machine_scope():
     assert admissible("thm2", 2, 1).ok
     with pytest.raises(UnsupportedInstanceError):
         verify("thm2", 2, 1)
+
+
+def test_both_right_side_routes_refuse_hand_verified_instance():
+    for route in (rhs_residue, rhs_residue_direct):
+        with pytest.raises(UnsupportedInstanceError):
+            route("thm2", 2, 1)
+
+
+@pytest.mark.parametrize("side", [lhs_residue, rhs_residue, rhs_residue_direct])
+def test_residues_refuse_a_context_for_another_prime(side):
+    # a residue of lr3 at p = 5 taken mod 7^3 is a residue of nothing
+    with pytest.raises(ValueError, match="p = 7"):
+        side("lr3", 5, None, PadicContext(7, 3))
 
 
 def test_exponent_override_only_lowers():

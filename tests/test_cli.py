@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sclab import cli
+from sclab import claims, cli
 
 EXPECTED_KEYS = [
     "claim", "p", "r", "modulus_exponent", "case_label",
@@ -91,6 +91,18 @@ def test_proofchain_text(capsys):
     )
     assert code == 0
     assert "chain status: pass" in out
+
+
+def test_proofchain_offers_only_thm1_and_thm2():
+    parser = cli.build_parser()
+    for claim in sorted(claims.FAMILIES):
+        argv = ["proofchain", "--claim", claim, "--p", "7", "--r", "1"]
+        if claim in ("thm1", "thm2"):
+            assert parser.parse_args(argv).claim == claim
+            continue
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
 
 
 def test_inadmissible_instance_exits_2(capsys):

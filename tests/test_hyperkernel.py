@@ -196,6 +196,12 @@ def test_conjugate_product_examples():
     assert conjugate_product_congruence(Fraction(2, 7), Fraction(0), 5, 4, 5)
 
 
+def test_conjugate_product_refuses_non_prime():
+    # v_p at p = 4 would count factors of 4 and let this instance pass
+    with pytest.raises(ValueError, match="4 is not prime"):
+        conjugate_product_congruence(1, 1, 4, 2, 4)
+
+
 def test_conjugate_product_rejects_non_padic():
     with pytest.raises(ValueError):
         conjugate_product_congruence(Fraction(1, 7), Fraction(1), 7, 2, 4)

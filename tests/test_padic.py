@@ -31,6 +31,18 @@ def test_context_validation():
     assert ctx.modulus == 125
 
 
+def test_context_modulus_is_derived_not_passed():
+    # the modulus is always p^k, so a passed one could only disagree with it
+    with pytest.raises(TypeError):
+        PadicContext(5, 2, 7)
+    with pytest.raises(TypeError):
+        PadicContext(5, 2, modulus=7)
+    ctx = PadicContext(5, 2)
+    assert repr(ctx) == "PadicContext(p=5, k=2, modulus=25)"
+    assert ctx == PadicContext(5, 2) and hash(ctx) == hash(PadicContext(5, 2))
+    assert ctx != PadicContext(5, 3)
+
+
 def test_reduce_examples():
     assert PadicContext(5, 2).reduce(Fraction(1, 2)).value == 13
     assert PadicContext(7, 3).reduce(7).value == 7

@@ -27,6 +27,11 @@ def test_ap_examples():
     assert ap(Fraction(1, 4), 7) == 2
 
 
+def test_ap_refuses_non_prime():
+    with pytest.raises(ValueError, match="4 is not prime"):
+        ap(Fraction(1, 2), 4)
+
+
 def test_ap_rejects_non_padic():
     with pytest.raises(NonPadicArgumentError):
         ap(Fraction(1, 5), 5)

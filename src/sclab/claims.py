@@ -415,15 +415,25 @@ class CongruenceReport:
         return FAMILIES[self.claim].conjecture
 
 
-def _resolve_exponent(fam: FamilyInfo, modulus_exponent: int | None) -> int:
+def _resolve_exponent(
+    fam: FamilyInfo, modulus_exponent: int | None, name: str = "modulus exponent"
+) -> int:
+    """The exponent to verify at: the family's when None, else one in
+    [1, family exponent].  ``name`` is what the error calls the value."""
     if modulus_exponent is None:
         return fam.modulus_exponent
     if not 1 <= modulus_exponent <= fam.modulus_exponent:
         raise ValueError(
-            f"modulus exponent for {fam.id} must be between 1 and "
-            f"{fam.modulus_exponent}"
+            f"{name} for {fam.id} must be between 1 and "
+            f"{fam.modulus_exponent}, got {modulus_exponent}"
         )
     return modulus_exponent
+
+
+def _require_p_max(p_max: int, name: str = "p_max") -> None:
+    """Refuse a sweep bound below 2, calling it ``name`` in the error."""
+    if p_max < 2:
+        raise ValueError(f"{name} must be at least 2, got {p_max}")
 
 
 # Extra p-adic digits of the left side beyond the modulus exponent k.  A
@@ -514,8 +524,7 @@ def scan(
     family does not take, or an empty r set raises ValueError.
     """
     fam = family(claim_id)
-    if p_max < 2:
-        raise ValueError(f"p_max must be at least 2, got {p_max}")
+    _require_p_max(p_max)
     if r_values is None:
         r_values = fam.default_r_values
     rs = sorted({resolve_r(fam.id, r) for r in r_values})
@@ -804,14 +813,13 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
     )
 
     assembled = sign_n * Fraction(80 * r * p ** 4, 81) * unit_ratio * _weighted_tail_sum(r)
-    diff7 = series - assembled
-    report = verify("thm2", p, r)
+    witness = vp(series - assembled, p)
     chain._add(
         "assembly",
         "weighted sum matches the assembled closed form mod p^5, in "
         "agreement with direct verification",
         5,
-        _finite(vp(diff7, p)),
-        vp(diff7, p) >= 5 and report.passed,
+        _finite(witness),
+        verify("thm2", p, r).passed and witness >= 5,
     )
     return chain

@@ -132,15 +132,9 @@ def _count(text: str) -> int:
     return value
 
 
-def _modk(args) -> int | None:
-    """--modk checked against the family's modulus exponent, so that the
-    error names the flag and its range."""
-    top = claims.family(args.claim).modulus_exponent
-    if args.modk is not None and not 1 <= args.modk <= top:
-        raise ValueError(
-            f"--modk for {args.claim} must be between 1 and {top}, got {args.modk}"
-        )
-    return args.modk
+def _modk(args) -> int:
+    """The modulus exponent, checked here so that the error names --modk."""
+    return claims._resolve_exponent(claims.family(args.claim), args.modk, "--modk")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,8 +210,7 @@ def _run_verify(args) -> tuple:
 def _run_scan(args) -> tuple:
     fam = claims.family(args.claim)
     p_max = fam.default_p_max if args.pmax is None else args.pmax
-    if p_max < 2:
-        raise ValueError(f"--pmax must be at least 2, got {p_max}")
+    claims._require_p_max(p_max, "--pmax")
     r_values = None
     if args.r_set is not None:
         try:

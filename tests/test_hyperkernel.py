@@ -203,8 +203,10 @@ def test_conjugate_product_refuses_non_prime():
 
 
 def test_conjugate_product_rejects_non_padic():
-    with pytest.raises(ValueError):
+    with pytest.raises(NonIntegralInputError):
         conjugate_product_congruence(Fraction(1, 7), Fraction(1), 7, 2, 4)
+    with pytest.raises(NonIntegralInputError):
+        conjugate_product_congruence(Fraction(1), Fraction(3, 14), 7, 2, 5)
 
 
 def test_series_with_field_argument():

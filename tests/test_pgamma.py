@@ -2,13 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from sclab.padic import PadicContext, vp
+from sclab.padic import NonIntegralInputError, PadicContext, vp
 from sclab.pgamma import (
-    NonPadicArgumentError,
     OddPrimeRequiredError,
     SpanHitsMultipleOfPError,
     _gamma_at_integer,
-    _unit_range_product_naive,
+    _unit_range_product,
     ap,
     gamma_p,
     gamma_p_int,
@@ -33,7 +32,7 @@ def test_ap_refuses_non_prime():
 
 
 def test_ap_rejects_non_padic():
-    with pytest.raises(NonPadicArgumentError):
+    with pytest.raises(NonIntegralInputError):
         ap(Fraction(1, 5), 5)
 
 
@@ -61,13 +60,13 @@ def test_gamma_rejects_p_two():
 
 
 def test_gamma_rejects_non_padic():
-    with pytest.raises(NonPadicArgumentError):
+    with pytest.raises(NonIntegralInputError):
         gamma_p(Fraction(1, 3), PadicContext(3, 2))
 
 
 def _defining_gamma(m, p, modulus):
     sign = -1 if m % 2 else 1
-    return sign * _unit_range_product_naive(1, m, p, modulus) % modulus
+    return sign * _unit_range_product(1, m, p, modulus) % modulus
 
 
 def test_block_polynomial_route_matches_naive_exhaustively():
@@ -80,7 +79,7 @@ def test_block_polynomial_route_matches_naive_exhaustively():
             units = 1
             for m in range(2 * modulus):
                 if m:
-                    units = units * _unit_range_product_naive(
+                    units = units * _unit_range_product(
                         m - 1, m, p, modulus
                     ) % modulus
                 sign = -1 if m % 2 else 1
@@ -182,3 +181,20 @@ def test_pochhammer_via_gamma_random(rng):
         except SpanHitsMultipleOfPError:
             continue
         assert via_gamma == pochhammer_residue_direct(a, n, ctx)
+
+
+def test_pochhammer_via_gamma_refusal_names_the_first_hit(rng):
+    # the j in the refusal is the first a + j in pZ_p, as a scan finds it
+    for _ in range(200):
+        p = rng.choice(SMALL_PRIMES[:6])
+        ctx = PadicContext(p, rng.randint(1, 3))
+        a = random_padic_rational(rng, p)
+        n = rng.randint(0, 2 * p)
+        hits = [j for j in range(n) if vp(a + j, p) >= 1]
+        if not hits:
+            direct = pochhammer_residue_direct(a, n, ctx)
+            assert pochhammer_residue_via_gamma(a, n, ctx) == direct
+            continue
+        with pytest.raises(SpanHitsMultipleOfPError) as exc:
+            pochhammer_residue_via_gamma(a, n, ctx)
+        assert str(exc.value).startswith(f"{a} + {hits[0]} is divisible by {p};")

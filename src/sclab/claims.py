@@ -765,8 +765,9 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
         linear * tail43 - 8 * _weighted_tail_sum(r),
     )
 
+    lead_rest = pochhammer(1 + Fraction(r, 3), n - 1)
     lead_lhs = pochhammer(1 + Fraction(r, 3), n)
-    lead_rhs = scale * pochhammer(1 + Fraction(r, 3), n - 1)
+    lead_rhs = scale * lead_rest
     chain.exact(
         "leading-pochhammer-extraction",
         "the top factor 2p/3 splits off the leading rising factorial exactly",
@@ -789,7 +790,7 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
     )
 
     unit_ratio = (
-        pochhammer(1 + Fraction(r, 3), n - 1)
+        lead_rest
         * pochhammer(1 + Fraction(2 * r, 3), j0) ** 3
         * pochhammer(Fraction(1), block) ** 3
         / pochhammer(Fraction(1), n) ** 4

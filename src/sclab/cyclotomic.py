@@ -172,19 +172,23 @@ class CycElement:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign * other for sign = 1 or -1, over one denominator."""
         den = self.den
         if type(other) is int:
-            return CycElement._make(self.order, (self.nums[0] + den * other,) + self.nums[1:], den)
+            return CycElement._make(self.order, (self.nums[0] + sign * den * other,) + self.nums[1:], den)
         other = self._wrap(other)
         d2 = other.den
         if den == d2:
-            nums = [a + b for a, b in zip(self.nums, other.nums)]
+            nums = [a + sign * b for a, b in zip(self.nums, other.nums)]
             return CycElement._make(self.order, nums, den)
         g = math.gcd(den, d2)
-        s1, s2 = d2 // g, den // g
+        s1, s2 = d2 // g, sign * (den // g)
         nums = [a * s1 + b * s2 for a, b in zip(self.nums, other.nums)]
         return CycElement._make(self.order, nums, den * s1)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -192,25 +196,10 @@ class CycElement:
         return CycElement._make(self.order, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
-        den = self.den
-        if type(other) is int:
-            return CycElement._make(self.order, (self.nums[0] - den * other,) + self.nums[1:], den)
-        other = self._wrap(other)
-        d2 = other.den
-        if den == d2:
-            nums = [a - b for a, b in zip(self.nums, other.nums)]
-            return CycElement._make(self.order, nums, den)
-        g = math.gcd(den, d2)
-        s1, s2 = d2 // g, den // g
-        nums = [a * s1 - b * s2 for a, b in zip(self.nums, other.nums)]
-        return CycElement._make(self.order, nums, den * s1)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        den = self.den
-        if type(other) is int:
-            nums = [den * other - self.nums[0]] + [-a for a in self.nums[1:]]
-            return CycElement._make(self.order, nums, den)
-        return self._wrap(other) - self
+        return (-self)._combine(other, 1)
 
     def __mul__(self, other):
         if type(other) is CycElement:

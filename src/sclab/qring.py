@@ -26,16 +26,16 @@ Two kernels keep the ring off quadratic pure-Python loops:
   steps; the first step is a ring homomorphism, so the residue is the
   same.  Powers of q enter the ring folded (``QRing._q_terms``).
 
-The q-analogue check has two routes.  Route 1 builds the cleared sum in
-the ring forward by Horner's rule, so each product has a factor of at
-most six terms (24 once folded) and takes the zero-skipping loop.  Route
+The q-analogue check describes its cleared sum once (``_summand``) and
+runs the same Horner steps over it in two arithmetics.  Route 1 runs
+them in the ring, where each folded factor has at most 24 terms.  Route
 2 builds no polynomial: for a prime ell = 1 (mod p), Phi_p splits mod
 ell into distinct linear factors q - omega, so a polynomial is 0 in
 F_ell[q]/Phi_p^4 exactly when its expansion at q = omega (1 + eps)
-vanishes mod eps^4 at every root omega.  It runs on these 4-term jets,
-the evaluation at roots of unity of Guo and Zudilin's "q-microscope"
-(Adv. Math. 346, 2019).  Negative powers of q are legal everywhere: q is
-a unit in the ring, q^m folds for every integer m, and its jet is exact.
+vanishes mod eps^4 at every root omega.  It runs the steps on these
+4-term jets, the evaluation at roots of unity of Guo and Zudilin's
+"q-microscope" (Adv. Math. 346, 2019).  Negative powers of q are legal
+everywhere: q folds for every integer power, and its jet is exact.
 """
 
 from __future__ import annotations
@@ -521,12 +521,14 @@ class QAnalogueReport:
 
 def verify_q_conjecture(p: int, r: int, exponent_twist: int = 0) -> QAnalogueReport:
     """Decide whether sum_{k<p} [10k+r] (q^r;q^5)_k^5 (q^5;q^5)_k^-5
-    q^(5(3-r)k/2) vanishes in Q[q]/(Phi_p^4), by two independent
-    constructions: exactly in the quotient ring (``_ring_sum``), and by
-    jets at the roots of Phi_p mod a prime (``_root_jets``) of the cleared
-    sum T = sum_k (1 - q^(10k+r)) q^(step*k) (q^r;q^5)_k^5 S_k^5, with
-    S_k = prod_{k<j<p} (1 - q^(5j)).  The sum is T / ((1 - q) S_0^5); route
-    1 returns T and that unit, and inverts the unit once.
+    q^(5(3-r)k/2) vanishes in Q[q]/(Phi_p^4).  The cleared sum
+    T = sum_k (1 - q^(10k+r)) q^(step*k) (q^r;q^5)_k^5 S_k^5, with
+    S_k = prod_{k<j<p} (1 - q^(5j)), is described once (``_summand``) and
+    built in two arithmetics: exactly in the quotient ring (``_ring_sum``)
+    and as jets at the roots of Phi_p mod a prime (``_root_jets``).  The
+    routes cross-check the arithmetic; tests pin the description against
+    T's definition.  The sum is T / ((1 - q) S_0^5); route 1 returns T and
+    that unit, and inverts the unit once.
 
     ``exponent_twist`` adds twist*k to the power of q in term k; the honest
     statement is twist 0, and a nonzero twist is the built-in negative
@@ -548,32 +550,36 @@ def verify_q_conjecture(p: int, r: int, exponent_twist: int = 0) -> QAnalogueRep
     return QAnalogueReport(p, r, exponent_twist, ring_zero, division_zero, elapsed)
 
 
+def _summand(p: int, r: int, step: int):
+    """The cleared sum T as data: for k = 0 .. p-1, the term lists
+    (D_k, F_k, C_k), each [(c, m)] standing for sum c q^m, with
+    D_k = (1 - q^(5k))^5, F_k = (1 - q^(r+5k-5))^5 (both 1 at k = 0) and
+    C_k = q^(step k) - q^((step+10)k + r).  From V = 0 and R = 1 the
+    Horner steps R <- R F_k, V <- V D_k + C_k R give R = (q^r;q^5)_k^5 at
+    step k and leave V = T at k = p - 1.  Both routes run these steps."""
+    for k in range(p):
+        # (1 - q^e)^5 = sum_i (-1)^i C(5, i) q^(ei)
+        d, f = ([((-1) ** i * comb(5, i), e * i) for i in range(6)] if k else [(1, 0)]
+                for e in (5 * k, r + 5 * k - 5))
+        yield d, f, [(1, step * k), (-1, (step + 10) * k + r)]
+
+
 def _ring_sum(ring: QRing, r: int, step: int) -> tuple:
     """Route 1: (T, (1 - q) S_0^5) in the ring, T and S_0 as in
-    ``verify_q_conjecture``.  With D_k = (1 - q^(5k))^5, the Horner step
-    V <- V D_k + (1 - q^(10k+r)) q^(step*k) (q^r;q^5)_k^5 leaves V = T at
-    k = p - 1, and the block gathers every D_k.  Every factor has at most
-    six terms and enters the sparse multiply folded to degree < 4p."""
-
-    def fifth(e):
-        """(1 - q^e)^5 = sum_i (-1)^i C(5, i) q^(ei), folded."""
-        return ring._q_terms([((-1) ** i * comb(5, i), e * i) for i in range(6)])
+    ``verify_q_conjecture``, by the Horner steps of ``_summand``; the block
+    gathers every D_k.  Each list enters the ring folded to degree < 4p
+    (at most 24 terms), so every product takes the sparse multiply."""
 
     def times(x, factor):
         """x * factor; the factor leads, so its few terms drive the loop."""
         return QRingElement(ring, factor * x.residue)
 
-    total, block, rising5 = ring.zero, ring.from_coeffs((1, -1)), ring.one
-    for k in range(ring.p):
-        if k:
-            d = fifth(5 * k)
-            total, block = times(total, d), times(block, d)
-            # the terms stop once rising5 holds Phi_p^5, the D_k do not:
-            # the whole block is p^5 (1 - q) mod Phi_p and inverts at once
-            rising5 = times(rising5, fifth(r + 5 * (k - 1)))
-        if not rising5.is_zero:
-            cleared = ring._q_terms([(1, step * k), (-1, (step + 10) * k + r)])
-            total = total + times(rising5, cleared)
+    total, block, rising = ring.zero, ring.from_coeffs((1, -1)), ring.one
+    for d, f, c in _summand(ring.p, r, step):
+        d = ring._q_terms(d)
+        rising = times(rising, ring._q_terms(f))
+        total = times(total, d) + times(rising, ring._q_terms(c))
+        block = times(block, d)
     return total, block
 
 
@@ -604,39 +610,33 @@ def _jet_mul(a, b, ell: int) -> tuple:
 
 def _root_jets(p: int, r: int, step: int):
     """Route 2: yields the jets T(omega^i (1 + eps)) mod (ell, eps^4) for
-    i = 1 .. p-1 in turn, from the suffix products S_k.  T has no
-    denominators, so no jet is inverted, and each root costs O(p) jet
-    products."""
+    i = 1 .. p-1 in turn, by the Horner steps of ``_summand`` on jets.  The
+    jet of c q^m is c w^m (1, m, C(m,2), C(m,3)), for negative m too, so a
+    term is kept as (m mod p, c times those binomials) and only w^m varies
+    by root.  No jet is inverted; each root costs O(p) jet products."""
     ell, omega = _jet_prime(p)
+    steps = [
+        [[(m % p, c, c * m, c * m * (m - 1) // 2, c * m * (m - 1) * (m - 2) // 6)
+          for c, m in terms] for terms in lists]
+        for lists in _summand(p, r, step)
+    ]
 
     def jet(terms, powers):
-        """The jet of sum c q^m over (c, m) in terms: c w^m (1 + eps)^m."""
-        out = [0, 0, 0, 0]
-        for c, m in terms:
-            x = c * powers[m % p]
-            binomials = (1, m, m * (m - 1) // 2, m * (m - 1) * (m - 2) // 6)
-            out = [o + x * b for o, b in zip(out, binomials)]
-        return tuple(o % ell for o in out)
+        j0 = j1 = j2 = j3 = 0
+        for s, b0, b1, b2, b3 in terms:
+            x = powers[s]
+            j0 += x * b0
+            j1 += x * b1
+            j2 += x * b2
+            j3 += x * b3
+        return j0 % ell, j1 % ell, j2 % ell, j3 % ell
 
+    omega_powers = [pow(omega, j, ell) for j in range(p)]
     for i in range(1, p):
-        w = pow(omega, i, ell)
-        powers = [1] * p  # powers[j] = w^j
-        for j in range(1, p):
-            powers[j] = powers[j - 1] * w % ell
-        suffix = [(1, 0, 0, 0)] * p  # suffix[k] = S_k
-        for k in range(p - 2, -1, -1):
-            suffix[k] = _jet_mul(suffix[k + 1], jet(((1, 0), (-1, 5 * k + 5)), powers), ell)
-        total = (0, 0, 0, 0)
-        rising = (1, 0, 0, 0)  # (q^r; q^5)_k
-        for k in range(p):
-            if k:
-                rising = _jet_mul(rising, jet(((1, 0), (-1, r + 5 * k - 5)), powers), ell)
-                if not rising[0]:
-                    break  # rising^5 vanishes to order 5 from here on
-            u = _jet_mul(rising, suffix[k], ell)
-            u2 = _jet_mul(u, u, ell)
-            u5 = _jet_mul(_jet_mul(u2, u2, ell), u, ell)
-            cleared = jet(((1, step * k), (-1, step * k + 10 * k + r)), powers)
-            term = _jet_mul(cleared, u5, ell)
-            total = tuple((t + v) % ell for t, v in zip(total, term))
+        powers = [omega_powers[i * j % p] for j in range(p)]  # w^j, w = omega^i
+        total, rising = (0, 0, 0, 0), (1, 0, 0, 0)
+        for d, f, c in steps:
+            rising = _jet_mul(rising, jet(f, powers), ell)
+            v, u = _jet_mul(total, jet(d, powers), ell), _jet_mul(jet(c, powers), rising, ell)
+            total = tuple((x + y) % ell for x, y in zip(v, u))
         yield total

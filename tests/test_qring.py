@@ -11,6 +11,7 @@ from sclab.qring import (
     _jet_prime,
     _ring_sum,
     _root_jets,
+    _summand,
     cyclotomic_poly,
     q_integer,
     q_pochhammer,
@@ -562,6 +563,32 @@ def test_route2_jets_match_route1_pre_inverse_sum(p, r, twist):
     jets = list(_root_jets(p, r, step))
     assert jets == _jets_at_roots(total.residue, 0, p)
     assert (not any(map(any, jets))) == (twist == 0)
+
+
+@pytest.mark.parametrize("p, r", [(7, 1), (13, -1), (29, -3), (43, -1)])
+@pytest.mark.parametrize("twist", [0, 1, -40])
+def test_summand_horner_steps_give_the_cleared_sum_at_q_2(p, r, twist):
+    # both routes run the Horner steps over the same description, so the
+    # description itself is pinned here, in exact arithmetic at q = 2,
+    # against T = sum_k (1 - q^(10k+r)) q^(step k) (q^r;q^5)_k^5 S_k^5
+    # with S_k = prod_{k<j<p} (1 - q^(5j))
+    q = Fraction(2)
+    step = 5 * (3 - r) // 2 + twist
+
+    def at(terms):
+        return sum(c * q ** m for c, m in terms)
+
+    total, rising = 0, 1
+    for d, f, c in _summand(p, r, step):
+        rising *= at(f)
+        total = total * at(d) + at(c) * rising
+    expected = sum(
+        (1 - q ** (10 * k + r)) * q ** (step * k)
+        * prod(1 - q ** (r + 5 * j) for j in range(k)) ** 5
+        * prod(1 - q ** (5 * j) for j in range(k + 1, p)) ** 5
+        for k in range(p)
+    )
+    assert total == expected != 0
 
 
 @pytest.mark.parametrize("p, r", [(29, -3), (43, -1)])

@@ -1,5 +1,10 @@
 """sclab: exact-arithmetic verification of truncated hypergeometric
-supercongruences, prime by prime."""
+supercongruences, prime by prime.
+
+The q-side names (``QRing``, ``q_integer``, ``q_pochhammer``,
+``verify_q_conjecture``) load ``sclab.qring`` on first use, so that
+``import sclab`` compiles only what every command needs.
+"""
 
 from .claims import (
     CongruenceReport,
@@ -28,7 +33,6 @@ from .hyperkernel import (
 )
 from .padic import PadicContext, Residue, congruent, vp
 from .pgamma import ap, gamma_p, pochhammer_residue_via_gamma
-from .qring import QRing, q_integer, q_pochhammer, verify_q_conjecture
 from .rationals import pochhammer, primes_in
 
 __version__ = "0.1.0"
@@ -70,3 +74,17 @@ __all__ = [
     "verify_q_conjecture",
     "vp",
 ]
+
+_QRING_NAMES = ("QRing", "q_integer", "q_pochhammer", "verify_q_conjecture")
+
+
+def __getattr__(name):
+    if name in _QRING_NAMES:
+        from . import qring
+
+        return getattr(qring, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_QRING_NAMES))

@@ -34,13 +34,11 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Callable
 
 from .cyclotomic import CycElement
 from .hyperkernel import (
@@ -550,11 +548,22 @@ def scan(
     return ScanResult(fam.id, reports, skipped, excluded)
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """The standard process pool, imported when a sweep first asks for
+    one: importing it loads multiprocessing, pickle, socket and subprocess,
+    which no serial command uses."""
+    from concurrent.futures import ProcessPoolExecutor as pool_class
+
+    return pool_class(max_workers=max_workers)
+
+
 def _run_instances(instances, workers: int):
     # More processes than cores or instances only adds start-up cost.
     workers = min(workers, os.cpu_count() or 1, len(instances))
     if workers <= 1:
         return [_verify_instance(t) for t in instances]
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_verify_instance, instances, chunksize=1))

@@ -28,15 +28,15 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
 
 from .cyclotomic import CycElement
 from .padic import NonIntegralInputError, PadicContext, Residue, vp
 from .rationals import as_rational, is_prime, pochhammer
 
-Scalar = Union[int, Fraction, CycElement]
+Scalar = int | Fraction | CycElement
 
 
 class PoleInRangeError(ArithmeticError):
@@ -48,15 +48,16 @@ class IdentityPreconditionError(ValueError):
 
 
 def _scalars(values: Sequence[Scalar]) -> list:
-    """The values as Fractions and CycElements of one order.  A rational
-    value becomes a Fraction even when it came as a CycElement, so only
-    irrational values run field arithmetic."""
+    """The values as ints, Fractions and CycElements of one order.  Ints
+    and Fractions are kept as they are, so a value is normalised once even
+    when it passes here again; a rational CycElement becomes a Fraction, so
+    only irrational values run field arithmetic.  Floats are rejected."""
     if len({v.order for v in values if isinstance(v, CycElement)}) > 1:
         raise ValueError("mixed cyclotomic orders in one series")
     return [
         (v.rational_value() if v.is_rational else v)
         if isinstance(v, CycElement)
-        else as_rational(v)
+        else v if isinstance(v, int) else as_rational(v)
         for v in values
     ]
 
@@ -104,7 +105,7 @@ def _weighted_sum(spec: SeriesSpec, modulus: int = 0) -> tuple:
     upper, lower = params[: len(spec.upper)], params[len(spec.upper) :]
     n_terms = spec.truncation
     for b in lower:
-        if isinstance(b, Fraction) and b.denominator == 1 and 0 <= -b < n_terms - 1:
+        if not isinstance(b, CycElement) and b.denominator == 1 and 0 <= -b < n_terms - 1:
             raise PoleInRangeError(f"lower parameter {b!r} vanishes at shift {-b}")
     ups = [(a.numerator, a.denominator) for a in upper]
     lows = [(b.numerator, b.denominator) for b in lower]
@@ -200,7 +201,7 @@ def _well_poised(a, params, n: int):
     """The terminating very-well-poised series of seven parameter slots:
     upper a, 1 + a/2, each param and -n; lower a/2, 1 + a - x for each
     param x, and 1 + a + n."""
-    half = a / 2
+    half = a * Fraction(1, 2)  # a may be an int
     return hypergeometric_sum(
         upper=(a, 1 + half, *params, -n),
         lower=(half, *(1 + a - x for x in params), 1 + a + n),
@@ -288,7 +289,7 @@ def _d1_sides(t, a, b, c, n: int, m: int):
     ratio = pochhammer(1 + t, n) * math.prod(pochhammer(x + 1, n) for x in lows) / den
     lin_den = math.prod(x + n for x in lows)
     _nonzero_or_pole(lin_den)
-    linear = math.prod(lows) / lin_den
+    linear = math.prod(lows, start=Fraction(1)) / lin_den  # lows may be ints
     tail = hypergeometric_sum(upper=(-m, -n, top, w), lower=lows, n_terms=min(m, n) + 1)
     return lhs, ratio, linear, tail
 

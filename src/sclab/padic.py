@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
 
 from .rationals import as_rational, is_prime
 
-Valuation = Union[int, float]  # int, or math.inf for the zero element
+Valuation = int | float  # int, or math.inf for the zero element
 
 
 class NonIntegralInputError(ValueError):

@@ -182,6 +182,28 @@ def test_d1_fuzz():
     assert result.passed, result.failures
 
 
+def test_identity_sides_take_int_parameters():
+    # ints pass through _scalars unconverted; the sides must still be exact
+    # and equal to the sides built from the same values as Fractions
+    cases = [
+        (hyperkernel._whipple_sides, (7, 2, 3, 5, 13), (3,)),
+        (hyperkernel._whipple_sides, (11, 3, 5, 7, Fraction(2, 3)), (3,)),
+        (hyperkernel._d1_sides, (1, 2, 3, 5), (2, 1)),
+        (hyperkernel._d1_sides, (11, 2, 3, 5), (2, 2)),
+    ]
+    for build, params, counts in cases:
+        got = build(*params, *counts)
+        assert got == build(*map(Fraction, params), *counts)
+        assert all(isinstance(value, Fraction) for value in got)
+    km = hyperkernel._karlsson_minton_series
+    assert km(4, (5, 2), (1, 2)) == km(4, (Fraction(5), Fraction(2)), (1, 2)) == 0
+    assert check_whipple(7, 2, 3, 5, 13, 3)
+    assert check_d1(11, 2, 3, 5, 2, 2)
+    # 1 + a - b is the int -1 here, a pole inside the four-slot series
+    with pytest.raises(PoleInRangeError, match="lower parameter -1 "):
+        check_whipple(3, 5, 7, 7, 11, 2)
+
+
 def test_fuzzers_are_deterministic():
     a = fuzz_whipple(trials=12, seed=99)
     b = fuzz_whipple(trials=12, seed=99)

@@ -146,7 +146,12 @@ def eval_truncated(spec: SeriesSpec) -> Scalar:
     The value is a Fraction, or a CycElement when any parameter is one.
     It costs one division, at the end of ``_weighted_sum``."""
     total, den = _weighted_sum(spec)
-    value = total * (den.inverse() if isinstance(den, CycElement) else Fraction(1, den))
+    if isinstance(den, CycElement):
+        value = total * den.inverse()
+    elif isinstance(total, CycElement):
+        value = total * Fraction(1, den)
+    else:
+        value = Fraction(total, den)
     values = (*spec.upper, *spec.lower, spec.argument)
     element = next((v for v in values if isinstance(v, CycElement)), None)
     if element is not None and not isinstance(value, CycElement):

@@ -19,17 +19,18 @@ blocks {pt + i : 0 < i < p}, and block t contributes Q(t), where
 is a polynomial in t whose t^n coefficient is divisible by p^n.  Products
 and Taylor shifts t -> t + A keep that property, so every coefficient of
 degree k or more vanishes mod p^k and dropping it is exact: no truncation
-error and no guard digits.  The T blocks multiply to the constant term of
-F_T(t) = Q(t) Q(t+1) ... Q(t+T-1), built by binary doubling with
-F_2A(t) = F_A(t) F_A(t+A) and F_A+1(t) = F_A(t) Q(t+A).  The fewer than
-p tail units pT+1 ... pT+s-1 cost one multiply and one reduction each, by
-the defining loop that the tests also pin the block route against.  One
-evaluation costs O(p k) to build Q (cached per p^k), O(k^2 log m) for the
-doubling and O(p) for the tail.  A tail formed as one exact product and
-reduced once is quadratic in its length: `verify` at p ~ 10^5 took
-19-50 s that way and takes under 0.5 s per unit (CPU, one run each):
-conj3 (100019, -1) 49.8 -> 0.46 s, d2 100003 30.4 -> 0.49 s, conj1
-(100003, -1) 19.2 -> 0.46 s, lr3 100049 18.7 -> 0.38 s.
+error and no guard digits.  The T blocks multiply to F_T(0), where
+F_A(t) = Q(t) Q(t+1) ... Q(t+A-1).  A table per (p, p^k) holds F_1 = Q,
+F_2, F_4, ..., each level built from the one below by
+F_2A(t) = F_A(t) F_A(t+A) when a call first needs it.  F_T(0) is then the
+product, over the set bits 2^s of T from the top, of F_(2^s)(offset) by
+Horner, where offset sums the bits already taken.  The fewer than p tail
+units pT+1 ... pT+s-1 cost one multiply and one reduction each, by the
+defining loop that the tests also pin the block route against.  The cost
+is O(p k) to build Q and O(k^2) per table level, each once per (p, p^k),
+then O(k log m) per value plus O(p) for the tail.  A tail formed as one
+exact product and reduced once is quadratic in its length: `verify conj3`
+at (100019, -1) took 49.8 s CPU that way and takes ~0.5 s.
 
 Only odd p is supported; the sign conventions below are wrong at p = 2.
 """
@@ -70,10 +71,10 @@ def _unit_range_product(lo: int, hi: int, p: int, modulus: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _block_polynomial(p: int, modulus: int) -> tuple:
-    """Coefficients of Q(t) = prod_{0<i<p} (i + p t) below degree k, where
-    modulus = p^k; the t^n coefficient is divisible by p^n, so the dropped
-    degrees vanish mod p^k."""
+def _doubling_table(p: int, modulus: int) -> list:
+    """[F_1, F_2, F_4, ...] below degree k, where modulus = p^k: level s
+    holds F_(2^s)(t) = prod_{t' < 2^s} Q(t + t').  The list starts with
+    F_1 = Q alone, and _block_product appends each level a call first needs."""
     k = 1
     while p ** k < modulus:
         k += 1
@@ -82,7 +83,7 @@ def _block_polynomial(p: int, modulus: int) -> tuple:
         for n in range(k - 1, 0, -1):
             coeffs[n] = (i * coeffs[n] + p * coeffs[n - 1]) % modulus
         coeffs[0] = i * coeffs[0] % modulus
-    return tuple(coeffs)
+    return [coeffs]
 
 
 def _mul_truncated(f, g, modulus: int) -> list:
@@ -104,19 +105,22 @@ def _shift(f, a: int, modulus: int) -> list:
 
 
 def _block_product(blocks: int, p: int, modulus: int) -> int:
-    """Product of the units in [1, p * blocks) mod modulus: the constant
-    term of F_T(t) = prod_{t' < T} Q(t + t') for T = blocks, built from the
-    top bit of T down."""
-    q = _block_polynomial(p, modulus)
-    f = [1] + [0] * (len(q) - 1)
-    a = 0  # f holds F_a
-    for bit in bin(blocks)[2:]:
-        f = _mul_truncated(f, _shift(f, a, modulus), modulus)
-        a *= 2
-        if bit == "1":
-            f = _mul_truncated(f, _shift(q, a, modulus), modulus)
-            a += 1
-    return f[0]
+    """Product of the units in [1, p * blocks) mod modulus: F_T(0) for
+    T = blocks, as the product over the set bits s of T, from the top, of
+    F_(2^s)(offset), each by Horner, where offset counts the blocks done."""
+    table = _doubling_table(p, modulus)
+    while len(table) < blocks.bit_length():
+        f = table[-1]
+        table.append(_mul_truncated(f, _shift(f, 1 << (len(table) - 1), modulus), modulus))
+    acc, offset = 1, 0
+    for s in range(blocks.bit_length() - 1, -1, -1):
+        if blocks >> s & 1:
+            value = 0
+            for c in reversed(table[s]):
+                value = (value * offset + c) % modulus
+            acc = acc * value % modulus
+            offset += 1 << s
+    return acc
 
 
 @lru_cache(maxsize=512)

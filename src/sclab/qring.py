@@ -71,10 +71,12 @@ _denominator = attrgetter("denominator")
 
 
 def _cleared(coeffs):
-    """Integer numerators over one common denominator: (nums, den)."""
-    den = lcm(*map(_denominator, coeffs))
-    if den == 1:
+    """Integer numerators over one common denominator: (nums, den).  A
+    Fraction coefficient is never integral, so all-int coefficients are
+    the only case with den = 1."""
+    if Fraction not in set(map(type, coeffs)):
         return coeffs, 1
+    den = lcm(*map(_denominator, coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
@@ -83,6 +85,20 @@ def _divided(nums, den) -> list:
     if den == 1:
         return nums
     return [c // den if not c % den else Fraction(c, den) for c in nums]
+
+
+def _monic_remainder(coeffs, divisor) -> list:
+    """coeffs mod a monic divisor, both low degree first: the remainder's
+    dv = len(divisor) - 1 coefficients, with no quotient formed."""
+    dv = len(divisor) - 1
+    rem = list(coeffs)
+    lower = divisor[:-1]
+    for top in range(len(rem) - 1, dv - 1, -1):
+        c = rem[top]
+        if c:
+            base = top - dv
+            rem[base:top] = [x - c * d for x, d in zip(rem[base:top], lower)]
+    return rem[:dv]
 
 
 def _slot_bias(count: int, nbytes: int) -> int:
@@ -288,9 +304,8 @@ class QRing:
         (q^p - 1)^power.  Both steps are Z-linear, so a Fraction polynomial
         is reduced as integer numerators over one denominator."""
         nums, den = _cleared(poly.coeffs)
-        folded = QPolynomial._trusted(_fold(nums, self.p, self._fold))
-        rem = folded % self.modulus
-        return rem if den == 1 else QPolynomial._trusted(_divided(rem.coeffs, den))
+        rem = _monic_remainder(_fold(nums, self.p, self._fold), self.modulus.coeffs)
+        return QPolynomial._trusted(_divided(rem, den))
 
     def element(self, poly: QPolynomial) -> "QRingElement":
         return QRingElement(self, poly)

@@ -6,6 +6,8 @@ from sclab.padic import NonIntegralInputError, PadicContext, vp
 from sclab.pgamma import (
     OddPrimeRequiredError,
     SpanHitsMultipleOfPError,
+    _block_product,
+    _doubling_table,
     _gamma_at_integer,
     _unit_range_product,
     ap,
@@ -96,6 +98,48 @@ def test_block_polynomial_route_matches_naive_past_modulus(rng):
         modulus = p ** rng.randint(1, 4)
         m = rng.randrange(10 * modulus)
         assert _gamma_at_integer(m, p, modulus) == _defining_gamma(m, p, modulus)
+
+
+def test_doubling_table_grows_in_any_call_order(rng):
+    # from empty caches, values in shuffled order match the defining
+    # product; representatives up to 8 p^k extend a table that a call below
+    # p^k built, and the table holds exactly the levels some call needed
+    for p, k in ((3, 5), (5, 5), (7, 4), (11, 3)):
+        modulus = p ** k
+        _gamma_at_integer.cache_clear()
+        _doubling_table.cache_clear()
+        ms = [rng.randrange(modulus) for _ in range(8)]
+        ms += [rng.randrange(modulus, 8 * modulus) for _ in range(8)]
+        ms.append(8 * modulus - 1)
+        rng.shuffle(ms)
+        first_small = next(i for i, m in enumerate(ms) if m < modulus)
+        ms.insert(0, ms.pop(first_small))
+        depths = []
+        for m in ms:
+            assert _gamma_at_integer(m, p, modulus) == _defining_gamma(m, p, modulus), (
+                m, p, modulus,
+            )
+            depths.append(len(_doubling_table(p, modulus)))
+        assert depths == sorted(depths)
+        assert depths[0] < depths[-1] == max((m // p).bit_length() for m in ms)
+
+
+def test_doubling_table_levels_are_block_products(rng):
+    # level s at t = offset is the product of the units in
+    # [p offset, p (offset + 2^s)), for offsets past p^k too
+    for p, k in ((3, 4), (5, 3), (7, 3), (11, 2)):
+        modulus = p ** k
+        _doubling_table.cache_clear()
+        _block_product((1 << 6) - 1, p, modulus)
+        table = _doubling_table(p, modulus)
+        assert len(table) == 6
+        for s, level in enumerate(table):
+            for offset in (0, 1, rng.randrange(2, 5 * modulus)):
+                value = sum(c * offset ** n for n, c in enumerate(level)) % modulus
+                hi = p * (offset + (1 << s))
+                assert value == _unit_range_product(p * offset, hi, p, modulus), (
+                    s, offset, p, modulus,
+                )
 
 
 def test_reflection(rng):

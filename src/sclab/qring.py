@@ -29,13 +29,12 @@ Two kernels keep the ring off quadratic pure-Python loops:
 The q-analogue check describes its cleared sum once (``_summand``) and
 runs the same Horner steps over it in two arithmetics.  Route 1 runs
 them in the ring, where each folded factor has at most 24 terms.  Route
-2 builds no polynomial: for a prime ell = 1 (mod p), Phi_p splits mod
-ell into distinct linear factors q - omega, so a polynomial is 0 in
-F_ell[q]/Phi_p^4 exactly when its expansion at q = omega (1 + eps)
-vanishes mod eps^4 at every root omega.  It runs the steps on these
-4-term jets, the evaluation at roots of unity of Guo and Zudilin's
-"q-microscope" (Adv. Math. 346, 2019).  Negative powers of q are legal
-everywhere: q folds for every integer power, and its jet is exact.
+2 builds no polynomial: it evaluates at q = X (1 + eps), X = 2^64, mod
+(X^p - 1, eps^4), the evaluation at roots of unity of Guo and Zudilin's
+"q-microscope" (Adv. Math. 346, 2019) with the root X packed into one
+integer.  Phi_p(q)^4 maps to 0 mod (Phi_p(X), eps^4), so route 2's zero
+is a necessary condition for route 1's.  Negative powers of q are legal
+everywhere: q folds for every integer power, and X is a unit mod X^p - 1.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import attrgetter
 
 from .rationals import as_rational, is_prime
@@ -227,10 +226,6 @@ class QPolynomial:
             out = _packed_mul(a, b)
         return QPolynomial._trusted(_divided(out, da * db))
 
-    def scale(self, factor) -> "QPolynomial":
-        factor = _coefficient(factor)
-        return QPolynomial([c * factor for c in self.coeffs])
-
     def __divmod__(self, divisor: "QPolynomial"):
         """Quotient and remainder.  A leading coefficient of +-1 is its own
         inverse, so integer operands stay in integer arithmetic; any other
@@ -411,20 +406,27 @@ class QRingElement:
         x <- x(2 - a*x), so ceil(log2(e)) steps reach the full modulus.
         Running Euclid on the degree p-1 radical instead of the full
         modulus sidesteps the rational coefficient blowup of long
-        remainder sequences.
+        remainder sequences.  The steps run on integers: they invert
+        a = a_den * self as x / den, with one gcd a step, and the inverse
+        is a_den * x / den.
         """
-        phi = cyclotomic_poly(self.ring.p)
-        seed = _euclid_inverse(self.residue % phi, phi)
-        x = QRingElement(self.ring, seed)
-        for _ in range((self.ring.power - 1).bit_length()):
-            x = x * (2 - self * x)
-        return x
+        ring, phi = self.ring, cyclotomic_poly(self.ring.p)
+        a, a_den = _cleared(self.residue.coeffs)
+        a = ring.element(QPolynomial._trusted(a))
+        x, den = _euclid_inverse(a.residue % phi, phi)
+        for _ in range((ring.power - 1).bit_length()):
+            x = ring.element(QPolynomial._trusted(x))
+            x, den = (x * (2 * den - a * x)).residue.coeffs, den * den
+            g = gcd(den, *x)
+            x, den = [c // g for c in x], den // g
+        return ring.element(QPolynomial._trusted(_divided([a_den * c for c in x], den)))
 
     def _inverse_full_euclid(self) -> "QRingElement":
         """Reference route: extended Euclid straight against Phi_p^e.
         Exponentially slower coefficient growth; kept to pin the lifted
         inverse in tests."""
-        return QRingElement(self.ring, _euclid_inverse(self.residue, self.ring.modulus))
+        nums, den = _euclid_inverse(self.residue, self.ring.modulus)
+        return QRingElement(self.ring, QPolynomial._trusted(_divided(nums, den)))
 
     def __eq__(self, other):
         try:
@@ -465,9 +467,10 @@ def _fold(coeffs, p: int, fold) -> list:
     return [c for row in rows[:power] for c in row]
 
 
-def _euclid_inverse(value: QPolynomial, modulus: QPolynomial) -> QPolynomial:
-    """s with s*value = gcd (a nonzero constant) mod modulus, normalized;
-    NonUnitFactorError when the gcd is not constant."""
+def _euclid_inverse(value: QPolynomial, modulus: QPolynomial) -> tuple:
+    """(nums, den) with s = nums / den, s*value = 1 mod modulus and
+    deg s < deg modulus, by extended Euclid; NonUnitFactorError when the
+    gcd is not a nonzero constant."""
     r0, s0 = modulus, QPolynomial.zero()
     r1, s1 = value, QPolynomial.one()
     while not r1.is_zero and r1.degree > 0:
@@ -476,7 +479,9 @@ def _euclid_inverse(value: QPolynomial, modulus: QPolynomial) -> QPolynomial:
         s0, s1 = s1, s0 - quo * s1
     if r1.is_zero:
         raise NonUnitFactorError("element shares a factor with the ring modulus")
-    return s1.scale(Fraction(1) / r1.coeffs[0]) % modulus
+    nums, den = _cleared(s1.coeffs)
+    g = as_rational(r1.coeffs[0])  # the gcd: s = s1 / g
+    return [g.denominator * c for c in nums], g.numerator * den
 
 
 def q_integer(n: int, ring: QRing) -> "QRingElement":
@@ -515,8 +520,10 @@ def q_pochhammer(a_exponent: int, step: int, k: int, ring: QRing) -> "QRingEleme
 @dataclass(frozen=True)
 class QAnalogueReport:
     """``ring_zero``: the sum is 0 in Q[q]/Phi_p^4, decided exactly.
-    ``division_zero``: the cleared sum T vanishes to order 4 at every root
-    of Phi_p in F_ell (the name is older than the jet route)."""
+    ``division_zero``: the cleared sum T vanishes at q = X (1 + eps),
+    X = 2^64, mod (Phi_p(X), eps^4), the image of Phi_p^4 | T under that
+    map, so it is necessary for ``ring_zero`` (the name is older than the
+    jet route)."""
 
     p: int
     r: int
@@ -540,7 +547,7 @@ def verify_q_conjecture(p: int, r: int, exponent_twist: int = 0) -> QAnalogueRep
     T = sum_k (1 - q^(10k+r)) q^(step*k) (q^r;q^5)_k^5 S_k^5, with
     S_k = prod_{k<j<p} (1 - q^(5j)), is described once (``_summand``) and
     built in two arithmetics: exactly in the quotient ring (``_ring_sum``)
-    and as jets at the roots of Phi_p mod a prime (``_root_jets``).  The
+    and as jets at q = 2^64 (1 + eps) mod Phi_p(2^64) (``_jet_sum``).  The
     routes cross-check the arithmetic; tests pin the description against
     T's definition.  The sum is T / ((1 - q) S_0^5); route 1 returns T and
     that unit, and inverts the unit once.
@@ -559,7 +566,7 @@ def verify_q_conjecture(p: int, r: int, exponent_twist: int = 0) -> QAnalogueRep
 
     total, block = _ring_sum(QRing(p), r, step)
     ring_zero = (total * block.inverse()).is_zero
-    division_zero = not any(map(any, _root_jets(p, r, step)))
+    division_zero = not any(_jet_sum(p, r, step))
 
     elapsed = (time.perf_counter() - started) * 1000.0
     return QAnalogueReport(p, r, exponent_twist, ring_zero, division_zero, elapsed)
@@ -598,60 +605,48 @@ def _ring_sum(ring: QRing, r: int, step: int) -> tuple:
     return total, block
 
 
-def _jet_prime(p: int) -> tuple:
-    """(ell, omega): the first prime ell = 1 (mod p) above 2^61, and a
-    primitive p-th root of unity omega mod ell, the first h^((ell-1)/p)
-    other than 1 for h = 2, 3, ..."""
-    ell = (1 << 61) + 1 + -(1 << 61) % p
-    while not is_prime(ell):
-        ell += p
-    h = 2
-    while pow(h, (ell - 1) // p, ell) == 1:
-        h += 1
-    return ell, pow(h, (ell - 1) // p, ell)
+# Route 2 evaluates at q = X (1 + eps), X = 2^JET_BITS: one 64-bit slot
+# per power of X mod X^p - 1.  Its zero is necessary for route 1's at any
+# X; a false zero needs Phi_p(X) to divide all four jet coefficients.
+JET_BITS = 64
 
 
-def _jet_mul(a, b, ell: int) -> tuple:
-    """The product of two jets mod (ell, eps^4)."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (
-        a0 * b0 % ell,
-        (a0 * b1 + a1 * b0) % ell,
-        (a0 * b2 + a1 * b1 + a2 * b0) % ell,
-        (a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0) % ell,
-    )
-
-
-def _root_jets(p: int, r: int, step: int):
-    """Route 2: yields the jets T(omega^i (1 + eps)) mod (ell, eps^4) for
-    i = 1 .. p-1 in turn, by the Horner steps of ``_summand`` on jets.  The
-    jet of c q^m is c w^m (1, m, C(m,2), C(m,3)), for negative m too, so a
-    term is kept as (m mod p, c times those binomials) and only w^m varies
-    by root.  No jet is inverted; each root costs O(p) jet products."""
-    ell, omega = _jet_prime(p)
+def _jet_sum(p: int, r: int, step: int) -> tuple:
+    """Route 2: T(X (1 + eps)) mod (Phi_p(X), eps^4), X = 2^JET_BITS, as
+    its four eps-coefficients in [0, Phi_p(X)), by the Horner steps of
+    ``_summand``.  Each coefficient is one int mod X^p - 1 = 2^n - 1,
+    n = JET_BITS p, which Phi_p(X) divides: c q^m shifts a jet by
+    JET_BITS (m mod p) bits (X^p = 1) and mixes its coefficients with c
+    (1, m, C(m,2), C(m,3)), the binomials of (1 + eps)^m, for negative m
+    too.  No jet is inverted; a step is a few dozen shifts and small
+    multiples of n-bit ints, O(p^2) in all."""
+    n = JET_BITS * p
+    mask = (1 << n) - 1
     steps = [
-        [[(m % p, c, c * m, c * m * (m - 1) // 2, c * m * (m - 1) * (m - 2) // 6)
+        [[(JET_BITS * (m % p), c, c * m, c * m * (m - 1) // 2, c * m * (m - 1) * (m - 2) // 6)
           for c, m in terms] for terms in lists]
         for lists in _summand(p, r, step)
     ]
 
-    def jet(terms, powers):
-        j0 = j1 = j2 = j3 = 0
-        for s, b0, b1, b2, b3 in terms:
-            x = powers[s]
-            j0 += x * b0
-            j1 += x * b1
-            j2 += x * b2
-            j3 += x * b3
-        return j0 % ell, j1 % ell, j2 % ell, j3 % ell
+    def fold(x):
+        """x mod 2^n - 1 (2^n = 1), signed, back to about n bits."""
+        x = (x & mask) + (x >> n)
+        return (x & mask) + (x >> n)
 
-    omega_powers = [pow(omega, j, ell) for j in range(p)]
-    for i in range(1, p):
-        powers = [omega_powers[i * j % p] for j in range(p)]  # w^j, w = omega^i
-        total, rising = (0, 0, 0, 0), (1, 0, 0, 0)
-        for d, f, c in steps:
-            rising = _jet_mul(rising, jet(f, powers), ell)
-            v, u = _jet_mul(total, jet(d, powers), ell), _jet_mul(jet(c, powers), rising, ell)
-            total = tuple((x + y) % ell for x, y in zip(v, u))
-        yield total
+    def times(jet, terms, out=(0, 0, 0, 0)):
+        """out + jet * sum c q^m over terms, unfolded."""
+        a0, a1, a2, a3 = jet
+        o0, o1, o2, o3 = out
+        for s, b0, b1, b2, b3 in terms:
+            o0 += (b0 * a0) << s
+            o1 += (b0 * a1 + b1 * a0) << s
+            o2 += (b0 * a2 + b1 * a1 + b2 * a0) << s
+            o3 += (b0 * a3 + b1 * a2 + b2 * a1 + b3 * a0) << s
+        return o0, o1, o2, o3
+
+    total, rising = (0, 0, 0, 0), (1, 0, 0, 0)
+    for d, f, c in steps:
+        rising = tuple(map(fold, times(rising, f)))
+        total = tuple(map(fold, times(rising, c, times(total, d))))
+    phi = mask // ((1 << JET_BITS) - 1)  # Phi_p(X) = (X^p - 1) / (X - 1)
+    return tuple(x % phi for x in total)

@@ -3,21 +3,21 @@ from math import factorial, prod
 
 import pytest
 
+from sclab import qring
 from sclab.claims import InadmissibleInstanceError
 from sclab.qring import (
     NonUnitFactorError,
     QPolynomial,
     QRing,
-    _jet_prime,
+    _jet_sum,
     _ring_sum,
-    _root_jets,
     _summand,
     cyclotomic_poly,
     q_integer,
     q_pochhammer,
     verify_q_conjecture,
 )
-from sclab.rationals import is_prime, pochhammer
+from sclab.rationals import pochhammer
 
 
 def test_polynomial_canonical_form():
@@ -95,12 +95,14 @@ def test_ring_axioms(rng):
 
 def test_lifted_inverse_matches_full_euclid(rng):
     # the Newton-lifted inverse agrees with extended Euclid run directly
-    # against Phi_p^4 (tractable only at small p)
+    # against Phi_p^4 (tractable only at small p), on integer and rational
+    # elements: the lift runs on integer numerators over one denominator
     for p in (2, 3, 5):
         ring = QRing(p)
         for _ in range(8):
             u = ring.from_coeffs(
-                [rng.randint(-4, 4) for _ in range(rng.randint(1, 2 * p))]
+                [Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+                 for _ in range(rng.randint(1, 2 * p))]
             )
             try:
                 lifted = u.inverse()
@@ -514,43 +516,32 @@ def _dense_cleared_sum(p, r, step):
     return total
 
 
-def _jets_at_roots(poly, shift, p):
-    """poly(q) q^shift at q = w (1 + eps) mod (ell, eps^4), for the roots
-    w = omega^i, i = 1 .. p-1, with (ell, omega) from _jet_prime; the
-    coefficient of eps^j in (1 + eps)^m is m (m-1) ... (m-j+1) / j!."""
-    ell, omega = _jet_prime(p)
-    jets = []
-    for i in range(1, p):
-        w = pow(omega, i, ell)
-        jet = [0] * 4
-        for m, c in enumerate(poly.coeffs, shift):
-            x = c * pow(w, m % p, ell)
-            for j in range(4):
-                jet[j] += x * (prod(m - t for t in range(j)) // factorial(j))
-        jets.append(tuple(v % ell for v in jet))
-    return jets
-
-
-@pytest.mark.parametrize("p", [2, 3, 7, 13, 43, 103])
-def test_jet_prime_is_the_first_prime_one_mod_p_above_2_to_61(p):
-    ell, omega = _jet_prime(p)
-    assert ell > 1 << 61 and ell % p == 1 and is_prime(ell)
-    assert not any(is_prime(n) for n in range(ell - p, 1 << 61, -p))
-    assert omega != 1 and pow(omega, p, ell) == 1
+def _jets_at_x(poly, shift, p):
+    """poly(q) q^shift at q = X (1 + eps), X = 2^64, mod (Phi_p(X), eps^4),
+    X^m taken straight mod Phi_p(X) (X is a unit there: Phi_p(X) is odd);
+    the coefficient of eps^j in (1 + eps)^m is m (m-1) ... (m-j+1) / j!."""
+    x = 1 << 64
+    phi = sum(x ** i for i in range(p))
+    jet = [0] * 4
+    for m, c in enumerate(poly.coeffs, shift):
+        w = c * pow(x, m, phi)
+        for j in range(4):
+            jet[j] += w * (prod(m - t for t in range(j)) // factorial(j))
+    return tuple(v % phi for v in jet)
 
 
 @pytest.mark.parametrize("p, r", [(7, 1), (7, -9), (13, -1)])
 @pytest.mark.parametrize("twist", [0, 1, 2, 3])
 def test_route2_jets_match_dense_cleared_sum(p, r, twist):
-    # the jets of the dense T's residue mod Phi_p^4, read at every root
-    # mod ell, are the jet route's; they vanish exactly without a twist
+    # route 2's coefficients are the image of the dense T's residue mod
+    # Phi_p^4 at q = X (1 + eps); they vanish exactly without a twist
     step = 5 * (3 - r) // 2 + twist
     poly, shift = _dense_cleared_sum(p, r, step)
     residue = divmod(poly, QRing(p).modulus)[1]
-    jets = list(_root_jets(p, r, step))
-    assert jets == _jets_at_roots(residue, shift, p)
-    assert len(jets) == p - 1
-    assert (not any(map(any, jets))) == (twist == 0)
+    jets = _jet_sum(p, r, step)
+    assert jets == _jets_at_x(residue, shift, p)
+    assert jets == _jets_at_x(poly, shift, p)
+    assert (not any(jets)) == (twist == 0)
 
 
 @pytest.mark.parametrize("p, r", [(29, -3), (43, -1)])
@@ -560,9 +551,25 @@ def test_route2_jets_match_route1_pre_inverse_sum(p, r, twist):
     # power step*k of q is negative for every k > 0
     step = 5 * (3 - r) // 2 + twist
     total, _ = _ring_sum(QRing(p), r, step)
-    jets = list(_root_jets(p, r, step))
-    assert jets == _jets_at_roots(total.residue, 0, p)
-    assert (not any(map(any, jets))) == (twist == 0)
+    jets = _jet_sum(p, r, step)
+    assert jets == _jets_at_x(total.residue, 0, p)
+    assert (not any(jets)) == (twist == 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 13])
+@pytest.mark.parametrize("m", [0, 1, -7, 3 * 13 + 2])
+def test_route2_zero_test_sees_order_four_exactly(monkeypatch, p, m):
+    # route 2 on a description whose Horner steps build q^m Phi_p^power:
+    # power steps R <- R Phi_p, then V <- q^m R; Phi_p^4 is accepted and
+    # Phi_p^3, which vanishes to order exactly 3, is rejected
+    phi = [(1, i) for i in range(p)]
+
+    def description(power):
+        return [([(1, 0)], phi, [])] * power + [([(1, 0)], [(1, 0)], [(1, m)])]
+
+    for power, zero in ((4, True), (3, False)):
+        monkeypatch.setattr(qring, "_summand", lambda p, r, step: description(power))
+        assert (not any(_jet_sum(p, 1, 0))) is zero
 
 
 @pytest.mark.parametrize("p, r", [(7, 1), (13, -1), (29, -3), (43, -1)])

@@ -11,7 +11,7 @@ family is adding one entry.
 
 Seven families are registered.  Two carry a free integer parameter r
 (``thm1``, ``thm2``); ``conj1`` is thm2's entry conjectured mod p^6 for
-p > 3, built from it by ``dataclasses.replace``; ``conj3`` shares thm2's
+p > 3, built from it by ``FamilyInfo._replace``; ``conj3`` shares thm2's
 series, Gamma quotient and finite sum; the remaining three (``lr3``,
 ``d2``, ``a1``) take one r each and split on the residue class of p.
 The ``lr3``/``d2`` closed forms are Long-Ramakrishna's (Adv. Math. 290,
@@ -35,7 +35,6 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -54,6 +53,7 @@ from .hyperkernel import (
 from .padic import PadicContext, Residue, vp
 from .pgamma import gamma_p
 from .rationals import is_prime, pochhammer, primes_in
+from .records import FrozenRecord, Record, slot_setters
 
 
 class InadmissibleInstanceError(ValueError):
@@ -64,55 +64,105 @@ class UnsupportedInstanceError(RuntimeError):
     """The instance is admissible but outside machine verification."""
 
 
-@dataclass(frozen=True)
-class Admissibility:
-    ok: bool
-    reason: str = ""
+class Admissibility(FrozenRecord):
+    __slots__ = ("ok", "reason")
+
+    def __init__(self, ok: bool, reason: str = ""):
+        _set_adm_ok(self, ok)
+        _set_adm_reason(self, reason)
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+_set_adm_ok, _set_adm_reason = slot_setters(Admissibility)
+
+
+class ClosedForm(FrozenRecord):
     """Right side as coefficient * prod Gamma(arg)^exp * finite_sum.
 
     The Gamma factors are always p-adic units, so the p-valuation of the
     whole form is carried entirely by coefficient * finite_sum.
     """
 
-    coefficient: Fraction
-    gamma_factors: tuple  # of (argument: Fraction, exponent: int)
-    finite_sum: Fraction
-    case_label: str
+    __slots__ = ("coefficient", "gamma_factors", "finite_sum", "case_label")
+
+    def __init__(
+        self,
+        coefficient: Fraction,
+        gamma_factors: tuple,  # of (argument: Fraction, exponent: int)
+        finite_sum: Fraction,
+        case_label: str,
+    ):
+        _set_form_coefficient(self, coefficient)
+        _set_form_gamma_factors(self, gamma_factors)
+        _set_form_finite_sum(self, finite_sum)
+        _set_form_case_label(self, case_label)
 
 
-@dataclass(frozen=True)
-class FamilyInfo:
+(
+    _set_form_coefficient, _set_form_gamma_factors, _set_form_finite_sum,
+    _set_form_case_label,
+) = slot_setters(ClosedForm)
+
+
+class FamilyInfo(FrozenRecord):
     """Everything the package knows about one claim family."""
 
-    id: str
-    description: str
-    modulus_exponent: int
-    takes_r: bool
-    default_r_values: tuple  # a fixed-weight family lists its one r
-    conjecture: bool
-    default_p_max: int
-    # ordered (predicate(p, r), reason) pairs; the first that fails is reported
-    conditions: tuple
-    # r -> (a, e, m, c): the left side is sum_{k<p} (m*k + c) (a)_k^e / k!^e
-    series: Callable
-    # p % case_modulus -> (coefficient(p, r), case label); the right side
-    # is coefficient * finite_sum(r) * prod Gamma_p(x)^j over gammas(r)
-    cases: dict
-    case_modulus: int = 1
-    gammas: Callable = lambda r: ()
-    finite_sum: Callable = lambda r: Fraction(1)
-    hand_verified: tuple = ()  # primes established by direct hand computation
+    __slots__ = (
+        "id", "description", "modulus_exponent", "takes_r", "default_r_values",
+        "conjecture", "default_p_max", "conditions", "series", "cases",
+        "case_modulus", "gammas", "finite_sum", "hand_verified",
+    )
+
+    def __init__(
+        self,
+        id: str,
+        description: str,
+        modulus_exponent: int,
+        takes_r: bool,
+        default_r_values: tuple,  # a fixed-weight family lists its one r
+        conjecture: bool,
+        default_p_max: int,
+        # ordered (predicate(p, r), reason) pairs; the first that fails is reported
+        conditions: tuple,
+        # r -> (a, e, m, c): the left side is sum_{k<p} (m*k + c) (a)_k^e / k!^e
+        series: Callable,
+        # p % case_modulus -> (coefficient(p, r), case label); the right side
+        # is coefficient * finite_sum(r) * prod Gamma_p(x)^j over gammas(r)
+        cases: dict,
+        case_modulus: int = 1,
+        gammas: Callable = lambda r: (),
+        finite_sum: Callable = lambda r: Fraction(1),
+        hand_verified: tuple = (),  # primes established by direct hand computation
+    ):
+        _set_fam_id(self, id)
+        _set_fam_description(self, description)
+        _set_fam_modulus_exponent(self, modulus_exponent)
+        _set_fam_takes_r(self, takes_r)
+        _set_fam_default_r_values(self, default_r_values)
+        _set_fam_conjecture(self, conjecture)
+        _set_fam_default_p_max(self, default_p_max)
+        _set_fam_conditions(self, conditions)
+        _set_fam_series(self, series)
+        _set_fam_cases(self, cases)
+        _set_fam_case_modulus(self, case_modulus)
+        _set_fam_gammas(self, gammas)
+        _set_fam_finite_sum(self, finite_sum)
+        _set_fam_hand_verified(self, hand_verified)
 
     @property
     def canonical_r(self) -> int:
         return self.default_r_values[0]
+
+
+(
+    _set_fam_id, _set_fam_description, _set_fam_modulus_exponent,
+    _set_fam_takes_r, _set_fam_default_r_values, _set_fam_conjecture,
+    _set_fam_default_p_max, _set_fam_conditions, _set_fam_series,
+    _set_fam_cases, _set_fam_case_modulus, _set_fam_gammas,
+    _set_fam_finite_sum, _set_fam_hand_verified,
+) = slot_setters(FamilyInfo)
 
 
 def _parity_sign(n: int) -> int:
@@ -221,8 +271,7 @@ FAMILIES: dict[str, FamilyInfo] = {
             cases={0: (lambda p, r: Fraction(0), "rhs-zero")},
         ),
         _THM2,
-        replace(
-            _THM2,
+        _THM2._replace(
             id="conj1",
             description="thm2 closed form conjecturally mod p^6 (p > 3)",
             modulus_exponent=6,
@@ -391,26 +440,51 @@ def rhs_residue_direct(claim_id: str, p: int, r: int | None = None, ctx: PadicCo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(FrozenRecord):
     """One verified claim instance."""
 
-    claim: str
-    p: int
-    r: int
-    modulus_exponent: int
-    case_label: str
-    lhs_residue: int
-    rhs_residue: int
-    # None means the difference is exactly 0; capped at modulus_exponent
-    # when the right side carries Gamma factors
-    witness_valuation: int | None
-    passed: bool
-    elapsed_ms: float
+    __slots__ = (
+        "claim", "p", "r", "modulus_exponent", "case_label", "lhs_residue",
+        "rhs_residue", "witness_valuation", "passed", "elapsed_ms",
+    )
+
+    def __init__(
+        self,
+        claim: str,
+        p: int,
+        r: int,
+        modulus_exponent: int,
+        case_label: str,
+        lhs_residue: int,
+        rhs_residue: int,
+        # None means the difference is exactly 0; capped at modulus_exponent
+        # when the right side carries Gamma factors
+        witness_valuation: int | None,
+        passed: bool,
+        elapsed_ms: float,
+    ):
+        _set_rep_claim(self, claim)
+        _set_rep_p(self, p)
+        _set_rep_r(self, r)
+        _set_rep_modulus_exponent(self, modulus_exponent)
+        _set_rep_case_label(self, case_label)
+        _set_rep_lhs_residue(self, lhs_residue)
+        _set_rep_rhs_residue(self, rhs_residue)
+        _set_rep_witness_valuation(self, witness_valuation)
+        _set_rep_passed(self, passed)
+        _set_rep_elapsed_ms(self, elapsed_ms)
 
     @property
     def conjecture(self) -> bool:
         return FAMILIES[self.claim].conjecture
+
+
+(
+    _set_rep_claim, _set_rep_p, _set_rep_r,
+    _set_rep_modulus_exponent, _set_rep_case_label, _set_rep_lhs_residue,
+    _set_rep_rhs_residue, _set_rep_witness_valuation, _set_rep_passed,
+    _set_rep_elapsed_ms,
+) = slot_setters(CongruenceReport)
 
 
 def _resolve_exponent(
@@ -490,12 +564,20 @@ def verify(
     )
 
 
-@dataclass
-class ScanResult:
-    claim: str
-    reports: list
-    skipped_inadmissible: int
-    excluded: list  # (p, r, reason) triples outside machine verification
+class ScanResult(Record):
+    __slots__ = ("claim", "reports", "skipped_inadmissible", "excluded")
+
+    def __init__(
+        self,
+        claim: str,
+        reports: list,
+        skipped_inadmissible: int,
+        excluded: list,  # (p, r, reason) triples outside machine verification
+    ):
+        self.claim = claim
+        self.reports = reports
+        self.skipped_inadmissible = skipped_inadmissible
+        self.excluded = excluded
 
     @property
     def all_passed(self) -> bool:
@@ -583,23 +665,48 @@ def _run_instances(instances, workers: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    name: str
-    detail: str
-    modulus_exponent: int | None
-    witness_valuation: int | None  # None: exact identity or zero difference
-    passed: bool
+class ChainStep(FrozenRecord):
+    __slots__ = ("name", "detail", "modulus_exponent", "witness_valuation", "passed")
+
+    def __init__(
+        self,
+        name: str,
+        detail: str,
+        modulus_exponent: int | None,
+        witness_valuation: int | None,  # None: exact identity or zero difference
+        passed: bool,
+    ):
+        _set_step_name(self, name)
+        _set_step_detail(self, detail)
+        _set_step_modulus_exponent(self, modulus_exponent)
+        _set_step_witness_valuation(self, witness_valuation)
+        _set_step_passed(self, passed)
 
 
-@dataclass
-class ProofChain:
-    claim: str
-    p: int
-    r: int
-    steps: list = field(default_factory=list)
-    status: str = "pass"  # pass | fail | skipped
-    reason: str = ""
+(
+    _set_step_name, _set_step_detail, _set_step_modulus_exponent,
+    _set_step_witness_valuation, _set_step_passed,
+) = slot_setters(ChainStep)
+
+
+class ProofChain(Record):
+    __slots__ = ("claim", "p", "r", "steps", "status", "reason")
+
+    def __init__(
+        self,
+        claim: str,
+        p: int,
+        r: int,
+        steps: list | None = None,
+        status: str = "pass",  # pass | fail | skipped
+        reason: str = "",
+    ):
+        self.claim = claim
+        self.p = p
+        self.r = r
+        self.steps = [] if steps is None else steps
+        self.status = status
+        self.reason = reason
 
     @property
     def passed(self) -> bool:

@@ -11,9 +11,6 @@ can be compared byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
 
@@ -57,9 +54,16 @@ def _chain_records(chain: claims.ProofChain) -> list[dict]:
 
 
 def _emit(records: list[dict], fmt: str, out_path: str | None) -> None:
+    # json, csv and io are imported by the format that needs them: the
+    # default text output needs none of them, and a cold start pays for each
     if fmt == "json":
+        import json
+
         text = json.dumps(records, indent=2) + "\n"
     elif fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         if records:

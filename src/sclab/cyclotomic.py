@@ -22,6 +22,7 @@ import math
 from fractions import Fraction
 
 from .rationals import as_rational
+from .records import slot_setters
 
 # Phi_n below its leading x^deg term, low degree first:
 # x - 1,  x^2 + 1,  x^4 + x^3 + x^2 + x + 1.
@@ -284,9 +285,7 @@ class CycElement:
         return f"CycElement(order={self.order}, coeffs={self.coeffs})"
 
 
-_set_order, _set_nums, _set_den = (
-    CycElement.__dict__[name].__set__ for name in CycElement.__slots__
-)
+_set_order, _set_nums, _set_den = slot_setters(CycElement)
 
 
 def root_power_sum_check(n: int) -> bool:

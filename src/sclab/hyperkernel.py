@@ -29,12 +29,12 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cyclotomic import CycElement
 from .padic import NonIntegralInputError, PadicContext, Residue, vp
 from .rationals import as_rational, is_prime, pochhammer
+from .records import FrozenRecord, Record, slot_setters
 
 Scalar = int | Fraction | CycElement
 
@@ -62,22 +62,38 @@ def _scalars(values: Sequence[Scalar]) -> list:
     ]
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(FrozenRecord):
     """A truncated weighted hypergeometric sum."""
 
-    upper: tuple
-    lower: tuple
-    argument: Scalar = 1
-    truncation: int = 1
-    weight: tuple = (Fraction(0), Fraction(1))
-    factorial_power: int = 1
+    __slots__ = (
+        "upper", "lower", "argument", "truncation", "weight", "factorial_power",
+    )
 
-    def __post_init__(self):
-        if self.truncation < 0:
+    def __init__(
+        self,
+        upper: tuple,
+        lower: tuple,
+        argument: Scalar = 1,
+        truncation: int = 1,
+        weight: tuple = (Fraction(0), Fraction(1)),
+        factorial_power: int = 1,
+    ):
+        if truncation < 0:
             raise ValueError("truncation must be nonnegative")
-        if self.factorial_power < 0:
+        if factorial_power < 0:
             raise ValueError("factorial power must be nonnegative")
+        _set_upper(self, upper)
+        _set_lower(self, lower)
+        _set_argument(self, argument)
+        _set_truncation(self, truncation)
+        _set_weight(self, weight)
+        _set_factorial_power(self, factorial_power)
+
+
+(
+    _set_upper, _set_lower, _set_argument, _set_truncation, _set_weight,
+    _set_factorial_power,
+) = slot_setters(SeriesSpec)
 
 
 def _demoted(value):
@@ -353,12 +369,14 @@ FUZZ_DENOMINATORS = (1, 2, 3, 5, 7)
 FUZZ_MAX_N = 6  # the largest n (and m) a fuzzer draws
 
 
-@dataclass
-class IdentityFuzzResult:
-    name: str
-    trials: int
-    seed: int
-    failures: list = field(default_factory=list)
+class IdentityFuzzResult(Record):
+    __slots__ = ("name", "trials", "seed", "failures")
+
+    def __init__(self, name: str, trials: int, seed: int, failures: list | None = None):
+        self.name = name
+        self.trials = trials
+        self.seed = seed
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

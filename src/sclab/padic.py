@@ -9,9 +9,9 @@ when individual terms of a sum are p-integral only after cancellation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .rationals import as_rational, is_prime
+from .records import FrozenRecord, slot_setters
 
 Valuation = int | float  # int, or math.inf for the zero element
 
@@ -40,20 +40,19 @@ def vp(x, p: int) -> Valuation:
     return v
 
 
-@dataclass(frozen=True)
-class PadicContext:
+class PadicContext(FrozenRecord):
     """A prime power modulus p^k with its cached integer value."""
 
-    p: int
-    k: int
-    modulus: int = field(init=False)
+    __slots__ = ("p", "k", "modulus")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.k < 1:
+    def __init__(self, p: int, k: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if k < 1:
             raise ValueError("exponent must be at least 1")
-        object.__setattr__(self, "modulus", self.p ** self.k)
+        _set_p(self, p)
+        _set_k(self, k)
+        _set_modulus(self, p ** k)
 
     def reduce(self, x) -> "Residue":
         """The unique residue of a p-adic integer x mod p^k, computed as
@@ -70,19 +69,21 @@ class PadicContext:
         return Residue(value, self)
 
 
-@dataclass(frozen=True)
-class Residue:
+_set_p, _set_k, _set_modulus = slot_setters(PadicContext)
+
+
+class Residue(FrozenRecord):
     """An integer in [0, p^k) tagged with its context."""
 
-    value: int
-    context: PadicContext
+    __slots__ = ("value", "context")
 
-    def __post_init__(self):
-        if not 0 <= self.value < self.context.modulus:
+    def __init__(self, value: int, context: PadicContext):
+        if not 0 <= value < context.modulus:
             raise ValueError(
-                f"residue {self.value} out of range for modulus "
-                f"{self.context.modulus}"
+                f"residue {value} out of range for modulus {context.modulus}"
             )
+        _set_value(self, value)
+        _set_context(self, context)
 
     def _check(self, other: "Residue") -> None:
         if other.context != self.context:
@@ -112,15 +113,23 @@ class Residue:
         return self.value
 
 
-@dataclass(frozen=True)
-class CongruenceCheck:
+_set_value, _set_context = slot_setters(Residue)
+
+
+class CongruenceCheck(FrozenRecord):
     """Outcome of a congruence test together with its witness valuation."""
 
-    holds: bool
-    valuation: Valuation
+    __slots__ = ("holds", "valuation")
+
+    def __init__(self, holds: bool, valuation: Valuation):
+        _set_holds(self, holds)
+        _set_valuation(self, valuation)
 
     def __bool__(self) -> bool:
         return self.holds
+
+
+_set_holds, _set_valuation = slot_setters(CongruenceCheck)
 
 
 def congruent(a, b, ctx: PadicContext) -> CongruenceCheck:

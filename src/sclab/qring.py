@@ -40,12 +40,12 @@ everywhere: q folds for every integer power, and X is a unit mod X^p - 1.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 from operator import attrgetter
 
 from .rationals import as_rational, is_prime
+from .records import FrozenRecord, slot_setters
 
 
 class NonUnitFactorError(ValueError):
@@ -517,20 +517,32 @@ def q_pochhammer(a_exponent: int, step: int, k: int, ring: QRing) -> "QRingEleme
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QAnalogueReport:
+class QAnalogueReport(FrozenRecord):
     """``ring_zero``: the sum is 0 in Q[q]/Phi_p^4, decided exactly.
     ``division_zero``: the cleared sum T vanishes at q = X (1 + eps),
     X = 2^64, mod (Phi_p(X), eps^4), the image of Phi_p^4 | T under that
     map, so it is necessary for ``ring_zero`` (the name is older than the
     jet route)."""
 
-    p: int
-    r: int
-    exponent_twist: int
-    ring_zero: bool
-    division_zero: bool
-    elapsed_ms: float
+    __slots__ = (
+        "p", "r", "exponent_twist", "ring_zero", "division_zero", "elapsed_ms",
+    )
+
+    def __init__(
+        self,
+        p: int,
+        r: int,
+        exponent_twist: int,
+        ring_zero: bool,
+        division_zero: bool,
+        elapsed_ms: float,
+    ):
+        _set_p(self, p)
+        _set_r(self, r)
+        _set_exponent_twist(self, exponent_twist)
+        _set_ring_zero(self, ring_zero)
+        _set_division_zero(self, division_zero)
+        _set_elapsed_ms(self, elapsed_ms)
 
     @property
     def methods_agree(self) -> bool:
@@ -539,6 +551,12 @@ class QAnalogueReport:
     @property
     def zero(self) -> bool:
         return self.ring_zero and self.division_zero
+
+
+(
+    _set_p, _set_r, _set_exponent_twist, _set_ring_zero, _set_division_zero,
+    _set_elapsed_ms,
+) = slot_setters(QAnalogueReport)
 
 
 def verify_q_conjecture(p: int, r: int, exponent_twist: int = 0) -> QAnalogueReport:

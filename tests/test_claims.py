@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -47,9 +46,13 @@ def test_conj1_is_thm2_conjectured_mod_p6():
         "id", "description", "modulus_exponent", "conjecture",
         "default_p_max", "conditions",
     }
-    for f in dataclasses.fields(FamilyInfo):
-        if f.name not in changed:
-            assert getattr(conj1, f.name) == getattr(thm2, f.name), f.name
+    assert sorted(FamilyInfo.__slots__) == sorted(changed | {
+        "takes_r", "default_r_values", "series", "cases", "case_modulus",
+        "gammas", "finite_sum", "hand_verified",
+    })
+    for name in FamilyInfo.__slots__:
+        if name not in changed:
+            assert getattr(conj1, name) == getattr(thm2, name), name
     assert (conj1.modulus_exponent, conj1.default_p_max) == (6, 23)
     assert conj1.conjecture and not thm2.conjecture
     assert conj1.conditions[:-1] == thm2.conditions

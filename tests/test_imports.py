@@ -17,8 +17,9 @@ Q_NAMES = ("QRing", "q_integer", "q_pochhammer", "verify_q_conjecture")
 
 def _cold(code: str, *flags: str):
     """Run ``code`` in a new interpreter with ``src`` first on the path and
-    return what it prints as JSON."""
-    prelude = f"import json, sys\nsys.path.insert(0, {SRC!r})\n"
+    return what it prints as JSON.  The prelude imports only sys, so the
+    code imports json itself, after it has looked at sys.modules."""
+    prelude = f"import sys\nsys.path.insert(0, {SRC!r})\n"
     proc = subprocess.run(
         [sys.executable, *flags, "-c", prelude + code],
         capture_output=True, text=True, timeout=60, check=True,
@@ -28,21 +29,31 @@ def _cold(code: str, *flags: str):
 
 @pytest.mark.parametrize("flags", [(), ("-S",)])
 def test_cold_start_loads_neither_the_pool_nor_the_q_ring(flags):
-    # -S skips site, whose .pth files may load typing on their own
-    unwanted = ["concurrent.futures", "multiprocessing", "sclab.qring"]
-    if flags:
-        unwanted.append("typing")
-    loaded = _cold(
+    unwanted = [
+        "concurrent.futures", "multiprocessing", "sclab.qring", "typing",
+        "dataclasses", "inspect", "json", "csv",
+    ]
+    found = _cold(
+        "before = set(sys.modules)\n"
         "import sclab, sclab.cli\n"
         "sclab.cli.build_parser()\n"
-        f"print(json.dumps([m for m in {unwanted!r} if m in sys.modules]))\n",
+        f"unwanted = {unwanted!r}\n"
+        "loaded = [m for m in unwanted if m in sys.modules]\n"
+        "by_site = [m for m in unwanted if m in before]\n"
+        "import json\n"
+        "print(json.dumps({'loaded': loaded, 'by_site': by_site}))\n",
         *flags,
     )
-    assert loaded == []
+    if flags:
+        assert found == {"loaded": [], "by_site": []}
+    else:
+        # site's .pth files may load some of these on their own
+        assert set(found["loaded"]) <= set(found["by_site"])
 
 
 def test_q_names_load_on_first_use():
     found = _cold(
+        "import json\n"
         "import sclab\n"
         "before = 'sclab.qring' in sys.modules\n"
         f"names = {Q_NAMES!r}\n"

@@ -34,7 +34,6 @@ import math
 import os
 import sys
 import time
-from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -53,7 +52,7 @@ from .hyperkernel import (
 from .padic import PadicContext, Residue, vp
 from .pgamma import gamma_p
 from .rationals import is_prime, pochhammer, primes_in
-from .records import FrozenRecord, Record, slot_setters
+from .records import FrozenRecord, Record
 
 
 class InadmissibleInstanceError(ValueError):
@@ -66,16 +65,10 @@ class UnsupportedInstanceError(RuntimeError):
 
 class Admissibility(FrozenRecord):
     __slots__ = ("ok", "reason")
-
-    def __init__(self, ok: bool, reason: str = ""):
-        _set_adm_ok(self, ok)
-        _set_adm_reason(self, reason)
+    _defaults = {"reason": ""}
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-_set_adm_ok, _set_adm_reason = slot_setters(Admissibility)
 
 
 class ClosedForm(FrozenRecord):
@@ -85,84 +78,39 @@ class ClosedForm(FrozenRecord):
     whole form is carried entirely by coefficient * finite_sum.
     """
 
-    __slots__ = ("coefficient", "gamma_factors", "finite_sum", "case_label")
-
-    def __init__(
-        self,
-        coefficient: Fraction,
-        gamma_factors: tuple,  # of (argument: Fraction, exponent: int)
-        finite_sum: Fraction,
-        case_label: str,
-    ):
-        _set_form_coefficient(self, coefficient)
-        _set_form_gamma_factors(self, gamma_factors)
-        _set_form_finite_sum(self, finite_sum)
-        _set_form_case_label(self, case_label)
-
-
-(
-    _set_form_coefficient, _set_form_gamma_factors, _set_form_finite_sum,
-    _set_form_case_label,
-) = slot_setters(ClosedForm)
+    __slots__ = (
+        "coefficient",
+        "gamma_factors",  # of (argument: Fraction, exponent: int)
+        "finite_sum", "case_label",
+    )
 
 
 class FamilyInfo(FrozenRecord):
     """Everything the package knows about one claim family."""
 
     __slots__ = (
-        "id", "description", "modulus_exponent", "takes_r", "default_r_values",
-        "conjecture", "default_p_max", "conditions", "series", "cases",
-        "case_modulus", "gammas", "finite_sum", "hand_verified",
-    )
-
-    def __init__(
-        self,
-        id: str,
-        description: str,
-        modulus_exponent: int,
-        takes_r: bool,
-        default_r_values: tuple,  # a fixed-weight family lists its one r
-        conjecture: bool,
-        default_p_max: int,
+        "id", "description", "modulus_exponent", "takes_r",
+        "default_r_values",  # a fixed-weight family lists its one r
+        "conjecture", "default_p_max",
         # ordered (predicate(p, r), reason) pairs; the first that fails is reported
-        conditions: tuple,
+        "conditions",
         # r -> (a, e, m, c): the left side is sum_{k<p} (m*k + c) (a)_k^e / k!^e
-        series: Callable,
+        "series",
         # p % case_modulus -> (coefficient(p, r), case label); the right side
         # is coefficient * finite_sum(r) * prod Gamma_p(x)^j over gammas(r)
-        cases: dict,
-        case_modulus: int = 1,
-        gammas: Callable = lambda r: (),
-        finite_sum: Callable = lambda r: Fraction(1),
-        hand_verified: tuple = (),  # primes established by direct hand computation
-    ):
-        _set_fam_id(self, id)
-        _set_fam_description(self, description)
-        _set_fam_modulus_exponent(self, modulus_exponent)
-        _set_fam_takes_r(self, takes_r)
-        _set_fam_default_r_values(self, default_r_values)
-        _set_fam_conjecture(self, conjecture)
-        _set_fam_default_p_max(self, default_p_max)
-        _set_fam_conditions(self, conditions)
-        _set_fam_series(self, series)
-        _set_fam_cases(self, cases)
-        _set_fam_case_modulus(self, case_modulus)
-        _set_fam_gammas(self, gammas)
-        _set_fam_finite_sum(self, finite_sum)
-        _set_fam_hand_verified(self, hand_verified)
+        "cases", "case_modulus", "gammas", "finite_sum",
+        "hand_verified",  # primes established by direct hand computation
+    )
+    _defaults = {
+        "case_modulus": 1,
+        "gammas": lambda r: (),
+        "finite_sum": lambda r: Fraction(1),
+        "hand_verified": (),
+    }
 
     @property
     def canonical_r(self) -> int:
         return self.default_r_values[0]
-
-
-(
-    _set_fam_id, _set_fam_description, _set_fam_modulus_exponent,
-    _set_fam_takes_r, _set_fam_default_r_values, _set_fam_conjecture,
-    _set_fam_default_p_max, _set_fam_conditions, _set_fam_series,
-    _set_fam_cases, _set_fam_case_modulus, _set_fam_gammas,
-    _set_fam_finite_sum, _set_fam_hand_verified,
-) = slot_setters(FamilyInfo)
 
 
 def _parity_sign(n: int) -> int:
@@ -445,46 +393,16 @@ class CongruenceReport(FrozenRecord):
 
     __slots__ = (
         "claim", "p", "r", "modulus_exponent", "case_label", "lhs_residue",
-        "rhs_residue", "witness_valuation", "passed", "elapsed_ms",
-    )
-
-    def __init__(
-        self,
-        claim: str,
-        p: int,
-        r: int,
-        modulus_exponent: int,
-        case_label: str,
-        lhs_residue: int,
-        rhs_residue: int,
+        "rhs_residue",
         # None means the difference is exactly 0; capped at modulus_exponent
         # when the right side carries Gamma factors
-        witness_valuation: int | None,
-        passed: bool,
-        elapsed_ms: float,
-    ):
-        _set_rep_claim(self, claim)
-        _set_rep_p(self, p)
-        _set_rep_r(self, r)
-        _set_rep_modulus_exponent(self, modulus_exponent)
-        _set_rep_case_label(self, case_label)
-        _set_rep_lhs_residue(self, lhs_residue)
-        _set_rep_rhs_residue(self, rhs_residue)
-        _set_rep_witness_valuation(self, witness_valuation)
-        _set_rep_passed(self, passed)
-        _set_rep_elapsed_ms(self, elapsed_ms)
+        "witness_valuation",
+        "passed", "elapsed_ms",
+    )
 
     @property
     def conjecture(self) -> bool:
         return FAMILIES[self.claim].conjecture
-
-
-(
-    _set_rep_claim, _set_rep_p, _set_rep_r,
-    _set_rep_modulus_exponent, _set_rep_case_label, _set_rep_lhs_residue,
-    _set_rep_rhs_residue, _set_rep_witness_valuation, _set_rep_passed,
-    _set_rep_elapsed_ms,
-) = slot_setters(CongruenceReport)
 
 
 def _resolve_exponent(
@@ -565,19 +483,10 @@ def verify(
 
 
 class ScanResult(Record):
-    __slots__ = ("claim", "reports", "skipped_inadmissible", "excluded")
-
-    def __init__(
-        self,
-        claim: str,
-        reports: list,
-        skipped_inadmissible: int,
-        excluded: list,  # (p, r, reason) triples outside machine verification
-    ):
-        self.claim = claim
-        self.reports = reports
-        self.skipped_inadmissible = skipped_inadmissible
-        self.excluded = excluded
+    __slots__ = (
+        "claim", "reports", "skipped_inadmissible",
+        "excluded",  # (p, r, reason) triples outside machine verification
+    )
 
     @property
     def all_passed(self) -> bool:
@@ -666,47 +575,25 @@ def _run_instances(instances, workers: int):
 
 
 class ChainStep(FrozenRecord):
-    __slots__ = ("name", "detail", "modulus_exponent", "witness_valuation", "passed")
-
-    def __init__(
-        self,
-        name: str,
-        detail: str,
-        modulus_exponent: int | None,
-        witness_valuation: int | None,  # None: exact identity or zero difference
-        passed: bool,
-    ):
-        _set_step_name(self, name)
-        _set_step_detail(self, detail)
-        _set_step_modulus_exponent(self, modulus_exponent)
-        _set_step_witness_valuation(self, witness_valuation)
-        _set_step_passed(self, passed)
-
-
-(
-    _set_step_name, _set_step_detail, _set_step_modulus_exponent,
-    _set_step_witness_valuation, _set_step_passed,
-) = slot_setters(ChainStep)
+    __slots__ = (
+        "name", "detail", "modulus_exponent",
+        "witness_valuation",  # None: exact identity or zero difference
+        "passed",
+    )
 
 
 class ProofChain(Record):
-    __slots__ = ("claim", "p", "r", "steps", "status", "reason")
+    __slots__ = (
+        "claim", "p", "r",
+        "steps",  # None gives a fresh empty list
+        "status",  # pass | fail | skipped
+        "reason",
+    )
+    _defaults = {"steps": None, "status": "pass", "reason": ""}
 
-    def __init__(
-        self,
-        claim: str,
-        p: int,
-        r: int,
-        steps: list | None = None,
-        status: str = "pass",  # pass | fail | skipped
-        reason: str = "",
-    ):
-        self.claim = claim
-        self.p = p
-        self.r = r
-        self.steps = [] if steps is None else steps
-        self.status = status
-        self.reason = reason
+    def _check(self):
+        if self.steps is None:
+            self.steps = []
 
     @property
     def passed(self) -> bool:

@@ -291,7 +291,12 @@ def main(argv: list[str] | None = None) -> int:
         for rec in records:
             if "elapsed_ms" in rec:
                 rec["elapsed_ms"] = 0
-    _emit(records, args.format, args.out)
+    try:
+        _emit(records, args.format, args.out)
+    except OSError as exc:
+        # an unwritable --out is a usage error, not a failed congruence
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     if args.format == "text":
         print("\n".join(footer))
     return code

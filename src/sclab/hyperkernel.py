@@ -27,14 +27,13 @@ their series from the same builders and sides the checks use.
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Sequence
 from fractions import Fraction
 
 from .cyclotomic import CycElement
 from .padic import NonIntegralInputError, PadicContext, Residue, vp
 from .rationals import as_rational, is_prime, pochhammer
-from .records import FrozenRecord, Record, slot_setters
+from .records import FrozenRecord, Record
 
 Scalar = int | Fraction | CycElement
 
@@ -68,32 +67,18 @@ class SeriesSpec(FrozenRecord):
     __slots__ = (
         "upper", "lower", "argument", "truncation", "weight", "factorial_power",
     )
+    _defaults = {
+        "argument": 1,
+        "truncation": 1,
+        "weight": (Fraction(0), Fraction(1)),
+        "factorial_power": 1,
+    }
 
-    def __init__(
-        self,
-        upper: tuple,
-        lower: tuple,
-        argument: Scalar = 1,
-        truncation: int = 1,
-        weight: tuple = (Fraction(0), Fraction(1)),
-        factorial_power: int = 1,
-    ):
-        if truncation < 0:
+    def _check(self) -> None:
+        if self.truncation < 0:
             raise ValueError("truncation must be nonnegative")
-        if factorial_power < 0:
+        if self.factorial_power < 0:
             raise ValueError("factorial power must be nonnegative")
-        _set_upper(self, upper)
-        _set_lower(self, lower)
-        _set_argument(self, argument)
-        _set_truncation(self, truncation)
-        _set_weight(self, weight)
-        _set_factorial_power(self, factorial_power)
-
-
-(
-    _set_upper, _set_lower, _set_argument, _set_truncation, _set_weight,
-    _set_factorial_power,
-) = slot_setters(SeriesSpec)
 
 
 def _demoted(value):
@@ -371,12 +356,11 @@ FUZZ_MAX_N = 6  # the largest n (and m) a fuzzer draws
 
 class IdentityFuzzResult(Record):
     __slots__ = ("name", "trials", "seed", "failures")
+    _defaults = {"failures": None}
 
-    def __init__(self, name: str, trials: int, seed: int, failures: list | None = None):
-        self.name = name
-        self.trials = trials
-        self.seed = seed
-        self.failures = [] if failures is None else failures
+    def _check(self) -> None:
+        if self.failures is None:
+            self.failures = []
 
     @property
     def passed(self) -> bool:
@@ -384,7 +368,10 @@ class IdentityFuzzResult(Record):
 
 
 def _trial_rng(seed: int, index: int) -> random.Random:
-    # String seeding is stable across platforms and runs.
+    # String seeding is stable across platforms and runs.  random is
+    # imported here: only the fuzzers draw, and a cold start would pay for it.
+    import random
+
     return random.Random(f"{seed}:{index}")
 
 

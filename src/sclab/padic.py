@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .rationals import as_rational, is_prime
-from .records import FrozenRecord, slot_setters
+from .records import FrozenRecord
 
 Valuation = int | float  # int, or math.inf for the zero element
 
@@ -50,9 +50,9 @@ class PadicContext(FrozenRecord):
             raise ValueError(f"{p} is not prime")
         if k < 1:
             raise ValueError("exponent must be at least 1")
-        _set_p(self, p)
-        _set_k(self, k)
-        _set_modulus(self, p ** k)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "modulus", p ** k)
 
     def reduce(self, x) -> "Residue":
         """The unique residue of a p-adic integer x mod p^k, computed as
@@ -69,36 +69,31 @@ class PadicContext(FrozenRecord):
         return Residue(value, self)
 
 
-_set_p, _set_k, _set_modulus = slot_setters(PadicContext)
-
-
 class Residue(FrozenRecord):
     """An integer in [0, p^k) tagged with its context."""
 
     __slots__ = ("value", "context")
 
-    def __init__(self, value: int, context: PadicContext):
-        if not 0 <= value < context.modulus:
+    def _check(self) -> None:
+        if not 0 <= self.value < self.context.modulus:
             raise ValueError(
-                f"residue {value} out of range for modulus {context.modulus}"
+                f"residue {self.value} out of range for modulus {self.context.modulus}"
             )
-        _set_value(self, value)
-        _set_context(self, context)
 
-    def _check(self, other: "Residue") -> None:
+    def _same_context(self, other: "Residue") -> None:
         if other.context != self.context:
             raise ValueError("mixed p-adic contexts")
 
     def __add__(self, other: "Residue") -> "Residue":
-        self._check(other)
+        self._same_context(other)
         return Residue((self.value + other.value) % self.context.modulus, self.context)
 
     def __sub__(self, other: "Residue") -> "Residue":
-        self._check(other)
+        self._same_context(other)
         return Residue((self.value - other.value) % self.context.modulus, self.context)
 
     def __mul__(self, other: "Residue") -> "Residue":
-        self._check(other)
+        self._same_context(other)
         return Residue((self.value * other.value) % self.context.modulus, self.context)
 
     def __pow__(self, exponent: int) -> "Residue":
@@ -113,23 +108,13 @@ class Residue(FrozenRecord):
         return self.value
 
 
-_set_value, _set_context = slot_setters(Residue)
-
-
 class CongruenceCheck(FrozenRecord):
     """Outcome of a congruence test together with its witness valuation."""
 
     __slots__ = ("holds", "valuation")
 
-    def __init__(self, holds: bool, valuation: Valuation):
-        _set_holds(self, holds)
-        _set_valuation(self, valuation)
-
     def __bool__(self) -> bool:
         return self.holds
-
-
-_set_holds, _set_valuation = slot_setters(CongruenceCheck)
 
 
 def congruent(a, b, ctx: PadicContext) -> CongruenceCheck:

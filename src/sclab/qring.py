@@ -45,7 +45,7 @@ from math import comb, factorial, gcd, lcm, prod
 from operator import attrgetter
 
 from .rationals import as_rational, is_prime
-from .records import FrozenRecord, slot_setters
+from .records import FrozenRecord
 
 
 class NonUnitFactorError(ValueError):
@@ -528,22 +528,6 @@ class QAnalogueReport(FrozenRecord):
         "p", "r", "exponent_twist", "ring_zero", "division_zero", "elapsed_ms",
     )
 
-    def __init__(
-        self,
-        p: int,
-        r: int,
-        exponent_twist: int,
-        ring_zero: bool,
-        division_zero: bool,
-        elapsed_ms: float,
-    ):
-        _set_p(self, p)
-        _set_r(self, r)
-        _set_exponent_twist(self, exponent_twist)
-        _set_ring_zero(self, ring_zero)
-        _set_division_zero(self, division_zero)
-        _set_elapsed_ms(self, elapsed_ms)
-
     @property
     def methods_agree(self) -> bool:
         return self.ring_zero == self.division_zero
@@ -551,12 +535,6 @@ class QAnalogueReport(FrozenRecord):
     @property
     def zero(self) -> bool:
         return self.ring_zero and self.division_zero
-
-
-(
-    _set_p, _set_r, _set_exponent_twist, _set_ring_zero, _set_division_zero,
-    _set_elapsed_ms,
-) = slot_setters(QAnalogueReport)
 
 
 def verify_q_conjecture(p: int, r: int, exponent_twist: int = 0) -> QAnalogueReport:

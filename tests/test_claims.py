@@ -600,3 +600,25 @@ def test_non_integral_closed_form_raises():
     form = claims.ClosedForm(Fraction(1, 7), (), Fraction(1), "test")
     with pytest.raises(RuntimeError, match="not p-integral"):
         claims._assemble_residue(form, PadicContext(7, 3), False)
+
+
+def test_congruence_on_a_missing_difference_fails_without_witness():
+    chain = claims.ProofChain("thm1", 7, 1)
+    chain.congruence("side", "a side that must be rational is not", 2, None)
+    assert chain.steps == [
+        claims.ChainStep("side", "a side that must be rational is not", 2, None, False)
+    ]
+    assert chain.status == "fail" and not chain.passed
+
+
+def test_proof_chain_thm2_fails_on_a_perturbed_tail_sum(monkeypatch):
+    # verify reads the family table's finite sum, so only the chain's own
+    # steps see the perturbation
+    exact = claims._weighted_tail_sum
+    monkeypatch.setattr(claims, "_weighted_tail_sum", lambda r: exact(r) + Fraction(1, 3))
+    chain = proof_chain_thm2(11, -2)
+    assert chain.status == "fail" and not chain.passed
+    assert [step.name for step in chain.steps if not step.passed] == [
+        "remainder-block", "assembly",
+    ]
+    assert verify("thm2", 11, -2).passed

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -436,3 +437,42 @@ def test_readme_command_lines_run(capsys):
         expected = 1 if "negative control" in line else 0
         assert cli.main(argv) == expected, line
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--claim", "lr3", "--p", "5"],
+    ["scan", "--claim", "d2", "--pmax", "13"],
+])
+@pytest.mark.parametrize("target", ["directory", "missing/report.txt"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command, target):
+    (tmp_path / "directory").mkdir()
+    code, out, err = run(capsys, *command, "--test-mode", "--out", str(tmp_path / target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write the report: ")
+    assert err.count("\n") == 1 and str(tmp_path / target) in err
+
+
+def test_proofchain_failure_exits_1_and_prints_its_records(monkeypatch, capsys):
+    exact = claims._weighted_tail_sum
+    monkeypatch.setattr(claims, "_weighted_tail_sum", lambda r: exact(r) + Fraction(1, 3))
+    code, out, err = run(
+        capsys, "proofchain", "--claim", "thm2", "--p", "11", "--r", "-2",
+        "--format", "json", "--test-mode",
+    )
+    assert code == 1 and err == ""
+    records = json.loads(out)
+    assert len(records) == 8
+    assert [rec["step"] for rec in records if not rec["pass"]] == [
+        "remainder-block", "assembly",
+    ]
+
+
+def test_qverify_reports_disagreeing_routes_as_internal_error(monkeypatch, capsys):
+    from sclab import qring
+
+    monkeypatch.setattr(qring, "_jet_sum", lambda p, r, step: (1,))
+    code, out, _ = run(capsys, "qverify", "--p", "7", "--r", "1", "--test-mode")
+    assert code == 2
+    assert "ring_zero=true  division_zero=false  methods_agree=false" in out
+    assert out.endswith("q-analogue at (p=7, r=1): internal error: methods disagree\n")

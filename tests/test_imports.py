@@ -31,7 +31,7 @@ def _cold(code: str, *flags: str):
 def test_cold_start_loads_neither_the_pool_nor_the_q_ring(flags):
     unwanted = [
         "concurrent.futures", "multiprocessing", "sclab.qring", "typing",
-        "dataclasses", "inspect", "json", "csv",
+        "dataclasses", "inspect", "json", "csv", "random",
     ]
     found = _cold(
         "before = set(sys.modules)\n"

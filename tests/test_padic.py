@@ -130,3 +130,11 @@ def test_vp_refuses_p_below_two():
             vp(6, p)
     with pytest.raises(ValueError):
         conjugate_product_congruence(Fraction(1, 5), Fraction(3, 5), 1, 2, 4)
+
+
+def test_residue_arithmetic_refuses_mixed_contexts():
+    a = Residue(1, PadicContext(5, 2))
+    b = Residue(1, PadicContext(5, 3))
+    for op in (a.__add__, a.__sub__, a.__mul__):
+        with pytest.raises(ValueError, match="^mixed p-adic contexts$"):
+            op(b)

@@ -625,3 +625,12 @@ def test_conjecture_near_p_100():
     assert report.ring_zero and report.division_zero
     control = verify_q_conjecture(103, -1, exponent_twist=1)
     assert not control.ring_zero and not control.division_zero
+
+
+def test_ring_arithmetic_refuses_mixed_rings():
+    a, b = QRing(5).one, QRing(7).one
+    for op in (a.__add__, a.__sub__, a.__mul__):
+        with pytest.raises(ValueError, match="^mixed rings$"):
+            op(b)
+    with pytest.raises(ValueError, match="^mixed rings$"):
+        QRing(5, power=2).one + a

@@ -2,10 +2,11 @@
 fuzzing, q-side checks, and proof-chain replays.
 
 Exit codes: 0 when every check passes, 1 when any congruence or identity
-fails (the failing record is still serialized), 2 on usage errors or
-instances the engine cannot attempt.  Reports are deterministic given the
-command line and seed; ``--test-mode`` zeroes the timing field so output
-can be compared byte for byte.
+fails (the failing record is still serialized), 2 on usage errors,
+instances the engine cannot attempt, and internal errors (a traceback and
+an ``internal error:`` line on stderr).  Reports are deterministic given
+the command line and seed; ``--test-mode`` zeroes the timing field so
+output can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def _chain_records(chain: claims.ProofChain) -> list[dict]:
     ]
 
 
-def _emit(records: list[dict], fmt: str, out_path: str | None) -> None:
+def _emit(records: list[dict], fmt: str, out) -> None:
     # json, csv and io are imported by the format that needs them: the
     # default text output needs none of them, and a cold start pays for each
     if fmt == "json":
@@ -81,11 +82,8 @@ def _emit(records: list[dict], fmt: str, out_path: str | None) -> None:
                 )
             )
         text = "\n".join(lines) + ("\n" if lines else "")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    out.write(text)
+    out.flush()  # a full disk shows here, inside the caller's OSError handler
 
 
 def _fmt_value(value, key: str = ""):
@@ -276,25 +274,42 @@ _RUNNERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        # opened before the run, so an unwritable path costs no verification
+        out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    except OSError as exc:
+        # an unwritable --out is a usage error, not a failed congruence
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return _run(args, out)
+    finally:
+        if args.out:
+            out.close()
+
+
+def _run(args, out) -> int:
+    """Run the command and write its report to ``out``; the exit code."""
     try:
         records, footer, code = _RUNNERS[args.command](args)
-    except (
-        claims.InadmissibleInstanceError,
-        claims.UnsupportedInstanceError,
-        ValueError,
-    ) as exc:
+    except (claims.UnsupportedInstanceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # a crash is not a failed claim, which exit 1 reports
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     if args.test_mode:
         for rec in records:
             if "elapsed_ms" in rec:
                 rec["elapsed_ms"] = 0
     try:
-        _emit(records, args.format, args.out)
+        _emit(records, args.format, out)
     except OSError as exc:
-        # an unwritable --out is a usage error, not a failed congruence
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return 2
     if args.format == "text":

@@ -125,6 +125,13 @@ class CycElement:
     def __setattr__(self, name, value):  # immutable value type
         raise AttributeError("CycElement is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("CycElement is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild from the fields, not from coefficients
+        return CycElement._make, (self.order, self.nums, self.den)
+
     @classmethod
     def from_rational(cls, order: int, value) -> "CycElement":
         value = as_rational(value)

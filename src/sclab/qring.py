@@ -144,11 +144,12 @@ def _sparse_mul(sparse, dense) -> list:
     return out
 
 
-class QPolynomial:
+class QPolynomial(FrozenRecord):
     """Dense polynomial over Q; zero is the empty coefficient tuple.
 
     Integral coefficients are stored as ``int`` and the rest as
     ``Fraction``, so integer polynomials run in plain integer arithmetic.
+    A frozen record: equal and hashed by ``coeffs``.
     """
 
     __slots__ = ("coeffs",)
@@ -171,9 +172,6 @@ class QPolynomial:
         object.__setattr__(self, "coeffs", tuple(vec[:end]))
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QPolynomial is immutable")
-
     @classmethod
     def zero(cls) -> "QPolynomial":
         return cls(())
@@ -189,14 +187,6 @@ class QPolynomial:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __eq__(self, other):
-        if isinstance(other, QPolynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
         a, b = self.coeffs, other.coeffs
@@ -254,9 +244,6 @@ class QPolynomial:
     def __mod__(self, divisor: "QPolynomial") -> "QPolynomial":
         return divmod(self, divisor)[1]
 
-    def __repr__(self):
-        return f"QPolynomial({list(self.coeffs)!r})"
-
 
 def cyclotomic_poly(p: int) -> QPolynomial:
     """Phi_p(q) = 1 + q + ... + q^(p-1) for prime p."""
@@ -270,29 +257,31 @@ def cyclotomic_poly(p: int) -> QPolynomial:
 # ---------------------------------------------------------------------------
 
 
-class QRing:
+class QRing(FrozenRecord):
     """Q[q] modulo Phi_p(q)^power, the power-th power (default 4) of the
     p-th cyclotomic polynomial.
 
     Elements hold their canonical remainder mod Phi_p^power.  A polynomial
     is reduced in two steps: a sparse fold mod (q^p - 1)^power, which
     Phi_p^power divides, then the dense remainder mod Phi_p^power, which
-    the fold leaves at most ``power`` division steps.
+    the fold leaves at most ``power`` division steps.  The constructor
+    computes the fields after ``p`` and ``power``: ``modulus`` = Phi_p^power,
+    its ``degree_bound`` and the ``_fold`` coefficients.
     """
+
+    __slots__ = ("p", "power", "modulus", "degree_bound", "_fold")
 
     def __init__(self, p: int, power: int = 4):
         if power < 1:
             raise ValueError("power must be positive")
-        self.p = p
-        self.power = power
-        phi = cyclotomic_poly(p)
-        modulus = QPolynomial.one()
-        for _ in range(power):
-            modulus = modulus * phi
-        self.modulus = modulus
-        self.degree_bound = modulus.degree
+        modulus = prod([cyclotomic_poly(p)] * power, start=QPolynomial.one())
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "degree_bound", modulus.degree)
         # With Q = q^p: Q^power = sum_{j<power} fold[j] Q^j mod (Q - 1)^power.
-        self._fold = [(-1) ** (power - j + 1) * comb(power, j) for j in range(power)]
+        fold = tuple((-1) ** (power - j + 1) * comb(power, j) for j in range(power))
+        object.__setattr__(self, "_fold", fold)
 
     def _reduce(self, poly: QPolynomial) -> QPolynomial:
         """The remainder of ``poly`` mod Phi_p^power, through the fold mod
@@ -336,17 +325,14 @@ class QRing:
         """q^e as a ring element, for any integer e."""
         return self.element(self._q_terms([(1, exponent)]))
 
-    def __eq__(self, other):
-        return isinstance(other, QRing) and (other.p, other.power) == (self.p, self.power)
-
-    def __hash__(self):
-        return hash((self.p, self.power))
-
     def __repr__(self):
         return f"QRing(p={self.p}, power={self.power})"
 
 
-class QRingElement:
+class QRingElement(FrozenRecord):
+    """An element of ``ring`` as its canonical ``residue``; equal to the
+    scalars it wraps, and hashed as a frozen record."""
+
     __slots__ = ("ring", "residue")
 
     def __init__(self, ring: QRing, residue: QPolynomial):
@@ -354,9 +340,6 @@ class QRingElement:
             residue = ring._reduce(residue)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "residue", residue)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QRingElement is immutable")
 
     def _wrap(self, other) -> "QRingElement":
         if isinstance(other, QRingElement):
@@ -435,15 +418,11 @@ class QRingElement:
             return NotImplemented
         return self.residue == other.residue
 
-    def __hash__(self):
-        return hash((self.ring, self.residue))
+    __hash__ = FrozenRecord.__hash__  # defining __eq__ dropped the inherited one
 
     @property
     def is_zero(self) -> bool:
         return self.residue.is_zero
-
-    def __repr__(self):
-        return f"QRingElement({self.ring!r}, {self.residue!r})"
 
 
 def _fold(coeffs, p: int, fold) -> list:

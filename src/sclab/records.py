@@ -12,8 +12,10 @@ computes (such as ``PadicContext.modulus``) comes after them.
 ``Record`` gives equality between records of the same type only, the
 repr ``Name(field=value, ...)``, pickling and ``_replace``, and leaves a
 record unhashable: its direct subclasses are the mutable records.
-``FrozenRecord`` adds a hash of the fields and refuses assignment, which
-the slot setters bypass, as ``CycElement``'s constructor does.
+``FrozenRecord`` adds a hash of the fields and refuses assignment; a
+hand-written constructor stores its fields past that refusal with
+``object.__setattr__``, as ``PadicContext`` and the q ring's
+``QPolynomial``, ``QRing`` and ``QRingElement`` do.
 """
 
 from __future__ import annotations

@@ -162,6 +162,53 @@ def test_out_file(tmp_path, capsys):
     assert records[0]["claim"] == "lr3"
 
 
+def test_unwritable_out_exits_2_before_any_verification(tmp_path, capsys, monkeypatch):
+    def scan(*args, **kwargs):
+        pytest.fail("the sweep ran before --out was opened")
+
+    monkeypatch.setattr(claims, "scan", scan)
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "scan", "--claim", "d2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write the report: ")
+    assert not target.parent.exists()
+
+
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+
+    return raiser
+
+
+@pytest.mark.parametrize(
+    "name, exc, argv",
+    [
+        ("primes_in", MemoryError(), ["scan", "--claim", "d2", "--pmax", "50"]),
+        ("verify", RuntimeError("boom"), ["verify", "--claim", "lr3", "--p", "5"]),
+    ],
+)
+def test_crash_is_an_internal_error_with_exit_2(capsys, monkeypatch, name, exc, argv):
+    # exit 1 means a failed claim; a crash must not look like one
+    monkeypatch.setattr(claims, name, _raise(exc))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith(f"\ninternal error: {type(exc).__name__}: {exc}\n")
+
+
+def test_crash_leaves_an_empty_out_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(claims, "verify", _raise(RuntimeError("boom")))
+    target = tmp_path / "report.json"
+    code, out, _ = run(
+        capsys, "verify", "--claim", "lr3", "--p", "5", "--out", str(target),
+    )
+    assert code == 2 and out == ""
+    assert target.read_text() == ""
+
+
 def test_scan_text_mentions_exclusions(capsys):
     code, out, _ = run(
         capsys, "scan", "--claim", "thm2", "--pmax", "7",

@@ -1,5 +1,6 @@
-"""The value semantics of the package's records: equality, hashing,
-immutability, pickling and copying, and the constructors' checks."""
+"""The value semantics of the package's records and value types:
+equality, hashing, immutability, pickling and copying, and the
+constructors' checks."""
 
 import copy
 import pickle
@@ -17,9 +18,10 @@ from sclab.claims import (
     scan,
     verify,
 )
+from sclab.cyclotomic import CycElement
 from sclab.hyperkernel import IdentityFuzzResult, SeriesSpec, fuzz_d1
 from sclab.padic import CongruenceCheck, PadicContext, Residue, congruent
-from sclab.qring import verify_q_conjecture
+from sclab.qring import QPolynomial, QRing, q_integer, verify_q_conjecture
 from sclab.records import FrozenRecord, Record
 
 
@@ -42,7 +44,21 @@ def _records():
     ]
 
 
-@pytest.mark.parametrize("record", _records(), ids=lambda rec: type(rec).__name__)
+def _values():
+    """One of each immutable value type of the arithmetic layers, with a
+    Fraction among its coefficients where it can hold one."""
+    ring = QRing(7)
+    return [
+        CycElement(5, [Fraction(1, 2), 3, 0, -1]),
+        QPolynomial([1, Fraction(-2, 3), 0, 5]),
+        ring,
+        q_integer(3, ring).inverse(),
+    ]
+
+
+@pytest.mark.parametrize(
+    "record", _records() + _values(), ids=lambda rec: type(rec).__name__
+)
 def test_records_round_trip_through_pickle_and_deepcopy(record):
     for copied in (
         pickle.loads(pickle.dumps(record)),
@@ -53,6 +69,8 @@ def test_records_round_trip_through_pickle_and_deepcopy(record):
         assert type(copied) is type(record)
         assert copied == record
         assert repr(copied) == repr(record)
+        if type(record).__hash__ is not None:
+            assert hash(copied) == hash(record)
 
 
 def test_deepcopy_of_a_mutable_record_shares_no_list():
@@ -74,15 +92,18 @@ def test_frozen_records_refuse_assignment_and_deletion():
         ClosedForm(Fraction(1), (), Fraction(1), "label"),
         FAMILIES["thm1"],
         verify_q_conjecture(7, 1),
+        *_values(),
     ]
     for record in frozen:
-        name = record.__slots__[0]
-        with pytest.raises(AttributeError):
-            setattr(record, name, 1)
-        with pytest.raises(AttributeError):
-            delattr(record, name)
+        before = repr(record)
+        for name in record.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
         with pytest.raises(AttributeError):
             record.undeclared = 1
+        assert repr(record) == before
     assert (ctx.p, ctx.k, ctx.modulus) == (5, 2, 25)
 
 
@@ -183,7 +204,7 @@ def test_constructor_parameters_are_the_leading_fields():
     # one the constructor computes
     classes = [*Record.__subclasses__(), *FrozenRecord.__subclasses__()]
     classes.remove(FrozenRecord)
-    assert len(classes) == 13
+    assert len(classes) == 16
     for cls in classes:
         init = cls.__init__.__code__
         params = init.co_varnames[1 : init.co_argcount]

@@ -51,7 +51,7 @@ from .hyperkernel import (
 )
 from .padic import PadicContext, Residue, vp
 from .pgamma import gamma_p
-from .rationals import is_prime, pochhammer, primes_in
+from .rationals import is_prime, iter_primes, pochhammer
 from .records import FrozenRecord, Record
 
 
@@ -523,7 +523,7 @@ def scan(
     instances = []
     skipped = 0
     excluded = []
-    for p in primes_in(2, p_max):
+    for p in iter_primes(2, p_max):
         for r in rs:
             if not admissible(claim_id, p, r):
                 skipped += 1

@@ -13,6 +13,11 @@ coefficients a straight-line formula beats a convolution loop followed by
 a reduction.  The inverse comes from the norm through the same products:
 u * prod_j sigma_j(u) = N(u) is rational, where sigma_j sends x to x^j
 over the units j mod n other than 1.
+
+Loops of many products run on the numerator tuples themselves and build
+one element at the end with ``CycElement._make``: ``rationals.pochhammer``
+reads the products as ``CycElement._PRODUCT``, since this module imports
+``rationals``, and ``hyperkernel``'s series import ``_PRODUCT``.
 """
 
 from __future__ import annotations
@@ -98,6 +103,8 @@ class CycElement:
     """An element of Q[x]/Phi_n(x), n in {1, 4, 5}: ``nums`` over ``den``."""
 
     __slots__ = ("order", "nums", "den")
+    # for rationals.pochhammer, which cannot import this module back
+    _PRODUCT = _PRODUCT
 
     def __new__(cls, order: int, coeffs) -> "CycElement":
         _degree(order)

@@ -8,14 +8,17 @@ A series here is a finite weighted sum
                         k!^e  *  prod_j (b_j)_k
 
 with all scalars in Q or in one cyclotomic field.  One recurrence,
-``_weighted_sum``, sums every series: rational values run as Fractions
-split into integers, even when they come as field elements, and only
-irrational values run field arithmetic.  It reads each parameter through
-``numerator``/``denominator``, as does ``rationals.pochhammer``, the one
-rising factorial the identity sides use.  ``eval_truncated`` divides its
-result once, exactly; ``eval_truncated_residue`` runs it mod p^K, exact
-whenever the term denominators are p-adic units.  A check returns True
-only when both sides are literally equal as field elements.
+``_weighted_sum``, sums every series on raw integers: each parameter is
+split once into an integral numerator over an int denominator.  Rational
+values, even when they come as field elements, run as ints; irrational
+ones as numerator tuples through ``cyclotomic``'s closed-form products,
+and a product that comes out rational (a conjugate pair) drops back to an
+int.  ``rationals.pochhammer``, the one rising factorial the identity
+sides use, splits its argument the same way.  ``eval_truncated`` divides
+its result once, exactly, building one canonical element;
+``eval_truncated_residue`` runs it mod p^K, exact whenever the term
+denominators are p-adic units.  A check returns True only when both sides
+are literally equal as field elements.
 
 Every series of the identity checks comes from one of three builders:
 ``_well_poised`` (the terminating very-well-poised seven-slot series, the
@@ -26,11 +29,12 @@ their series from the same builders and sides the checks use.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .cyclotomic import CycElement
+from .cyclotomic import _PRODUCT, CycElement
 from .padic import NonIntegralInputError, PadicContext, Residue, vp
 from .rationals import as_rational, is_prime, pochhammer
 from .records import FrozenRecord, Record
@@ -81,26 +85,48 @@ class SeriesSpec(FrozenRecord):
             raise ValueError("factorial power must be nonnegative")
 
 
-def _demoted(value):
-    """An integral value as an int when it is rational, as the product of
-    a conjugate pair of parameters is."""
-    if isinstance(value, CycElement) and value.is_rational:
-        return value.nums[0]  # over denominator 1
-    return value
+def _times(u, v, mul):
+    """u * v for numerators that are ints or numerator tuples, ``mul`` being
+    the order's tuple product.  A product whose non-constant coordinates
+    are all zero becomes an int, as that of a conjugate pair of parameters
+    does, so the products after it are int products again."""
+    if type(u) is int:
+        if type(v) is int:
+            return u * v
+        return tuple([u * c for c in v]) if u else 0
+    if type(v) is int:
+        return tuple([c * v for c in u]) if v else 0
+    out = mul(u, v)
+    return out if any(out[1:]) else out[0]
+
+
+def _plus(u, v):
+    """u + v for numerators that are ints or numerator tuples."""
+    if type(u) is int:
+        if type(v) is int:
+            return u + v
+        return (v[0] + u, *v[1:])
+    if type(v) is int:
+        return (u[0] + v, *u[1:])
+    return tuple([a + b for a, b in zip(u, v)])
 
 
 def _weighted_sum(spec: SeriesSpec, modulus: int = 0) -> tuple:
-    """The truncated sum as total / den, with total and den integral: ints,
-    or CycElements with denominator 1 when a parameter is irrational.
+    """The truncated sum as total / den, with total and den integral: ints
+    when every parameter is rational, and otherwise each an int or a
+    numerator tuple over denominator 1 in the parameters' field.
 
     Every parameter is split once, through ``numerator``/``denominator``,
     into an integral numerator over an int denominator, so term k+1 =
     term k * num_k / den_k with integral num_k and den_k.  The running term
     and the running sum share one denominator, the weight's times the
-    product of the den_k so far.  A nonzero modulus reduces all three after
-    each step.  The sum stops at a term that is exactly zero (a terminating
-    upper parameter).  Raises PoleInRangeError when a lower rising
-    factorial vanishes inside the truncation.
+    product of the den_k so far.  When every value is rational the loop
+    runs on ints, and a nonzero modulus reduces all three after each step;
+    otherwise it runs exactly, on ints where a value is rational and on
+    numerator tuples through ``_times`` and ``_plus`` where it is not.  The
+    sum stops at a term that is exactly zero (a terminating upper
+    parameter).  Raises PoleInRangeError when a lower rising factorial
+    vanishes inside the truncation.
     """
     *params, z = _scalars([*spec.upper, *spec.lower, spec.argument])
     upper, lower = params[: len(spec.upper)], params[len(spec.upper) :]
@@ -111,32 +137,62 @@ def _weighted_sum(spec: SeriesSpec, modulus: int = 0) -> tuple:
     ups = [(a.numerator, a.denominator) for a in upper]
     lows = [(b.numerator, b.denominator) for b in lower]
     z_num, z_den = z.numerator, z.denominator
-    num_const = z_num * math.prod(bd for _, bd in lows)
+    low_dens = math.prod(bd for _, bd in lows)
     den_const = z_den * math.prod(ad for _, ad in ups)
     w_slope, w_const = (as_rational(w) for w in spec.weight)
     w_step = w_slope.numerator * w_const.denominator
     w_start = w_const.numerator * w_slope.denominator
     e = spec.factorial_power
-    irrational = any(isinstance(v, CycElement) for v in (z, *upper, *lower))
     total = w_start if n_terms else 0
     term, den = 1, w_slope.denominator * w_const.denominator
+    order = next((v.order for v in (z, *params) if isinstance(v, CycElement)), 0)
+    if not order:
+        num_const = z_num * low_dens
+        for k in range(n_terms - 1):
+            num = num_const
+            for an, ad in ups:
+                num = num * (an + k * ad)
+            if num == 0:
+                break  # every later term is zero too
+            step = den_const * (k + 1) ** e
+            for bn, bd in lows:
+                step = step * (bn + k * bd)
+            # term k+1, and the sum moved onto its denominator den * step
+            term = term * num
+            total = total * step + (w_step * (k + 1) + w_start) * term
+            den = den * step
+            if modulus:
+                term, total, den = term % modulus, total % modulus, den % modulus
+        return total, den
+    # the rational factors multiply as ints first, and only the irrational
+    # ones, as numerator tuples, go through _times; z's numerator is an
+    # irrational factor with no shift
+    mul = _PRODUCT[order]
+    int_ups = [(an, ad) for an, ad in ups if type(an) is int]
+    cyc_ups = [(an.nums, ad) for an, ad in ups if type(an) is not int]
+    int_lows = [(bn, bd) for bn, bd in lows if type(bn) is int]
+    cyc_lows = [(bn.nums, bd) for bn, bd in lows if type(bn) is not int]
+    if type(z_num) is not int:
+        cyc_ups.append((z_num.nums, 0))
+        z_num = 1
+    num_const = z_num * low_dens
     for k in range(n_terms - 1):
         num = num_const
-        for an, ad in ups:
-            num = num * (an + k * ad)
+        for an, ad in int_ups:
+            num *= an + k * ad
         if num == 0:
-            break  # every later term is zero too
+            break  # every later term is zero too; an irrational factor is never 0
+        for an, ad in cyc_ups:
+            num = _times(num, (an[0] + k * ad, *an[1:]), mul)
         step = den_const * (k + 1) ** e
-        for bn, bd in lows:
-            step = step * (bn + k * bd)
-        if irrational:
-            num, step = _demoted(num), _demoted(step)
-        # term k+1, and the sum moved onto its denominator den * step
-        term = term * num
-        total = total * step + (w_step * (k + 1) + w_start) * term
-        den = den * step
-        if modulus:
-            term, total, den = term % modulus, total % modulus, den % modulus
+        for bn, bd in int_lows:
+            step *= bn + k * bd
+        for bn, bd in cyc_lows:
+            step = _times(step, (bn[0] + k * bd, *bn[1:]), mul)
+        term = _times(term, num, mul)
+        weight = w_step * (k + 1) + w_start
+        total = _plus(_times(total, step, mul), _times(weight, term, mul))
+        den = _times(den, step, mul)
     return total, den
 
 
@@ -145,19 +201,21 @@ def eval_truncated(spec: SeriesSpec) -> Scalar:
     rising factorial vanishes anywhere inside the truncation range.
 
     The value is a Fraction, or a CycElement when any parameter is one.
-    It costs one division, at the end of ``_weighted_sum``."""
+    It costs one division, at the end of ``_weighted_sum``, which is also
+    where the field elements are built."""
     total, den = _weighted_sum(spec)
-    if isinstance(den, CycElement):
-        value = total * den.inverse()
-    elif isinstance(total, CycElement):
-        value = total * Fraction(1, den)
-    else:
-        value = Fraction(total, den)
     values = (*spec.upper, *spec.lower, spec.argument)
     element = next((v for v in values if isinstance(v, CycElement)), None)
-    if element is not None and not isinstance(value, CycElement):
-        return CycElement.from_rational(element.order, value)
-    return value
+    if element is None:
+        return Fraction(total, den)
+    order = element.order
+    if type(den) is tuple:
+        if type(total) is tuple:
+            total = CycElement._make(order, total, 1)
+        return total / CycElement._make(order, den, 1)
+    if type(total) is tuple:
+        return CycElement._make(order, total, den)
+    return CycElement.from_rational(order, Fraction(total, den))
 
 
 def eval_truncated_residue(spec: SeriesSpec, ctx: PadicContext) -> Residue:
@@ -329,19 +387,27 @@ def conjugate_product_congruence(a, b, p: int, k: int, order: int) -> bool:
     step = CycElement.from_rational(order, b * p)
     plain = pochhammer(a, k)
     factors = [pochhammer(base + step * root ** j, k) for j in range(order)]
-    full = math.prod(factors)
-    if not full.is_rational:
+    mul = _PRODUCT[order]
+
+    def rational_product(elements):
+        """The product of the elements as a Fraction, folded on their
+        numerator tuples, or None when it is irrational."""
+        nums = functools.reduce(mul, [u.nums for u in elements])
+        if any(nums[1:]):
+            return None
+        return Fraction(nums[0], math.prod(u.den for u in elements))
+
+    full = rational_product(factors)
+    if full is None:
         return False
     if order == 5:
-        return vp(full.rational_value() - plain ** 5, p) >= 5
-    if vp(full.rational_value() - plain ** 4, p) < 4:
+        return vp(full - plain ** 5, p) >= 5
+    if vp(full - plain ** 4, p) < 4:
         return False
-    imag_pair = factors[1] * factors[3]  # shifts by +/- b*i*p
-    real_pair = factors[0] * factors[2]  # shifts by +/- b*p
-    for pair in (imag_pair, real_pair):
-        if not pair.is_rational:
-            return False
-        if vp(pair.rational_value() - plain ** 2, p) < 2:
+    # the shifts by +/- b*i*p, then those by +/- b*p
+    for pair in (factors[1::2], factors[0::2]):
+        value = rational_product(pair)
+        if value is None or vp(value - plain ** 2, p) < 2:
             return False
     return True
 

@@ -7,12 +7,15 @@ integers: cyclotomic elements are integer numerators over one
 denominator, quotient-ring coefficients are ``int``, and series steps and
 residues run on integer numerators and denominators.  No floating point
 is used anywhere.  ``pochhammer`` is the one rising factorial over Q,
-Q(i) and Q(zeta_5): it reads its argument through ``numerator`` and
-``denominator``, which int, Fraction and CycElement all have.
+Q(i) and Q(zeta_5): it runs on an int numerator, or on a CycElement's
+numerator tuple, over one int denominator, and builds its value once.
+``iter_primes`` enumerates primes from a segmented sieve, in memory
+O(sqrt(hi)), and ``primes_in`` lists them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -30,8 +33,11 @@ def pochhammer(a, n: int):
     """Rising factorial a(a+1)...(a+n-1), with the empty product 1 for n = 0:
     a Fraction for an int or Fraction ``a``, a CycElement of a's order for a
     field element.  ``a`` is split once into an integral numerator over an
-    int denominator; the n integral factors are multiplied without a gcd,
-    and the product is divided once by den^n.
+    int denominator den; the n integral factors are multiplied without a
+    gcd, and the product is divided once by den^n.  For a field element the
+    numerators are tuples, factor j being (v0 + j*den, v1, ...), multiplied
+    by the order's closed-form product; one canonical element is built at
+    the end.
 
     A nonpositive integer ``a`` legitimately yields 0 once the factors
     cross zero (terminating series); that is not an error.
@@ -40,14 +46,22 @@ def pochhammer(a, n: int):
         raise ValueError("pochhammer length must be nonnegative")
     if isinstance(a, float):
         raise TypeError("floats are not exact; pass a Fraction, int or CycElement")
-    num, den = a.numerator, a.denominator
-    out = num if n else num ** 0  # the empty product in num's domain
+    if isinstance(a, (int, Fraction)):
+        num, den = a.numerator, a.denominator
+        out = num if n else 1
+        for j in range(1, n):
+            out *= num + j * den
+        return Fraction(out, den ** n)
+    # a CycElement: the class carries its products, as this module cannot
+    # import cyclotomic, which imports it
+    if not n:
+        return a.one(a.order)
+    nums, den = a.nums, a.den
+    mul, head, rest = a._PRODUCT[a.order], nums[0], nums[1:]
+    out = nums
     for j in range(1, n):
-        out = out * (num + j * den)
-    scale = den ** n
-    if type(out) is int:
-        return Fraction(out, scale)
-    return out if scale == 1 else out * Fraction(1, scale)
+        out = mul(out, (head + j * den, *rest))
+    return a._make(a.order, out, den ** n)
 
 
 # Trial division is the faster below 10^6, even on primes (~11 us each way
@@ -93,15 +107,41 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_in(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi, ascending."""
+# Numbers sieved at a time: 64 KiB of bytearray, well inside the L2 cache.
+_SEGMENT = 1 << 16
+
+
+def iter_primes(lo: int, hi: int):
+    """The primes p with lo <= p <= hi, ascending, as an iterator.
+
+    A segmented sieve: each segment of _SEGMENT numbers is crossed off by
+    the primes up to the square root of its top, which are themselves
+    sieved on demand.  Memory is O(sqrt(hi) + _SEGMENT), so the first
+    primes of a range up to 10^15 come at once instead of after a
+    hi-byte sieve."""
     if lo > hi:
         raise ValueError("empty range: lo must not exceed hi")
-    if hi < 2:
-        return []
-    sieve = bytearray([1]) * (hi + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(hi) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    return [p for p in range(max(lo, 2), hi + 1) if sieve[p]]
+    return _sieved(max(lo, 2), hi)
+
+
+def _sieved(lo: int, hi: int):
+    """The primes in [lo, hi] for lo >= 2, segment by segment."""
+    base: list[int] = []  # every prime up to base_top
+    base_top = 1
+    for start in range(lo, hi + 1, _SEGMENT):
+        stop = min(start + _SEGMENT, hi + 1)
+        root = math.isqrt(stop - 1)
+        if root > base_top:
+            base += _sieved(base_top + 1, root)
+            base_top = root
+        segment = bytearray([1]) * (stop - start)
+        for p in base:
+            first = max(p * p, -(-start // p) * p)
+            if first < stop:
+                segment[first - start :: p] = bytes((stop - 1 - first) // p + 1)
+        yield from itertools.compress(range(start, stop), segment)
+
+
+def primes_in(lo: int, hi: int) -> list[int]:
+    """All primes p with lo <= p <= hi, ascending."""
+    return list(iter_primes(lo, hi))

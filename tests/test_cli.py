@@ -185,7 +185,7 @@ def _raise(exc):
 @pytest.mark.parametrize(
     "name, exc, argv",
     [
-        ("primes_in", MemoryError(), ["scan", "--claim", "d2", "--pmax", "50"]),
+        ("iter_primes", MemoryError(), ["scan", "--claim", "d2", "--pmax", "50"]),
         ("verify", RuntimeError("boom"), ["verify", "--claim", "lr3", "--p", "5"]),
     ],
 )

@@ -388,3 +388,19 @@ def test_long_pochhammer_matches_reference_fold(order):
     _assert_canonical(got)
     assert got.coeffs == ref
     assert max(abs(c).bit_length() for c in got.nums) > 2000
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_short_pochhammer_is_canonical(order):
+    # n = 0 is the order's one and n = 1 is a itself, as the reference fold
+    # gives them; neither may skip the canonical form
+    deg = len(_REF_MODULUS[order]) - 1
+    for coeffs in ([Fraction(6, 4), Fraction(-9, 6), Fraction(3, 2), 0], [Fraction(-5, 3)], [4, 2, 0, -6]):
+        a = CycElement(order, coeffs[:deg])
+        ref = _ref_reduce(order, [1])
+        for n in (0, 1):
+            got = pochhammer(a, n)
+            _assert_canonical(got)
+            assert got.order == order and got.coeffs == ref
+            ref = _ref_mul(order, ref, a.coeffs)
+        assert (pochhammer(a, 1).nums, pochhammer(a, 1).den) == (a.nums, a.den)

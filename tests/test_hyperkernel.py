@@ -598,6 +598,64 @@ def test_eval_truncated_field_route_matches_field_steps(rng):
     assert checked >= 300 and poles
 
 
+_I = CycElement.zeta(4)
+_Z = CycElement.zeta(5)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # the upper -3 ends the series after four terms of the nine
+        SeriesSpec(
+            upper=(Fraction(1, 2) + _Z, -3, _Z ** 2 / 3),
+            lower=(Fraction(2, 5) - _Z ** 3, Fraction(7, 2)),
+            argument=_Z + 1,
+            truncation=9,
+        ),
+        # no k! in the denominator
+        SeriesSpec(
+            upper=(_I + 2, Fraction(1, 3)),
+            lower=(Fraction(5, 2) - _I,),
+            argument=Fraction(1, 2) * _I,
+            truncation=7,
+            factorial_power=0,
+        ),
+        # a weight over denominators 3 and 5, with an irrational argument
+        SeriesSpec(
+            upper=(_Z - Fraction(1, 4), _Z ** 4),
+            lower=(Fraction(2, 3) * _Z ** 2 + 1,),
+            argument=_Z ** 3 * Fraction(3, 2),
+            truncation=6,
+            weight=(Fraction(2, 3), Fraction(-4, 5)),
+            factorial_power=2,
+        ),
+    ],
+    ids=["terminating", "no-factorial", "weight-denominators"],
+)
+def test_field_series_routes_match_field_steps(spec):
+    got = eval_truncated(spec)
+    assert isinstance(got, CycElement) and got == _step_sum(spec)
+    assert got.den > 0 and math.gcd(got.den, *got.nums) == 1
+
+
+def test_conjugate_pairs_run_on_ints():
+    # each irrational value has its conjugate beside it, so every step's
+    # numerator and denominator are rational and the sum runs on ints
+    u, v = Fraction(1, 3) + 2 * _I, Fraction(3, 4) + _I / 5
+    spec = SeriesSpec(
+        upper=(u, u - 4 * _I, Fraction(-1, 2)),
+        lower=(v, v - 2 * _I / 5),
+        argument=Fraction(-2, 7),
+        truncation=12,
+        weight=(Fraction(3), Fraction(1, 2)),
+    )
+    total, den = hyperkernel._weighted_sum(spec)
+    assert type(total) is int and type(den) is int
+    got = eval_truncated(spec)
+    assert isinstance(got, CycElement) and got.is_rational
+    assert got == _step_sum(spec)
+
+
 def test_rational_valued_field_lower_parameter_is_a_pole():
     spec = SeriesSpec(
         upper=(CycElement.zeta(4),), lower=(CycElement.from_rational(4, -2),), truncation=5

@@ -634,3 +634,14 @@ def test_ring_arithmetic_refuses_mixed_rings():
             op(b)
     with pytest.raises(ValueError, match="^mixed rings$"):
         QRing(5, power=2).one + a
+    # equality across rings is refused by both sides, so it falls to identity
+    assert a != b and not a == QRing(5, power=2).one
+
+
+def test_ring_arithmetic_accepts_an_equal_but_distinct_ring():
+    ring, twin = QRing(5), QRing(5)
+    assert twin is not ring and twin == ring
+    a, b = ring.q_power(1), twin.q_power(2)
+    assert a + b == ring.from_coeffs([0, 1, 1])
+    assert (a * b).residue == ring.q_power(3).residue
+    assert (b - a).residue == (twin.q_power(2) - twin.q_power(1)).residue

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import sclab
 from sclab.cyclotomic import CycElement
-from sclab.rationals import as_rational, is_prime, pochhammer, primes_in
+from sclab.rationals import as_rational, is_prime, iter_primes, pochhammer, primes_in
 
 from conftest import random_rational
 
@@ -166,3 +170,34 @@ def test_as_rational_keeps_fractions():
     assert type(as_rational(3)) is Fraction and as_rational(3) == 3
     with pytest.raises(TypeError):
         as_rational(0.5)
+
+
+def test_primes_in_across_segment_boundaries():
+    # ranges that start, end or straddle a multiple of the segment length
+    for lo, hi in [(2, 65536), (2, 65537), (65530, 65540), (131000, 140000), (2, 200003)]:
+        assert primes_in(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
+
+
+def test_iter_primes_refuses_a_reversed_range_at_once():
+    with pytest.raises(ValueError):
+        iter_primes(10, 5)
+
+
+def test_first_primes_of_a_huge_range_fit_in_a_small_address_space():
+    # a sieve of hi bytes would raise MemoryError at hi = 10^15 under the
+    # 400 MB limit; the segmented one holds O(sqrt(hi) + segment)
+    resource = pytest.importorskip("resource")
+    limit = 400 << 20
+    code = (
+        "import itertools, resource\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from sclab.rationals import iter_primes\n"
+        "print(list(itertools.islice(iter_primes(2, 10**15), 10)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(sclab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[2, 3, 5, 7, 11, 13, 17, 19, 23, 29]\n"

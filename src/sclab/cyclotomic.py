@@ -239,22 +239,15 @@ class CycElement:
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        if exponent == 0:
-            return CycElement.one(self.order)
-        # square up to the lowest set bit, then fold in the higher ones;
-        # no product by one and no square past the top bit
-        base, e = self, exponent
-        while not e & 1:
-            base = base * base
-            e >>= 1
-        out = base
-        e >>= 1
-        while e:
-            base = base * base
-            if e & 1:
-                out = out * base
-            e >>= 1
-        return out
+        # square and multiply, with no product by one and no idle square
+        out, base = None, self
+        while exponent:
+            if exponent & 1:
+                out = base if out is None else out * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return CycElement.one(self.order) if out is None else out
 
     def inverse(self) -> "CycElement":
         """Multiplicative inverse from the norm: u^-1 = prod_j sigma_j(u) / N(u)."""

@@ -336,11 +336,13 @@ def check_karlsson_minton(n: int, bs, ms) -> bool:
 def _d1_sides(t, a, b, c, n: int, m: int):
     """Both sides of the seven-to-four slot transformation used by the
     sixth-power claim chain, returned unevaluated for reuse: (seven-slot
-    series, rising-factorial ratio, linear factor, terminating tail).
+    series, the tail's lower parameters x, the ratio's upper rising
+    factorials, the product of its lower ones, linear factor, tail).
 
-    With s = a + b + c + 1 - m - t, the tail's lower parameters are
-    s - c, s - b, s - a (a + b + 1 - m - t, ...), and the well-poised
-    series has params t - a, t - b, t - c and s + n."""
+    With s = a + b + c + 1 - m - t, the x are s - c, s - b, s - a; the
+    ratio is (1 + t)_n prod (x + 1)_n, its upper factors in that order,
+    over (1 + a)_n (1 + b)_n (1 + c)_n (s - t)_n; the well-poised series
+    has params t - a, t - b, t - c and s + n."""
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative integers")
     t, a, b, c = _scalars([t, a, b, c])
@@ -348,20 +350,20 @@ def _d1_sides(t, a, b, c, n: int, m: int):
     lows = (s - c, s - b, s - a)
     top, w = s - t, s + n
     lhs = _well_poised(t, (t - a, t - b, t - c, w), n)
-    den = math.prod(pochhammer(x, n) for x in (1 + a, 1 + b, 1 + c, top))
-    _nonzero_or_pole(den)
-    ratio = pochhammer(1 + t, n) * math.prod(pochhammer(x + 1, n) for x in lows) / den
+    lower = math.prod(pochhammer(x, n) for x in (1 + a, 1 + b, 1 + c, top))
+    _nonzero_or_pole(lower)
+    uppers = (pochhammer(1 + t, n), *(pochhammer(x + 1, n) for x in lows))
     lin_den = math.prod(x + n for x in lows)
     _nonzero_or_pole(lin_den)
     linear = math.prod(lows, start=Fraction(1)) / lin_den  # lows may be ints
     tail = hypergeometric_sum(upper=(-m, -n, top, w), lower=lows, n_terms=min(m, n) + 1)
-    return lhs, ratio, linear, tail
+    return lhs, lows, uppers, lower, linear, tail
 
 
 def check_d1(t, a, b, c, n: int, m: int) -> bool:
     """Exact check of the seven-to-four slot transformation."""
-    lhs, ratio, linear, tail = _d1_sides(t, a, b, c, n, m)
-    return lhs == ratio * linear * tail
+    lhs, _, uppers, lower, linear, tail = _d1_sides(t, a, b, c, n, m)
+    return lhs == math.prod(uppers) / lower * linear * tail
 
 
 def conjugate_product_congruence(a, b, p: int, k: int, order: int) -> bool:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from sclab import claims
+from sclab import claims, hyperkernel
 from sclab.claims import (
     FAMILIES,
     FamilyInfo,
@@ -612,13 +612,54 @@ def test_congruence_on_a_missing_difference_fails_without_witness():
 
 
 def test_proof_chain_thm2_fails_on_a_perturbed_tail_sum(monkeypatch):
-    # verify reads the family table's finite sum, so only the chain's own
-    # steps see the perturbation
-    exact = claims._weighted_tail_sum
-    monkeypatch.setattr(claims, "_weighted_tail_sum", lambda r: exact(r) + Fraction(1, 3))
+    # the chain reads the finite sum from thm2's family entry, as verify
+    # does, so both see the perturbation
+    thm2 = FAMILIES["thm2"]
+    perturbed = thm2._replace(finite_sum=lambda r: thm2.finite_sum(r) + Fraction(1, 3))
+    monkeypatch.setitem(FAMILIES, "thm2", perturbed)
     chain = proof_chain_thm2(11, -2)
     assert chain.status == "fail" and not chain.passed
     assert [step.name for step in chain.steps if not step.passed] == [
         "remainder-block", "assembly",
     ]
-    assert verify("thm2", 11, -2).passed
+    assert not verify("thm2", 11, -2).passed
+
+
+@pytest.mark.parametrize("p, r", [(13, -1), (199, -4), (401, 1)])
+def test_proof_chain_thm2_forms_each_rising_factorial_once(monkeypatch, p, r):
+    # every (argument, length) the chain and its identity sides ask for
+    seen = []
+
+    def spy(a, n):
+        seen.append((a, n))
+        return pochhammer(a, n)
+
+    for module in (claims, hyperkernel):
+        monkeypatch.setattr(module, "pochhammer", spy)
+    assert proof_chain_thm2(p, r).passed
+    assert len(seen) == len(set(seen)) > 0
+
+
+@pytest.mark.parametrize("p, r", [(11, -2), (13, -1), (199, -4)])
+def test_proof_chain_thm2_assembles_the_family_coefficient(monkeypatch, p, r):
+    # the assembly step reads thm2's coefficient from its family entry: a
+    # doubled coefficient must pull the chain's own witness below p^5
+    thm2 = FAMILIES["thm2"]
+    (coefficient, label), = thm2.cases.values()
+    doubled = {0: (lambda p, r: 2 * coefficient(p, r), label)}
+    monkeypatch.setitem(FAMILIES, "thm2", thm2._replace(cases=doubled))
+    assembly = proof_chain_thm2(p, r).steps[-1]
+    assert assembly.name == "assembly" and not assembly.passed
+    assert assembly.witness_valuation < 5
+
+
+def test_proof_chain_thm1_tail_reads_the_family_series(monkeypatch):
+    # the tail step takes the weight and the power from thm1's family entry
+    thm1 = FAMILIES["thm1"]
+    a, power, slope, const = thm1.series(-3)
+    monkeypatch.setitem(
+        FAMILIES, "thm1", thm1._replace(series=lambda r: (a, power - 1, slope, const))
+    )
+    tail = next(s for s in proof_chain_thm1(409, -3).steps if s.name == "tail-vanishing")
+    assert tail.modulus_exponent == power - 1
+    assert tail.detail.endswith(f"mod p^{power - 1} in full")

@@ -501,8 +501,9 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command, target):
 
 
 def test_proofchain_failure_exits_1_and_prints_its_records(monkeypatch, capsys):
-    exact = claims._weighted_tail_sum
-    monkeypatch.setattr(claims, "_weighted_tail_sum", lambda r: exact(r) + Fraction(1, 3))
+    thm2 = claims.FAMILIES["thm2"]
+    perturbed = thm2._replace(finite_sum=lambda r: thm2.finite_sum(r) + Fraction(1, 3))
+    monkeypatch.setitem(claims.FAMILIES, "thm2", perturbed)
     code, out, err = run(
         capsys, "proofchain", "--claim", "thm2", "--p", "11", "--r", "-2",
         "--format", "json", "--test-mode",

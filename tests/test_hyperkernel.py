@@ -194,6 +194,11 @@ def test_identity_sides_take_int_parameters():
     for build, params, counts in cases:
         got = build(*params, *counts)
         assert got == build(*map(Fraction, params), *counts)
+        if build is hyperkernel._d1_sides:
+            # the tail's lower parameters are sums of the parameters as given
+            lhs, lows, uppers, lower, linear, tail = got
+            assert all(type(x) in (int, Fraction) for x in lows)
+            got = (lhs, *uppers, lower, linear, tail)
         assert all(isinstance(value, Fraction) for value in got)
     km = hyperkernel._karlsson_minton_series
     assert km(4, (5, 2), (1, 2)) == km(4, (Fraction(5), Fraction(2)), (1, 2)) == 0
@@ -305,18 +310,21 @@ def _d1_sides_by_hand(t, a, b, c, n, m):
         lower=(half * t, 1 + t + n, 1 + a, 1 + b, 1 + c, 2 * t + m - n - a - b - c),
         n_terms=n + 1,
     )
-    ratio = (
-        pochhammer(1 + t, n)
-        * pochhammer(a + b + 2 - m - t, n)
-        * pochhammer(a + c + 2 - m - t, n)
-        * pochhammer(b + c + 2 - m - t, n)
-        / (
-            pochhammer(1 + a, n)
-            * pochhammer(1 + b, n)
-            * pochhammer(1 + c, n)
-            * pochhammer(a + b + c + 1 - m - 2 * t, n)
-        )
+    lows = (a + b + 1 - m - t, a + c + 1 - m - t, b + c + 1 - m - t)
+    uppers = (
+        pochhammer(1 + t, n),
+        pochhammer(a + b + 2 - m - t, n),
+        pochhammer(a + c + 2 - m - t, n),
+        pochhammer(b + c + 2 - m - t, n),
     )
+    lower = (
+        pochhammer(1 + a, n)
+        * pochhammer(1 + b, n)
+        * pochhammer(1 + c, n)
+        * pochhammer(a + b + c + 1 - m - 2 * t, n)
+    )
+    if lower == 0:
+        raise ZeroDivisionError("the ratio's lower rising factorials vanish")
     linear = (
         (a + b + 1 - m - t) * (a + c + 1 - m - t) * (b + c + 1 - m - t)
         / ((a + b + n + 1 - m - t) * (a + c + n + 1 - m - t) * (b + c + n + 1 - m - t))
@@ -326,7 +334,7 @@ def _d1_sides_by_hand(t, a, b, c, n, m):
         lower=(a + b + 1 - m - t, a + c + 1 - m - t, b + c + 1 - m - t),
         n_terms=min(m, n) + 1,
     )
-    return lhs, ratio, linear, tail
+    return lhs, lows, uppers, lower, linear, tail
 
 
 def _assert_same_sides(built, by_hand, args):

@@ -18,8 +18,8 @@ The ``lr3``/``d2`` closed forms are Long-Ramakrishna's (Adv. Math. 290,
 2016).
 
 The proof chains replay the derivations of ``thm1`` and ``thm2`` on the
-identity code in ``hyperkernel``, the same sides and series the seeded
-fuzzers check: ``_whipple_sides`` and ``_d1_sides`` for the
+identity code in ``hyperkernel``, sides and series built from the pairs
+the seeded fuzzers compare: ``_whipple_sides`` and ``_d1_sides`` for the
 transformations, ``_whipple_series`` for thm1's unshifted four-slot series,
 and ``_karlsson_minton_series`` for its real-shifted one, evaluated once
 and read by both steps that use it.  The thm2 chain splits the rising

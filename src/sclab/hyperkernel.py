@@ -8,23 +8,30 @@ A series here is a finite weighted sum
                         k!^e  *  prod_j (b_j)_k
 
 with all scalars in Q or in one cyclotomic field.  One recurrence,
-``_weighted_sum``, sums every series on raw integers: each parameter is
-split once into an integral numerator over an int denominator.  Rational
-values, even when they come as field elements, run as ints; irrational
-ones as numerator tuples through ``cyclotomic``'s closed-form products,
-and a product that comes out rational (a conjugate pair) drops back to an
-int.  ``rationals.pochhammer``, the one rising factorial the identity
-sides use, splits its argument the same way.  ``eval_truncated`` divides
-its result once, exactly, building one canonical element;
-``eval_truncated_residue`` runs it mod p^K, exact whenever the term
-denominators are p-adic units.  A check returns True only when both sides
-are literally equal as field elements.
+``_sum``, sums every series on raw integers, each parameter an integral
+numerator over an int denominator.  Rational values, even when they come
+as field elements, run as ints; irrational ones as numerator tuples
+through ``cyclotomic``'s closed-form products, and a sum or product that
+comes out rational (a conjugate pair) drops back to an int.
+``eval_truncated`` divides a spec's sum once, exactly, building one
+canonical element; ``eval_truncated_residue`` runs it mod p^K, exact
+whenever the term denominators are p-adic units.
+
+The identity checks never divide.  Each lifts its parameters once to
+numerators over one shared denominator, so 1 + a - x is an integer sum,
+and takes each series from ``_sum`` as a pair (total, den) and each
+rising factorial from ``rationals.rising`` as its numerator over den^n.
+A check returns True only when the cross-products of its sides,
+lhs_num * rhs_den and rhs_num * lhs_den, are equal ints or numerator
+tuples, which is equality in the field: a tuple holds coordinates in the
+power basis.
 
 Every series of the identity checks comes from one of three builders:
 ``_well_poised`` (the terminating very-well-poised seven-slot series, the
-left side of both transformations), ``_whipple_series`` (Whipple's
-four-slot series) and ``_karlsson_minton_series``.  The claim chains take
-their series from the same builders and sides the checks use.
+left side of both transformations), ``_four_slot`` (Whipple's four-slot
+series) and ``_karlsson_minton_sum``.  The claim chains read value-level
+sides (``_whipple_sides``, ``_d1_sides``, ``_whipple_series``,
+``_karlsson_minton_series``), built by ``_value`` from the same pairs.
 """
 
 from __future__ import annotations
@@ -34,9 +41,9 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .cyclotomic import _PRODUCT, CycElement
-from .padic import NonIntegralInputError, PadicContext, Residue, vp
-from .rationals import as_rational, is_prime, pochhammer
+from .cyclotomic import _PRODUCT, CycElement, _reduce
+from .padic import NonIntegralInputError, PadicContext, Residue
+from .rationals import as_rational, is_prime, rising
 from .records import FrozenRecord, Record
 
 Scalar = int | Fraction | CycElement
@@ -50,19 +57,24 @@ class IdentityPreconditionError(ValueError):
     """The identity's side conditions fail; the check is not attempted."""
 
 
-def _scalars(values: Sequence[Scalar]) -> list:
-    """The values as ints, Fractions and CycElements of one order.  Ints
-    and Fractions are kept as they are, so a value is normalised once even
-    when it passes here again; a rational CycElement becomes a Fraction, so
-    only irrational values run field arithmetic.  Floats are rejected."""
+def _split(values: Sequence[Scalar]) -> tuple[list, int]:
+    """Each value as (numerator, denominator), with the field order of the
+    irrational values (0 when there are none): a rational value, even a
+    field element, gets an int numerator, an irrational one a numerator
+    tuple.  Floats, and values of two orders, are refused."""
     if len({v.order for v in values if isinstance(v, CycElement)}) > 1:
         raise ValueError("mixed cyclotomic orders in one series")
-    return [
-        (v.rational_value() if v.is_rational else v)
-        if isinstance(v, CycElement)
-        else v if isinstance(v, int) else as_rational(v)
-        for v in values
-    ]
+    pairs, order = [], 0
+    for v in values:
+        if not isinstance(v, CycElement):
+            v = v if isinstance(v, int) else as_rational(v)
+            pairs.append((v.numerator, v.denominator))
+        elif any(v.nums[1:]):
+            pairs.append((v.nums, v.den))
+            order = v.order
+        else:
+            pairs.append((v.nums[0], v.den))
+    return pairs, order
 
 
 class SeriesSpec(FrozenRecord):
@@ -96,31 +108,52 @@ def _times(u, v, mul):
         return tuple([u * c for c in v]) if u else 0
     if type(v) is int:
         return tuple([c * v for c in u]) if v else 0
-    out = mul(u, v)
-    return out if any(out[1:]) else out[0]
+    return _flat(mul(u, v))
 
 
 def _plus(u, v):
-    """u + v for numerators that are ints or numerator tuples."""
+    """u + v for numerators that are ints or numerator tuples, flattened as
+    in ``_times``."""
     if type(u) is int:
         if type(v) is int:
             return u + v
         return (v[0] + u, *v[1:])
     if type(v) is int:
         return (u[0] + v, *u[1:])
-    return tuple([a + b for a, b in zip(u, v)])
+    return _flat(tuple([a + b for a, b in zip(u, v)]))
+
+
+def _minus(u, v):
+    """u - v for numerators that are ints or numerator tuples."""
+    return _plus(u, -v if type(v) is int else tuple([-c for c in v]))
+
+
+def _flat(u):
+    """A numerator tuple with zero non-constant coordinates as an int."""
+    return u if type(u) is int or any(u[1:]) else u[0]
 
 
 def _weighted_sum(spec: SeriesSpec, modulus: int = 0) -> tuple:
+    """``_sum`` of the spec, its parameters split once by ``_split``."""
+    pairs, order = _split([*spec.upper, *spec.lower, spec.argument])
+    weight = [(w.numerator, w.denominator) for w in map(as_rational, spec.weight)]
+    n_up = len(spec.upper)
+    return _sum(
+        pairs[:n_up], pairs[n_up:-1], spec.truncation, _PRODUCT.get(order),
+        pairs[-1], spec.factorial_power, weight, modulus,
+    )
+
+
+def _sum(ups, lows, n_terms, mul=None, z=(1, 1), e=1, weight=((0, 1), (1, 1)), modulus=0):
     """The truncated sum as total / den, with total and den integral: ints
     when every parameter is rational, and otherwise each an int or a
     numerator tuple over denominator 1 in the parameters' field.
 
-    Every parameter is split once, through ``numerator``/``denominator``,
-    into an integral numerator over an int denominator, so term k+1 =
-    term k * num_k / den_k with integral num_k and den_k.  The running term
-    and the running sum share one denominator, the weight's times the
-    product of the den_k so far.  When every value is rational the loop
+    Each parameter, the argument z and the weight's m and r are
+    (numerator, denominator) pairs, so term k+1 = term k * num_k / den_k
+    with integral num_k and den_k.  The running term and the running sum
+    share one denominator, the weight's times the product of the den_k so
+    far.  With no tuple product ``mul`` (every value rational) the loop
     runs on ints, and a nonzero modulus reduces all three after each step;
     otherwise it runs exactly, on ints where a value is rational and on
     numerator tuples through ``_times`` and ``_plus`` where it is not.  The
@@ -128,25 +161,17 @@ def _weighted_sum(spec: SeriesSpec, modulus: int = 0) -> tuple:
     parameter).  Raises PoleInRangeError when a lower rising factorial
     vanishes inside the truncation.
     """
-    *params, z = _scalars([*spec.upper, *spec.lower, spec.argument])
-    upper, lower = params[: len(spec.upper)], params[len(spec.upper) :]
-    n_terms = spec.truncation
-    for b in lower:
-        if not isinstance(b, CycElement) and b.denominator == 1 and 0 <= -b < n_terms - 1:
-            raise PoleInRangeError(f"lower parameter {b!r} vanishes at shift {-b}")
-    ups = [(a.numerator, a.denominator) for a in upper]
-    lows = [(b.numerator, b.denominator) for b in lower]
-    z_num, z_den = z.numerator, z.denominator
+    for bn, bd in lows:
+        if type(bn) is int and not bn % bd and 0 <= -bn < (n_terms - 1) * bd:
+            raise PoleInRangeError(f"lower parameter {bn // bd} vanishes at shift {-bn // bd}")
+    z_num, z_den = z
     low_dens = math.prod(bd for _, bd in lows)
     den_const = z_den * math.prod(ad for _, ad in ups)
-    w_slope, w_const = (as_rational(w) for w in spec.weight)
-    w_step = w_slope.numerator * w_const.denominator
-    w_start = w_const.numerator * w_slope.denominator
-    e = spec.factorial_power
+    (w_slope, w_slope_den), (w_const, w_const_den) = weight
+    w_step, w_start = w_slope * w_const_den, w_const * w_slope_den
     total = w_start if n_terms else 0
-    term, den = 1, w_slope.denominator * w_const.denominator
-    order = next((v.order for v in (z, *params) if isinstance(v, CycElement)), 0)
-    if not order:
+    term, den = 1, w_slope_den * w_const_den
+    if mul is None:
         num_const = z_num * low_dens
         for k in range(n_terms - 1):
             num = num_const
@@ -167,13 +192,12 @@ def _weighted_sum(spec: SeriesSpec, modulus: int = 0) -> tuple:
     # the rational factors multiply as ints first, and only the irrational
     # ones, as numerator tuples, go through _times; z's numerator is an
     # irrational factor with no shift
-    mul = _PRODUCT[order]
     int_ups = [(an, ad) for an, ad in ups if type(an) is int]
-    cyc_ups = [(an.nums, ad) for an, ad in ups if type(an) is not int]
+    cyc_ups = [(an, ad) for an, ad in ups if type(an) is not int]
     int_lows = [(bn, bd) for bn, bd in lows if type(bn) is int]
-    cyc_lows = [(bn.nums, bd) for bn, bd in lows if type(bn) is not int]
+    cyc_lows = [(bn, bd) for bn, bd in lows if type(bn) is not int]
     if type(z_num) is not int:
-        cyc_ups.append((z_num.nums, 0))
+        cyc_ups.append((z_num, 0))
         z_num = 1
     num_const = z_num * low_dens
     for k in range(n_terms - 1):
@@ -196,19 +220,11 @@ def _weighted_sum(spec: SeriesSpec, modulus: int = 0) -> tuple:
     return total, den
 
 
-def eval_truncated(spec: SeriesSpec) -> Scalar:
-    """Exact value of the truncated sum; PoleInRangeError when a lower
-    rising factorial vanishes anywhere inside the truncation range.
-
-    The value is a Fraction, or a CycElement when any parameter is one.
-    It costs one division, at the end of ``_weighted_sum``, which is also
-    where the field elements are built."""
-    total, den = _weighted_sum(spec)
-    values = (*spec.upper, *spec.lower, spec.argument)
-    element = next((v for v in values if isinstance(v, CycElement)), None)
-    if element is None:
+def _value(total, den, order: int) -> Scalar:
+    """total / den as a Fraction, or as a CycElement of a nonzero order;
+    one division, which is where the field element is built."""
+    if not order:
         return Fraction(total, den)
-    order = element.order
     if type(den) is tuple:
         if type(total) is tuple:
             total = CycElement._make(order, total, 1)
@@ -216,6 +232,17 @@ def eval_truncated(spec: SeriesSpec) -> Scalar:
     if type(total) is tuple:
         return CycElement._make(order, total, den)
     return CycElement.from_rational(order, Fraction(total, den))
+
+
+def eval_truncated(spec: SeriesSpec) -> Scalar:
+    """Exact value of the truncated sum; PoleInRangeError when a lower
+    rising factorial vanishes anywhere inside the truncation range.
+
+    The value is a Fraction, or a CycElement when any parameter is one.
+    It costs one division, at the end of ``_weighted_sum``."""
+    total, den = _weighted_sum(spec)
+    values = (*spec.upper, *spec.lower, spec.argument)
+    return _value(total, den, next((v.order for v in values if isinstance(v, CycElement)), 0))
 
 
 def eval_truncated_residue(spec: SeriesSpec, ctx: PadicContext) -> Residue:
@@ -255,59 +282,99 @@ def hypergeometric_sum(upper, lower, n_terms: int, argument: Scalar = 1) -> Scal
 # ---------------------------------------------------------------------------
 
 
-def _nonzero_or_pole(*factors) -> None:
-    for f in factors:
-        if f == 0:
-            raise PoleInRangeError("prefactor denominator vanishes")
+def _lift(values: Sequence[Scalar]) -> tuple[list, int, int]:
+    """(numerators, den, order): ``_split``'s numerators brought over one
+    shared den, the lcm of its denominators."""
+    pairs, order = _split(values)
+    den = math.lcm(*(d for _, d in pairs))
+    return [_times(v, den // d, None) for v, d in pairs], den, order
 
 
-def _well_poised(a, params, n: int):
-    """The terminating very-well-poised series of seven parameter slots:
-    upper a, 1 + a/2, each param and -n; lower a/2, 1 + a - x for each
-    param x, and 1 + a + n."""
-    half = a * Fraction(1, 2)  # a may be an int
-    return hypergeometric_sum(
-        upper=(a, 1 + half, *params, -n),
-        lower=(half, *(1 + a - x for x in params), 1 + a + n),
-        n_terms=n + 1,
+def _counts(*counts) -> None:
+    """Refuse a series length that is not an int, a float included."""
+    if not all(isinstance(c, int) for c in counts):
+        raise TypeError(f"n and m must be ints (floats are not exact), got {counts}")
+
+
+def _product(pairs, mul) -> tuple:
+    """The product of (num, den) pairs, as one pair."""
+    num, den = 1, 1
+    for u, v in pairs:
+        num, den = _times(num, u, mul), _times(den, v, mul)
+    return num, den
+
+
+def _same(lhs, rhs, mul) -> bool:
+    """lhs == rhs for (num, den) pairs with nonzero dens, cross-multiplied;
+    a tuple from ``rising`` may be rational, so both products are flattened."""
+    return _flat(_times(lhs[0], rhs[1], mul)) == _flat(_times(rhs[0], lhs[1], mul))
+
+
+def _well_poised(a, params, n: int, den: int, mul) -> tuple:
+    """The terminating very-well-poised series of seven parameter slots, for
+    numerators over den: upper a, 1 + a/2, each param and -n; lower a/2,
+    1 + a - x for each param x, and 1 + a + n."""
+    one_a = _plus(a, den)
+    return _sum(
+        [(a, den), (_plus(a, 2 * den), 2 * den), *((x, den) for x in params), (-n, 1)],
+        [(a, 2 * den), *((_minus(one_a, x), den) for x in params), (_plus(one_a, n * den), den)],
+        n + 1,
+        mul,
     )
 
 
-def _whipple_series(a, b, c, d, e, n: int):
-    """Whipple's terminating four-slot series: upper 1 + a - b - c, d, e,
-    -n; lower d + e - a - n, 1 + a - b, 1 + a - c."""
-    return hypergeometric_sum(
-        upper=(1 + a - b - c, d, e, -n),
-        lower=(d + e - a - n, 1 + a - b, 1 + a - c),
-        n_terms=n + 1,
-    )
+def _four_slot(a, b, c, d, e, n: int, den: int, mul) -> tuple:
+    """Whipple's terminating four-slot series, for numerators over den:
+    upper 1 + a - b - c, d, e, -n; lower d + e - a - n, 1 + a - b, 1 + a - c."""
+    one_a = _plus(a, den)
+    ups = [_minus(_minus(one_a, b), c), d, e]
+    lows = [_minus(_plus(d, e), _plus(a, n * den)), _minus(one_a, b), _minus(one_a, c)]
+    return _sum([*((x, den) for x in ups), (-n, 1)], [(x, den) for x in lows], n + 1, mul)
+
+
+def _whipple_series(a, b, c, d, e, n: int) -> Scalar:
+    """``_four_slot``'s value at the parameters themselves."""
+    (a, b, c, d, e), den, order = _lift([a, b, c, d, e])
+    return _value(*_four_slot(a, b, c, d, e, n, den, _PRODUCT.get(order)), order)
+
+
+def _whipple_parts(a, b, c, d, e, n: int) -> tuple:
+    """Whipple's reduction of the well-poised series at params (b, c, d, e)
+    to his four-slot series with the prefactor (1 + a)_n (1 + a - d - e)_n
+    / ((1 + a - d)_n (1 + a - e)_n), as pairs: (seven-slot series,
+    prefactor, four-slot series, order)."""
+    if n < 0:
+        raise ValueError("n must be a nonnegative integer")
+    (a, b, c, d, e), den, order = _lift([a, b, c, d, e])
+    _counts(n)
+    mul = _PRODUCT.get(order)
+    lhs = _well_poised(a, (b, c, d, e), n, den, mul)
+    one_a = _plus(a, den)
+    # the den^n of the four rising factorials cancel
+    top = _times(rising(one_a, den, n, mul), rising(_minus(_minus(one_a, d), e), den, n, mul), mul)
+    bottom = _times(*(rising(_minus(one_a, x), den, n, mul) for x in (d, e)), mul)
+    if bottom == 0:
+        raise PoleInRangeError("prefactor denominator vanishes")
+    return lhs, (top, bottom), _four_slot(a, b, c, d, e, n, den, mul), order
 
 
 def _whipple_sides(a, b, c, d, e, n: int):
-    """Whipple's reduction of the well-poised series at params (b, c, d, e)
-    to his four-slot series with a rising-factorial prefactor, returned
-    unevaluated for reuse: (seven-slot series, prefactor, four-slot
-    series)."""
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    a, b, c, d, e = _scalars([a, b, c, d, e])
-    lhs = _well_poised(a, (b, c, d, e), n)
-    den1 = pochhammer(1 + a - d, n)
-    den2 = pochhammer(1 + a - e, n)
-    _nonzero_or_pole(den1, den2)
-    prefactor = pochhammer(a + 1, n) * pochhammer(a - d - e + 1, n) / (den1 * den2)
-    return lhs, prefactor, _whipple_series(a, b, c, d, e, n)
+    """``_whipple_parts``'s three sides as values, for reuse."""
+    *sides, order = _whipple_parts(a, b, c, d, e, n)
+    return tuple(_value(*side, order) for side in sides)
 
 
 def check_whipple(a, b, c, d, e, n: int) -> bool:
-    """Returns True iff both sides of ``_whipple_sides`` agree exactly."""
-    lhs, prefactor, series = _whipple_sides(a, b, c, d, e, n)
-    return lhs == prefactor * series
+    """Returns True iff both sides of ``_whipple_parts`` agree exactly."""
+    lhs, prefactor, series, order = _whipple_parts(a, b, c, d, e, n)
+    mul = _PRODUCT.get(order)
+    return _same(lhs, _product((prefactor, series), mul), mul)
 
 
-def _karlsson_minton_series(n: int, bs, ms):
+def _karlsson_minton_sum(n: int, bs, ms) -> tuple:
     """The terminating series with integrally shifted parameter pairs:
-    upper -n and b_i + m_i, lower b_i, unit argument.
+    upper -n and b_i + m_i, lower b_i, unit argument, as (total, den,
+    order).
 
     Karlsson-Minton says it vanishes for nonnegative integers m_i with
     n > sum(m_i); violating that side condition raises
@@ -321,23 +388,29 @@ def _karlsson_minton_series(n: int, bs, ms):
         raise IdentityPreconditionError(
             f"need integer n > sum of shifts; got n={n}, sum={sum(ms)}"
         )
-    bs = _scalars(bs)
-    return hypergeometric_sum(
-        upper=(-n, *(b + m for b, m in zip(bs, ms))), lower=bs, n_terms=n + 1
-    )
+    bs, den, order = _lift(bs)
+    # an integral Fraction shift is an int one; a float one is refused
+    ups = [(_plus(b, int(as_rational(m)) * den), den) for b, m in zip(bs, ms)]
+    return (*_sum([(-n, 1), *ups], [(b, den) for b in bs], n + 1, _PRODUCT.get(order)), order)
+
+
+def _karlsson_minton_series(n: int, bs, ms) -> Scalar:
+    """``_karlsson_minton_sum``'s value."""
+    return _value(*_karlsson_minton_sum(n, bs, ms))
 
 
 def check_karlsson_minton(n: int, bs, ms) -> bool:
     """Exact check of the Karlsson-Minton vanishing; see
-    ``_karlsson_minton_series`` for the side conditions."""
-    return _karlsson_minton_series(n, bs, ms) == 0
+    ``_karlsson_minton_sum`` for the side conditions."""
+    return _karlsson_minton_sum(n, bs, ms)[0] == 0
 
 
-def _d1_sides(t, a, b, c, n: int, m: int):
+def _d1_parts(t, a, b, c, n: int, m: int) -> tuple:
     """Both sides of the seven-to-four slot transformation used by the
-    sixth-power claim chain, returned unevaluated for reuse: (seven-slot
-    series, the tail's lower parameters x, the ratio's upper rising
-    factorials, the product of its lower ones, linear factor, tail).
+    sixth-power claim chain: (seven-slot series, the tail's lower
+    parameters x over den, the ratio's upper rising factorials over den^n,
+    the product of its lower ones over den^(4n), linear factor, tail, den,
+    order), the series and the linear factor as pairs.
 
     With s = a + b + c + 1 - m - t, the x are s - c, s - b, s - a; the
     ratio is (1 + t)_n prod (x + 1)_n, its upper factors in that order,
@@ -345,25 +418,43 @@ def _d1_sides(t, a, b, c, n: int, m: int):
     has params t - a, t - b, t - c and s + n."""
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative integers")
-    t, a, b, c = _scalars([t, a, b, c])
-    s = a + b + c + 1 - m - t
-    lows = (s - c, s - b, s - a)
-    top, w = s - t, s + n
-    lhs = _well_poised(t, (t - a, t - b, t - c, w), n)
-    lower = math.prod(pochhammer(x, n) for x in (1 + a, 1 + b, 1 + c, top))
-    _nonzero_or_pole(lower)
-    uppers = (pochhammer(1 + t, n), *(pochhammer(x + 1, n) for x in lows))
-    lin_den = math.prod(x + n for x in lows)
-    _nonzero_or_pole(lin_den)
-    linear = math.prod(lows, start=Fraction(1)) / lin_den  # lows may be ints
-    tail = hypergeometric_sum(upper=(-m, -n, top, w), lower=lows, n_terms=min(m, n) + 1)
-    return lhs, lows, uppers, lower, linear, tail
+    (t, a, b, c), den, order = _lift([t, a, b, c])
+    _counts(n, m)
+    mul = _PRODUCT.get(order)
+    s = _minus(_plus(_plus(_plus(a, b), c), (1 - m) * den), t)
+    lows = (_minus(s, c), _minus(s, b), _minus(s, a))
+    top, w = _minus(s, t), _plus(s, n * den)
+    lhs = _well_poised(t, (_minus(t, a), _minus(t, b), _minus(t, c), w), n, den, mul)
+    lower = 1
+    for x in (_plus(a, den), _plus(b, den), _plus(c, den), top):
+        lower = _times(lower, rising(x, den, n, mul), mul)
+    uppers = tuple(rising(_plus(x, den), den, n, mul) for x in (t, *lows))
+    linear = _product(((x, _plus(x, n * den)) for x in lows), mul)
+    if lower == 0 or linear[1] == 0:
+        raise PoleInRangeError("prefactor denominator vanishes")
+    tail_ups = [(-m, 1), (-n, 1), (top, den), (w, den)]
+    tail = _sum(tail_ups, [(x, den) for x in lows], min(m, n) + 1, mul)
+    return lhs, lows, uppers, lower, linear, tail, den, order
+
+
+def _d1_sides(t, a, b, c, n: int, m: int):
+    """``_d1_parts`` as values, for reuse: (seven-slot series, lows, the
+    upper rising factorials, their lower product, linear factor, tail)."""
+    lhs, lows, uppers, lower, linear, tail, den, order = _d1_parts(t, a, b, c, n, m)
+    value = functools.partial(_value, order=order)
+    return (
+        value(*lhs), tuple(value(x, den) for x in lows), tuple(value(u, den ** n) for u in uppers),
+        value(lower, den ** (4 * n)), value(*linear), value(*tail),
+    )
 
 
 def check_d1(t, a, b, c, n: int, m: int) -> bool:
-    """Exact check of the seven-to-four slot transformation."""
-    lhs, _, uppers, lower, linear, tail = _d1_sides(t, a, b, c, n, m)
-    return lhs == math.prod(uppers) / lower * linear * tail
+    """Exact check of the seven-to-four slot transformation; the ratio's
+    den^(4n) cancel."""
+    lhs, _, uppers, lower, linear, tail, _, order = _d1_parts(t, a, b, c, n, m)
+    mul = _PRODUCT.get(order)
+    ratio = (functools.reduce(lambda u, v: _times(u, v, mul), uppers), lower)
+    return _same(lhs, _product((ratio, linear, tail), mul), mul)
 
 
 def conjugate_product_congruence(a, b, p: int, k: int, order: int) -> bool:
@@ -375,6 +466,10 @@ def conjugate_product_congruence(a, b, p: int, k: int, order: int) -> bool:
       mod p^2;
     * order 5: the five-fold product is rational and congruent to (a)_k^5
       mod p^5.
+
+    On numerators over the p-adic unit D^k, D being a's and b's shared
+    denominator, a product of m factors is congruent to (a)_k^m mod p^m
+    iff its numerator is an int N and p^m divides N - A^m, A being (a)_k's.
     """
     if order not in (4, 5):
         raise ValueError("order must be 4 or 5")
@@ -382,36 +477,26 @@ def conjugate_product_congruence(a, b, p: int, k: int, order: int) -> bool:
         raise ValueError(f"{p} is not prime")
     a = as_rational(a)
     b = as_rational(b)
-    if vp(a, p) < 0 or vp(b, p) < 0:
+    if a.denominator % p == 0 or b.denominator % p == 0:
         raise NonIntegralInputError(f"arguments must be {p}-adic integers")
-    root = CycElement.zeta(order)
-    base = CycElement.from_rational(order, a)
-    step = CycElement.from_rational(order, b * p)
-    plain = pochhammer(a, k)
-    factors = [pochhammer(base + step * root ** j, k) for j in range(order)]
+    if k < 0:
+        raise ValueError("pochhammer length must be nonnegative")
+    (a, step), den, _ = _lift([a, b * p])
     mul = _PRODUCT[order]
+    plain = rising(a, den, k)
+    # zeta^j as an int where it is rational (+-1), else as a tuple
+    roots = [_flat(tuple(_reduce(order, [0] * j + [1]))) for j in range(order)]
+    factors = [rising(_plus(a, _times(step, r, mul)), den, k, mul) for r in roots]
 
-    def rational_product(elements):
-        """The product of the elements as a Fraction, folded on their
-        numerator tuples, or None when it is irrational."""
-        nums = functools.reduce(mul, [u.nums for u in elements])
-        if any(nums[1:]):
-            return None
-        return Fraction(nums[0], math.prod(u.den for u in elements))
+    def congruent(elements) -> bool:
+        value = _flat(functools.reduce(lambda u, v: _times(u, v, mul), elements))
+        m = len(elements)
+        return type(value) is int and (value - plain ** m) % p ** m == 0
 
-    full = rational_product(factors)
-    if full is None:
-        return False
     if order == 5:
-        return vp(full - plain ** 5, p) >= 5
-    if vp(full - plain ** 4, p) < 4:
-        return False
-    # the shifts by +/- b*i*p, then those by +/- b*p
-    for pair in (factors[1::2], factors[0::2]):
-        value = rational_product(pair)
-        if value is None or vp(value - plain ** 2, p) < 2:
-            return False
-    return True
+        return congruent(factors)
+    # the whole orbit, the shifts by +/- b*i*p, then those by +/- b*p
+    return congruent(factors) and congruent(factors[1::2]) and congruent(factors[0::2])
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ numerator and denominator coprime.  The hot kernels take them apart into
 integers: cyclotomic elements are integer numerators over one
 denominator, quotient-ring coefficients are ``int``, and series steps and
 residues run on integer numerators and denominators.  No floating point
-is used anywhere.  ``pochhammer`` is the one rising factorial over Q,
-Q(i) and Q(zeta_5): it runs on an int numerator, or on a CycElement's
-numerator tuple, over one int denominator, and builds its value once.
+is used anywhere.  ``rising`` is the one rising-factorial loop over Q,
+Q(i) and Q(zeta_5): it runs on an int numerator, or on a numerator tuple,
+over one int denominator; ``pochhammer`` builds its value once from it.
 ``iter_primes`` enumerates primes from a segmented sieve, in memory
 O(sqrt(hi)), and ``primes_in`` lists them.
 """
@@ -33,11 +33,8 @@ def pochhammer(a, n: int):
     """Rising factorial a(a+1)...(a+n-1), with the empty product 1 for n = 0:
     a Fraction for an int or Fraction ``a``, a CycElement of a's order for a
     field element.  ``a`` is split once into an integral numerator over an
-    int denominator den; the n integral factors are multiplied without a
-    gcd, and the product is divided once by den^n.  For a field element the
-    numerators are tuples, factor j being (v0 + j*den, v1, ...), multiplied
-    by the order's closed-form product; one canonical element is built at
-    the end.
+    int denominator den, ``rising`` multiplies the n integral factors, and
+    the product is divided once by den^n.
 
     A nonpositive integer ``a`` legitimately yields 0 once the factors
     cross zero (terminating series); that is not an error.
@@ -47,21 +44,28 @@ def pochhammer(a, n: int):
     if isinstance(a, float):
         raise TypeError("floats are not exact; pass a Fraction, int or CycElement")
     if isinstance(a, (int, Fraction)):
-        num, den = a.numerator, a.denominator
-        out = num if n else 1
-        for j in range(1, n):
-            out *= num + j * den
-        return Fraction(out, den ** n)
+        return Fraction(rising(a.numerator, a.denominator, n), a.denominator ** n)
     # a CycElement: the class carries its products, as this module cannot
     # import cyclotomic, which imports it
     if not n:
         return a.one(a.order)
-    nums, den = a.nums, a.den
-    mul, head, rest = a._PRODUCT[a.order], nums[0], nums[1:]
-    out = nums
+    return a._make(a.order, rising(a.nums, a.den, n, a._PRODUCT[a.order]), a.den ** n)
+
+
+def rising(num, den: int, n: int, mul=None):
+    """The numerator of (num/den)_n over den^n, n >= 0, with no gcd: the
+    factors num + j*den of an int ``num``, or (num0 + j*den, num1, ...) of
+    a numerator tuple multiplied by the order's product ``mul``."""
+    if type(num) is int:
+        out = num if n else 1
+        for j in range(1, n):
+            out *= num + j * den
+        return out
+    head, rest = num[0], num[1:]
+    out = num if n else 1
     for j in range(1, n):
         out = mul(out, (head + j * den, *rest))
-    return a._make(a.order, out, den ** n)
+    return out
 
 
 # Trial division is the faster below 10^6, even on primes (~11 us each way

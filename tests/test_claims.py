@@ -25,9 +25,10 @@ from sclab.claims import (
     scan,
     verify,
 )
+from sclab.cyclotomic import CycElement
 from sclab.padic import NonIntegralInputError, PadicContext, vp
 from sclab.pgamma import gamma_p
-from sclab.rationals import pochhammer, primes_in
+from sclab.rationals import pochhammer, primes_in, rising
 
 
 def test_family_registry():
@@ -627,15 +628,21 @@ def test_proof_chain_thm2_fails_on_a_perturbed_tail_sum(monkeypatch):
 
 @pytest.mark.parametrize("p, r", [(13, -1), (199, -4), (401, 1)])
 def test_proof_chain_thm2_forms_each_rising_factorial_once(monkeypatch, p, r):
-    # every (argument, length) the chain and its identity sides ask for
+    # every (argument, length) the chain and its identity sides ask for;
+    # the sides form theirs on numerators x over den
     seen = []
 
     def spy(a, n):
         seen.append((a, n))
         return pochhammer(a, n)
 
-    for module in (claims, hyperkernel):
-        monkeypatch.setattr(module, "pochhammer", spy)
+    def raw_spy(x, den, n, mul=None):
+        order = {2: 4, 4: 5}.get(len(x)) if type(x) is tuple else None
+        seen.append((CycElement._make(order, x, den) if order else Fraction(x, den), n))
+        return rising(x, den, n, mul)
+
+    monkeypatch.setattr(claims, "pochhammer", spy)
+    monkeypatch.setattr(hyperkernel, "rising", raw_spy)
     assert proof_chain_thm2(p, r).passed
     assert len(seen) == len(set(seen)) > 0
 

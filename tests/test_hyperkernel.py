@@ -183,7 +183,7 @@ def test_d1_fuzz():
 
 
 def test_identity_sides_take_int_parameters():
-    # ints pass through _scalars unconverted; the sides must still be exact
+    # int parameters are lifted as Fractions are; the sides must still be exact
     # and equal to the sides built from the same values as Fractions
     cases = [
         (hyperkernel._whipple_sides, (7, 2, 3, 5, 13), (3,)),

@@ -26,7 +26,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .rationals import as_rational
+from .rationals import _cleared, as_rational
 from .records import slot_setters
 
 # Phi_n below its leading x^deg term, low degree first:
@@ -108,9 +108,7 @@ class CycElement:
 
     def __new__(cls, order: int, coeffs) -> "CycElement":
         _degree(order)
-        vec = [as_rational(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in vec)) if vec else 1
-        nums = [c.numerator * (den // c.denominator) for c in vec]
+        nums, den = _cleared([as_rational(c) for c in coeffs])
         return cls._make(order, _reduce(order, nums), den)
 
     @classmethod

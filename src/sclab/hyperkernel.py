@@ -7,12 +7,14 @@ A series here is a finite weighted sum
                      ---------------------------------
                         k!^e  *  prod_j (b_j)_k
 
-with all scalars in Q or in one cyclotomic field.  One recurrence,
+with all scalars in Q or in one cyclotomic field.  One recurrence loop,
 ``_sum``, sums every series on raw integers, each parameter an integral
 numerator over an int denominator.  Rational values, even when they come
 as field elements, run as ints; irrational ones as numerator tuples
 through ``cyclotomic``'s closed-form products, and a sum or product that
-comes out rational (a conjugate pair) drops back to an int.
+comes out rational (a conjugate pair) drops back to an int.  The loop
+forms each step's rational factors once; only its last updates branch,
+to plain int products (optionally mod p^K) when no value is irrational.
 ``eval_truncated`` divides a spec's sum once, exactly, building one
 canonical element; ``eval_truncated_residue`` runs it mod p^K, exact
 whenever the term denominators are p-adic units.
@@ -153,13 +155,14 @@ def _sum(ups, lows, n_terms, mul=None, z=(1, 1), e=1, weight=((0, 1), (1, 1)), m
     (numerator, denominator) pairs, so term k+1 = term k * num_k / den_k
     with integral num_k and den_k.  The running term and the running sum
     share one denominator, the weight's times the product of the den_k so
-    far.  With no tuple product ``mul`` (every value rational) the loop
-    runs on ints, and a nonzero modulus reduces all three after each step;
-    otherwise it runs exactly, on ints where a value is rational and on
-    numerator tuples through ``_times`` and ``_plus`` where it is not.  The
-    sum stops at a term that is exactly zero (a terminating upper
-    parameter).  Raises PoleInRangeError when a lower rising factorial
-    vanishes inside the truncation.
+    far.  One loop forms num_k and den_k from the rational factors as ints
+    and stops at a term that is exactly zero (a terminating upper
+    parameter).  Only its last updates branch: with no tuple product
+    ``mul`` (every value rational) they are int products, reduced by a
+    nonzero modulus after each step; otherwise the irrational factors, as
+    numerator tuples, join through ``_times``, and the updates run through
+    ``_times`` and ``_plus``.  Raises PoleInRangeError when a lower rising
+    factorial vanishes inside the truncation.
     """
     for bn, bd in lows:
         if type(bn) is int and not bn % bd and 0 <= -bn < (n_terms - 1) * bd:
@@ -167,56 +170,43 @@ def _sum(ups, lows, n_terms, mul=None, z=(1, 1), e=1, weight=((0, 1), (1, 1)), m
     z_num, z_den = z
     low_dens = math.prod(bd for _, bd in lows)
     den_const = z_den * math.prod(ad for _, ad in ups)
+    if mul is not None:
+        # the irrational factors apart, z's numerator among them unshifted
+        cyc_ups = [(an, ad) for an, ad in (*ups, (z_num, 0)) if type(an) is not int]
+        cyc_lows = [(bn, bd) for bn, bd in lows if type(bn) is not int]
+        ups = [(an, ad) for an, ad in ups if type(an) is int]
+        lows = [(bn, bd) for bn, bd in lows if type(bn) is int]
+        z_num = z_num if type(z_num) is int else 1
     (w_slope, w_slope_den), (w_const, w_const_den) = weight
     w_step, w_start = w_slope * w_const_den, w_const * w_slope_den
     total = w_start if n_terms else 0
     term, den = 1, w_slope_den * w_const_den
-    if mul is None:
-        num_const = z_num * low_dens
-        for k in range(n_terms - 1):
-            num = num_const
-            for an, ad in ups:
-                num = num * (an + k * ad)
-            if num == 0:
-                break  # every later term is zero too
-            step = den_const * (k + 1) ** e
-            for bn, bd in lows:
-                step = step * (bn + k * bd)
-            # term k+1, and the sum moved onto its denominator den * step
-            term = term * num
-            total = total * step + (w_step * (k + 1) + w_start) * term
-            den = den * step
-            if modulus:
-                term, total, den = term % modulus, total % modulus, den % modulus
-        return total, den
-    # the rational factors multiply as ints first, and only the irrational
-    # ones, as numerator tuples, go through _times; z's numerator is an
-    # irrational factor with no shift
-    int_ups = [(an, ad) for an, ad in ups if type(an) is int]
-    cyc_ups = [(an, ad) for an, ad in ups if type(an) is not int]
-    int_lows = [(bn, bd) for bn, bd in lows if type(bn) is int]
-    cyc_lows = [(bn, bd) for bn, bd in lows if type(bn) is not int]
-    if type(z_num) is not int:
-        cyc_ups.append((z_num, 0))
-        z_num = 1
     num_const = z_num * low_dens
     for k in range(n_terms - 1):
         num = num_const
-        for an, ad in int_ups:
+        for an, ad in ups:
             num *= an + k * ad
         if num == 0:
             break  # every later term is zero too; an irrational factor is never 0
-        for an, ad in cyc_ups:
-            num = _times(num, (an[0] + k * ad, *an[1:]), mul)
         step = den_const * (k + 1) ** e
-        for bn, bd in int_lows:
+        for bn, bd in lows:
             step *= bn + k * bd
-        for bn, bd in cyc_lows:
-            step = _times(step, (bn[0] + k * bd, *bn[1:]), mul)
-        term = _times(term, num, mul)
-        weight = w_step * (k + 1) + w_start
-        total = _plus(_times(total, step, mul), _times(weight, term, mul))
-        den = _times(den, step, mul)
+        # term k+1, and the sum moved onto its denominator den * step
+        w = w_step * (k + 1) + w_start
+        if mul is None:
+            term *= num
+            total = total * step + w * term
+            den *= step
+            if modulus:
+                term, total, den = term % modulus, total % modulus, den % modulus
+        else:
+            for an, ad in cyc_ups:
+                num = _times(num, (an[0] + k * ad, *an[1:]), mul)
+            for bn, bd in cyc_lows:
+                step = _times(step, (bn[0] + k * bd, *bn[1:]), mul)
+            term = _times(term, num, mul)
+            total = _plus(_times(total, step, mul), _times(w, term, mul))
+            den = _times(den, step, mul)
     return total, den
 
 
@@ -470,6 +460,12 @@ def conjugate_product_congruence(a, b, p: int, k: int, order: int) -> bool:
     On numerators over the p-adic unit D^k, D being a's and b's shared
     denominator, a product of m factors is congruent to (a)_k^m mod p^m
     iff its numerator is an int N and p^m divides N - A^m, A being (a)_k's.
+
+    Each congruence is an identity: with x = a + j and y = b*p, factor
+    j's orbit multiplies to x^4 - y^4 (its halves to x^2 +- y^2) at order
+    4 and to x^5 + y^5 at order 5.  So for p-adic integral a and b the
+    check pins the exact arithmetic, not a conjecture; only a perturbed
+    ``rising`` reaches its False paths (tests/test_identity_routes.py).
     """
     if order not in (4, 5):
         raise ValueError("order must be 4 or 5")

@@ -41,10 +41,9 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, prod
-from operator import attrgetter
+from math import comb, factorial, gcd, prod
 
-from .rationals import as_rational, is_prime
+from .rationals import _cleared, as_rational, is_prime
 from .records import FrozenRecord
 
 
@@ -65,18 +64,6 @@ def _coefficient(c):
 # zero-skipping loop; packing it would cost more than it saves.  Route
 # 1's six-term factors, folded mod (q^p - 1)^4, have up to 6 * 4 terms.
 SPARSE_TERMS = 24
-
-_denominator = attrgetter("denominator")
-
-
-def _cleared(coeffs):
-    """Integer numerators over one common denominator: (nums, den).  A
-    Fraction coefficient is never integral, so all-int coefficients are
-    the only case with den = 1."""
-    if Fraction not in set(map(type, coeffs)):
-        return coeffs, 1
-    den = lcm(*map(_denominator, coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _divided(nums, den) -> list:

@@ -5,12 +5,14 @@ canonical form the rest of the package relies on: positive denominator,
 numerator and denominator coprime.  The hot kernels take them apart into
 integers: cyclotomic elements are integer numerators over one
 denominator, quotient-ring coefficients are ``int``, and series steps and
-residues run on integer numerators and denominators.  No floating point
-is used anywhere.  ``rising`` is the one rising-factorial loop over Q,
-Q(i) and Q(zeta_5): it runs on an int numerator, or on a numerator tuple,
-over one int denominator; ``pochhammer`` builds its value once from it.
-``iter_primes`` enumerates primes from a segmented sieve, in memory
-O(sqrt(hi)), and ``primes_in`` lists them.
+residues run on integer numerators and denominators; ``_cleared`` brings
+a list of rationals over one denominator for ``cyclotomic`` and ``qring``
+alike.  No floating point is used anywhere.  ``rising`` is the one
+rising-factorial loop over Q, Q(i) and Q(zeta_5): it runs on an int
+numerator, or on a numerator tuple, over one int denominator;
+``pochhammer`` builds its value once from it.  ``iter_primes``
+enumerates primes from a segmented sieve, in memory O(sqrt(hi)), and
+``primes_in`` lists them.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import attrgetter
+
 
 def as_rational(x) -> Fraction:
     """Coerce an int or Fraction to Fraction.  Floats are rejected.  A
@@ -27,6 +31,18 @@ def as_rational(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass a Fraction or int")
     return Fraction(x)
+
+
+_denominator = attrgetter("denominator")
+
+
+def _cleared(coeffs):
+    """(nums, den): ints and Fractions as integer numerators over the lcm
+    of their denominators.  A list with no Fraction comes back as it is."""
+    if Fraction not in set(map(type, coeffs)):
+        return coeffs, 1
+    den = math.lcm(*map(_denominator, coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def pochhammer(a, n: int):

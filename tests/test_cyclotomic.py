@@ -79,6 +79,11 @@ def test_constants_match_general_constructor():
         for u in (CycElement.one(order), CycElement.zero(order), CycElement.zeta(order)):
             assert type(u.den) is int and all(type(a) is int for a in u.nums)
         assert CycElement.zeta(order) ** 0 == CycElement.one(order)
+        # integral Fractions clear to denominator 1; a float is refused
+        whole = CycElement(order, [Fraction(4, 2), Fraction(-3)])
+        assert whole.den == 1 and whole == CycElement(order, [2, -3])
+        with pytest.raises(TypeError):
+            CycElement(order, [1, 0.5])
     assert CycElement.zeta(1) == CycElement.one(1)
 
 

@@ -703,3 +703,40 @@ def test_mixed_cyclotomic_orders_are_refused():
     )
     with pytest.raises(ValueError):
         eval_truncated(spec)
+
+
+def test_sum_int_and_field_branches_agree_on_int_pairs(rng):
+    # rational field elements are split to ints before _sum, so no series
+    # reaches the field branch with only int factors; feed it some here
+    def pair(dens=(1, 2, 3, 5)):
+        return rng.randint(-9, 9), rng.choice(dens)
+
+    def integer(d):
+        return -rng.randint(0, 8) * d, d
+
+    poles = stops = 0
+    for _ in range(600):
+        n_terms, e = rng.randint(0, 8), rng.randint(0, 3)
+        ups = [pair() for _ in range(rng.randint(0, 3))]
+        lows = [pair() for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.3:
+            ups.append(integer(rng.choice((1, 2, 3, 5))))
+        if rng.random() < 0.3:
+            lows.append(integer(rng.choice((1, 2, 3, 5))))
+        rng.shuffle(ups)
+        rng.shuffle(lows)
+        z = rng.choice([-9, -5, -1, 1, 2, 7]), rng.choice((1, 2, 3, 5))
+        weight = pair((2, 3, 5)), pair((2, 3, 5))
+        args = ups, lows, n_terms
+        kwargs = {"z": z, "e": e, "weight": weight}
+        try:
+            want = hyperkernel._sum(*args, **kwargs)
+        except PoleInRangeError as exc:
+            with pytest.raises(PoleInRangeError) as got:
+                hyperkernel._sum(*args, mul=hyperkernel._PRODUCT[5], **kwargs)
+            assert str(got.value) == str(exc)
+            poles += 1
+            continue
+        assert hyperkernel._sum(*args, mul=hyperkernel._PRODUCT[5], **kwargs) == want
+        stops += any(an <= 0 and not an % ad and -an // ad < n_terms - 1 for an, ad in ups)
+    assert poles >= 20 and stops >= 20

@@ -684,13 +684,13 @@ def proof_chain_thm1(p: int, r: int) -> ProofChain:
     lhs76, prefactor, f43_a = _whipple_sides(a, b, c, a + shift, a - shift, n)
     _transformation_steps(chain, "Q(i)", lhs76, prefactor * f43_a)
 
-    # valuations add, so the series' tail terms are never formed:
-    # v_p((a)_k / k!) moves by v_p(a + k - 1) - v_p(k) per step
-    tail_ratio_ok = True
-    tail_witness = math.inf
+    # valuations add, so the series' tail terms are never formed: for k < p,
+    # v_p((a)_k / k!) moves by v_p(a + k - 1) = v_p(num + (k - 1) den) - v_p(den)
+    tail_ratio_ok, tail_witness = True, math.inf
     ratio_v = vp(pochhammer(a, n) / math.factorial(n), p)
+    num, den, den_v = a.numerator, a.denominator, vp(a.denominator, p)
     for k in range(n + 1, p):
-        ratio_v += vp(a + k - 1, p) - vp(k, p)
+        ratio_v += vp(num + (k - 1) * den, p) - den_v
         tail_ratio_ok = tail_ratio_ok and ratio_v >= 1
         tail_witness = min(tail_witness, vp(slope * k + const, p) + power * ratio_v)
     chain._add(

@@ -113,13 +113,20 @@ class CycElement:
 
     @classmethod
     def _make(cls, order: int, nums, den: int) -> "CycElement":
-        """nums/den, reduced mod Phi_n and den nonzero, in canonical form."""
+        """nums/den, reduced mod Phi_n and den nonzero, in canonical form.
+        A den 2^a q^b of 2^512 or more, q in (3, 5, 7), as den^n of a
+        rising factorial over a small den, is cancelled by valuations, which
+        single-digit remainders tell; a gcd divides the numerators by den."""
         if den < 0:
             nums, den = [-a for a in nums], -den
-        if den != 1:
-            g = math.gcd(den, *nums)
-            if g != 1:
-                nums, den = [a // g for a in nums], den // g
+        odd = den >> 512 and den >> (den & -den).bit_length() - 1
+        q = odd and next((q for q in (3, 5, 7) if not odd % q), 3)
+        if odd and pow(q, m := round(math.log(odd, q)), 1 << 64) == odd % (1 << 64) and q**m == odd:
+            for d in (1 << 29, 2, q**10, q):
+                while not den % d and not any(a % d for a in nums):
+                    nums, den = [a // d for a in nums], den // d
+        elif den != 1 and (g := math.gcd(den, *nums)) != 1:
+            nums, den = [a // g for a in nums], den // g
         out = object.__new__(cls)
         # the slot descriptors write past the immutable __setattr__
         _set_order(out, order)
@@ -252,6 +259,8 @@ class CycElement:
         if self.is_zero:
             raise ZeroDivisionError("zero has no inverse")
         order, nums = self.order, self.nums
+        if self.is_rational:  # N(u) = nums[0]^phi(n) shares a huge gcd with the cofactor
+            return CycElement._make(order, _reduce(order, [self.den]), nums[0])
         mul = _PRODUCT[order]
         # order 1 has no conjugates: the cofactor is 1 and N(u) = u
         conjugates = [_conjugate(order, nums, j) for j in _CONJUGATES[order]]

@@ -7,17 +7,17 @@ A series here is a finite weighted sum
                      ---------------------------------
                         k!^e  *  prod_j (b_j)_k
 
-with all scalars in Q or in one cyclotomic field.  One recurrence loop,
-``_sum``, sums every series on raw integers, each parameter an integral
-numerator over an int denominator.  Rational values, even when they come
-as field elements, run as ints; irrational ones as numerator tuples
-through ``cyclotomic``'s closed-form products, and a sum or product that
-comes out rational (a conjugate pair) drops back to an int.  The loop
-forms each step's rational factors once; only its last updates branch,
-to plain int products (optionally mod p^K) when no value is irrational.
-``eval_truncated`` divides a spec's sum once, exactly, building one
-canonical element; ``eval_truncated_residue`` runs it mod p^K, exact
-whenever the term denominators are p-adic units.
+with all scalars in Q or in one cyclotomic field.  ``_sum`` sums every
+series on raw integers, each parameter an integral numerator over an int
+denominator: rational values as ints, even as field elements, irrational
+ones as numerator tuples through ``cyclotomic``'s closed-form products;
+a conjugate pair's product drops back to an int.  It has two reduction
+orders.  Mod p^K it folds each step into the running sum; exactly, it
+folds runs of ``rationals._FOLD_MAX`` steps and merges neighbouring runs
+pairwise, level by level (binary splitting), so long sums multiply
+operands of like size.  ``eval_truncated`` divides a spec's sum once,
+building one canonical element; ``eval_truncated_residue`` runs it mod
+p^K, exact whenever the term denominators are p-adic units.
 
 The identity checks never divide.  Each lifts its parameters once to
 numerators over one shared denominator, so 1 + a - x is an integer sum,
@@ -45,7 +45,7 @@ from fractions import Fraction
 
 from .cyclotomic import _PRODUCT, CycElement, _reduce
 from .padic import NonIntegralInputError, PadicContext, Residue
-from .rationals import as_rational, is_prime, rising
+from .rationals import _FOLD_MAX, as_rational, is_prime, rising
 from .records import FrozenRecord, Record
 
 Scalar = int | Fraction | CycElement
@@ -157,12 +157,12 @@ def _sum(ups, lows, n_terms, mul=None, z=(1, 1), e=1, weight=((0, 1), (1, 1)), m
     share one denominator, the weight's times the product of the den_k so
     far.  One loop forms num_k and den_k from the rational factors as ints
     and stops at a term that is exactly zero (a terminating upper
-    parameter).  Only its last updates branch: with no tuple product
-    ``mul`` (every value rational) they are int products, reduced by a
-    nonzero modulus after each step; otherwise the irrational factors, as
-    numerator tuples, join through ``_times``, and the updates run through
-    ``_times`` and ``_plus``.  Raises PoleInRangeError when a lower rising
-    factorial vanishes inside the truncation.
+    parameter); with a tuple product ``mul`` the irrational factors join
+    through ``_times``.  It folds the steps in one of two orders: under a
+    nonzero modulus every step, as int products reduced after each step;
+    without one, runs of _FOLD_MAX steps, whose (term, den, total) then
+    merge pairwise, level by level.  Raises PoleInRangeError when a lower
+    rising factorial vanishes inside the truncation.
     """
     for bn, bd in lows:
         if type(bn) is int and not bn % bd and 0 <= -bn < (n_terms - 1) * bd:
@@ -182,6 +182,7 @@ def _sum(ups, lows, n_terms, mul=None, z=(1, 1), e=1, weight=((0, 1), (1, 1)), m
     total = w_start if n_terms else 0
     term, den = 1, w_slope_den * w_const_den
     num_const = z_num * low_dens
+    runs, end = [], _FOLD_MAX - 1
     for k in range(n_terms - 1):
         num = num_const
         for an, ad in ups:
@@ -199,6 +200,7 @@ def _sum(ups, lows, n_terms, mul=None, z=(1, 1), e=1, weight=((0, 1), (1, 1)), m
             den *= step
             if modulus:
                 term, total, den = term % modulus, total % modulus, den % modulus
+                continue
         else:
             for an, ad in cyc_ups:
                 num = _times(num, (an[0] + k * ad, *an[1:]), mul)
@@ -207,6 +209,18 @@ def _sum(ups, lows, n_terms, mul=None, z=(1, 1), e=1, weight=((0, 1), (1, 1)), m
             term = _times(term, num, mul)
             total = _plus(_times(total, step, mul), _times(w, term, mul))
             den = _times(den, step, mul)
+        if k == end:  # an exact run ends, and the next starts empty
+            runs.append((term, den, total))
+            term, den, total, end = 1, 1, 0, end + _FOLD_MAX
+    if runs:
+        # neighbouring runs (P, Q, T) merge by the fold's update: P1 P2, Q1 Q2, T1 Q2 + P1 T2
+        runs.append((term, den, total))
+        while len(runs) > 1:
+            runs = [
+                (_times(p1, p2, mul), _times(q1, q2, mul), _plus(_times(t1, q2, mul), _times(p1, t2, mul)))
+                for (p1, q1, t1), (p2, q2, t2) in zip(runs[::2], runs[1::2])
+            ] + runs[len(runs) & ~1 :]
+        _, den, total = runs[0]
     return total, den
 
 
@@ -219,9 +233,7 @@ def _value(total, den, order: int) -> Scalar:
         if type(total) is tuple:
             total = CycElement._make(order, total, 1)
         return total / CycElement._make(order, den, 1)
-    if type(total) is tuple:
-        return CycElement._make(order, total, den)
-    return CycElement.from_rational(order, Fraction(total, den))
+    return CycElement._make(order, total if type(total) is tuple else _reduce(order, [total]), den)
 
 
 def eval_truncated(spec: SeriesSpec) -> Scalar:

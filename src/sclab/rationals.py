@@ -7,12 +7,12 @@ integers: cyclotomic elements are integer numerators over one
 denominator, quotient-ring coefficients are ``int``, and series steps and
 residues run on integer numerators and denominators; ``_cleared`` brings
 a list of rationals over one denominator for ``cyclotomic`` and ``qring``
-alike.  No floating point is used anywhere.  ``rising`` is the one
-rising-factorial loop over Q, Q(i) and Q(zeta_5): it runs on an int
-numerator, or on a numerator tuple, over one int denominator;
-``pochhammer`` builds its value once from it.  ``iter_primes``
-enumerates primes from a segmented sieve, in memory O(sqrt(hi)), and
-``primes_in`` lists them.
+alike.  No floating point enters any value.  ``rising``, the one rising
+factorial over Q, Q(i) and Q(zeta_5), on an int numerator or a numerator
+tuple over an int denominator, folds up to _FOLD_MAX factors and halves
+longer products, a balanced tree; ``pochhammer`` builds its value once
+from it.  ``iter_primes`` enumerates primes from a segmented sieve, in
+memory O(sqrt(hi)), and ``primes_in`` lists them.
 """
 
 from __future__ import annotations
@@ -45,6 +45,11 @@ def _cleared(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+# The longest fold of rising factors or series steps: past it, multiplying
+# one small factor into a huge running product costs more than balancing.
+_FOLD_MAX = 24
+
+
 def pochhammer(a, n: int):
     """Rising factorial a(a+1)...(a+n-1), with the empty product 1 for n = 0:
     a Fraction for an int or Fraction ``a``, a CycElement of a's order for a
@@ -71,12 +76,15 @@ def pochhammer(a, n: int):
 def rising(num, den: int, n: int, mul=None):
     """The numerator of (num/den)_n over den^n, n >= 0, with no gcd: the
     factors num + j*den of an int ``num``, or (num0 + j*den, num1, ...) of
-    a numerator tuple multiplied by the order's product ``mul``."""
+    a numerator tuple multiplied by the order's product ``mul``; past
+    _FOLD_MAX factors, the product of its two halves."""
+    if n > _FOLD_MAX:
+        h = n // 2
+        if type(num) is int:
+            return rising(num, den, h) * rising(num + h * den, den, n - h)
+        return mul(rising(num, den, h, mul), rising((num[0] + h * den, *num[1:]), den, n - h, mul))
     if type(num) is int:
-        out = num if n else 1
-        for j in range(1, n):
-            out *= num + j * den
-        return out
+        return math.prod(range(num, num + n * den, den))
     head, rest = num[0], num[1:]
     out = num if n else 1
     for j in range(1, n):

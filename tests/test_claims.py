@@ -415,6 +415,30 @@ def test_proof_chain_thm1_tail_step_matches_fifth_powers(p, r):
     assert (tail.passed, tail.witness_valuation) == _tail_step_by_values(p, r)
 
 
+def _tail_step_fraction_loop(p, r):
+    """The tail step as its valuation loop stood with Fraction arithmetic:
+    v_p(a + k - 1) from a Fraction sum and v_p(k) taken at every step."""
+    a, power, slope, const = FAMILIES["thm1"].series(r)
+    n = (3 * p - r) // 5
+    ratio_ok, witness = True, math.inf
+    ratio_v = vp(pochhammer(a, n) / math.factorial(n), p)
+    for k in range(n + 1, p):
+        ratio_v += vp(a + k - 1, p) - vp(k, p)
+        ratio_ok = ratio_ok and ratio_v >= 1
+        witness = min(witness, vp(slope * k + const, p) + power * ratio_v)
+    return ratio_ok and witness >= power, None if witness == math.inf else witness
+
+
+def test_proof_chain_thm1_tail_step_matches_the_fraction_loop():
+    # every admissible default r with 3 <= p <= 130, and two larger instances
+    grid = [(p, r) for p in primes_in(3, 130) for r in FAMILIES["thm1"].default_r_values]
+    grid = [(p, r) for p, r in grid if admissible("thm1", p, r)] + [(397, -9), (409, -3)]
+    assert len(grid) == 39
+    for p, r in grid:
+        tail = next(s for s in proof_chain_thm1(p, r).steps if s.name == "tail-vanishing")
+        assert (tail.passed, tail.witness_valuation) == _tail_step_fraction_loop(p, r), (p, r)
+
+
 def test_proof_chain_thm1_skips_p_two():
     chain = proof_chain_thm1(2, 1)
     assert chain.status == "skipped"

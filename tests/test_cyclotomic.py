@@ -409,3 +409,38 @@ def test_short_pochhammer_is_canonical(order):
             assert got.order == order and got.coeffs == ref
             ref = _ref_mul(order, ref, a.coeffs)
         assert (pochhammer(a, 1).nums, pochhammer(a, 1).den) == (a.nums, a.den)
+
+
+def _make_by_gcd(nums, den):
+    """Reference canonical form: the sign on the numerators, then one gcd."""
+    if den < 0:
+        nums, den = [-a for a in nums], -den
+    g = math.gcd(den, *nums)
+    return tuple(a // g for a in nums), den // g
+
+
+def test_make_matches_the_gcd_route(rng):
+    # dens 2^a q^b of 2^512 or more, q in (3, 5, 7), take valuations and
+    # the others a gcd; each draw shares a random part of den with the numerators
+    routes = set()
+    for trial in range(400):
+        order = rng.choice(SUPPORTED_ORDERS)
+        q = rng.choice((3, 5, 7))
+        smooth = 2 ** rng.randint(0, 400) * q ** rng.randint(0, 250)
+        extra = rng.choice((1, 1, 1, 11, 10007, 2**61 - 1, 3 * 5 * 7))
+        den = smooth * extra * rng.choice((1, -1))
+        common = math.gcd(den, 2 ** rng.randint(0, 420) * q ** rng.randint(0, 260) * extra)
+        nums = [
+            0 if rng.random() < 0.25 else common * rng.randint(-(10**30), 10**30)
+            for _ in range(len(CycElement.one(order).nums))
+        ]
+        if trial % 40 == 0:
+            den = rng.choice((1, -1))
+        got = CycElement._make(order, nums, den)
+        assert (got.nums, got.den) == _make_by_gcd(nums, den), (order, nums, den)
+        routes.add((abs(den) >= 2**512, extra == 1))
+    assert routes == {(True, True), (True, False), (False, True), (False, False)}
+    # 3f agrees with 3^400 mod 2^64 but is no power of 3: the gcd route
+    f = 3**399 + 2**64
+    got = CycElement._make(5, [7 * f, 0, 2 * f, 5 * f], 3 * f)
+    assert (got.nums, got.den) == ((7, 0, 2, 5), 3)

@@ -714,9 +714,11 @@ def test_sum_int_and_field_branches_agree_on_int_pairs(rng):
     def integer(d):
         return -rng.randint(0, 8) * d, d
 
-    poles = stops = 0
-    for _ in range(600):
-        n_terms, e = rng.randint(0, 8), rng.randint(0, 3)
+    poles = stops = long = 0
+    for trial in range(800):
+        # the last 200 draws run across the cutoff, through the merged runs
+        n_terms = rng.randint(0, 8) if trial < 600 else rng.randint(hyperkernel._FOLD_MAX - 1, 60)
+        e = rng.randint(0, 3)
         ups = [pair() for _ in range(rng.randint(0, 3))]
         lows = [pair() for _ in range(rng.randint(0, 3))]
         if rng.random() < 0.3:
@@ -739,4 +741,57 @@ def test_sum_int_and_field_branches_agree_on_int_pairs(rng):
             continue
         assert hyperkernel._sum(*args, mul=hyperkernel._PRODUCT[5], **kwargs) == want
         stops += any(an <= 0 and not an % ad and -an // ad < n_terms - 1 for an, ad in ups)
-    assert poles >= 20 and stops >= 20
+        long += n_terms > hyperkernel._FOLD_MAX
+    assert poles >= 20 and stops >= 20 and long >= 60
+
+
+_CUT = hyperkernel._FOLD_MAX
+_LONG = (_CUT - 1, _CUT, _CUT + 1, _CUT + 2, 2 * _CUT, 2 * _CUT + 1, 60, 3 * _CUT + 5, 100)
+
+
+def _long_spec(rng, order, truncation):
+    """A spec for truncations across the run cutoff: one to three uppers and
+    one or two lowers, few enough that the step-by-step reference stays
+    cheap, over Q (order 1), Q(i) or Q(zeta_5), with a non-integral weight,
+    an argument != 1 and a factorial power from 0 to 6."""
+    def value():
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(max(order - 1, 1))]
+        return coeffs[0] if order == 1 else CycElement(order, coeffs)
+
+    return SeriesSpec(
+        upper=tuple(value() for _ in range(rng.randint(1, 3))),
+        # + 1/5 keeps a lower parameter off the nonpositive integers
+        lower=tuple(value() + Fraction(1, 5) for _ in range(rng.randint(1, 2))),
+        argument=rng.choice((Fraction(-2, 3), Fraction(5, 7))) * (1 if order == 1 else CycElement.zeta(order)),
+        truncation=truncation,
+        weight=(Fraction(rng.randint(-5, 5), 3), Fraction(rng.randint(-5, 5), 7)),
+        factorial_power=rng.randint(0, 6),
+    )
+
+
+@pytest.mark.parametrize("order", [1, 4, 5])
+def test_split_sum_matches_step_sum_across_the_cutoff(rng, order):
+    for truncation in _LONG:
+        spec = _long_spec(rng, order, truncation)
+        assert eval_truncated(spec) == _step_sum(spec), spec
+
+
+@pytest.mark.parametrize("order", [1, 4, 5])
+def test_split_sum_stops_at_a_zero_term_across_the_cutoff(rng, order):
+    # -m ends the sum after m + 1 terms: just inside a run, at a run's end
+    # and just after one, so the last run is empty or holds one step
+    for m in (_CUT - 2, _CUT - 1, _CUT, _CUT + 1, 40, 2 * _CUT - 1, 2 * _CUT, 2 * _CUT + 2):
+        spec = _long_spec(rng, order, 3 * _CUT + 5)
+        spec = spec._replace(upper=(*spec.upper, Fraction(-m)))
+        assert eval_truncated(spec) == _step_sum(spec), (m, spec)
+
+
+@pytest.mark.parametrize("truncation", [_CUT + 1, 2 * _CUT + 1, 60])
+def test_split_sum_pole_at_the_edge_of_the_range(rng, truncation):
+    # the last step forms b + truncation - 2: a lower -(truncation - 1) stays
+    # outside the range, and -(truncation - 2) is a pole
+    spec = _long_spec(rng, 5, truncation)
+    outside = spec._replace(lower=(*spec.lower, Fraction(-(truncation - 1))))
+    assert eval_truncated(outside) == _step_sum(outside)
+    with pytest.raises(PoleInRangeError):
+        eval_truncated(spec._replace(lower=(*spec.lower, Fraction(-(truncation - 2)))))

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 import sclab
+from sclab import rationals
 from sclab.cyclotomic import CycElement
-from sclab.rationals import as_rational, is_prime, iter_primes, pochhammer, primes_in
+from sclab.rationals import as_rational, is_prime, iter_primes, pochhammer, primes_in, rising
 
 from conftest import random_rational
 
@@ -201,3 +202,32 @@ def test_first_primes_of_a_huge_range_fit_in_a_small_address_space():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[2, 3, 5, 7, 11, 13, 17, 19, 23, 29]\n"
+
+
+def _rising_fold(num, den, n, mul=None):
+    """Reference: the factors of ``rationals.rising`` multiplied into one
+    running product, left to right, whatever n is."""
+    out = 1
+    for j in range(n):
+        factor = num + j * den if type(num) is int else (num[0] + j * den, *num[1:])
+        out = factor if j == 0 else (out * factor if type(num) is int else mul(out, factor))
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 4, 5])
+def test_rising_tree_matches_the_fold_across_the_cutoff(rng, order):
+    cut = rationals._FOLD_MAX
+    mul = CycElement._PRODUCT.get(order)
+    lengths = sorted({0, 1, cut - 1, cut, cut + 1, 2 * cut + 1, 4 * cut - 1, 300})
+    for trial in range(8):
+        if order == 1:
+            # an int numerator over 1 and a Fraction's over its denominator;
+            # a nonpositive integer crosses zero inside the longer products
+            a = Fraction(rng.randint(-40, 40), 1 if trial % 2 else rng.randint(2, 30))
+            num, den = a.numerator, a.denominator
+        else:
+            a = CycElement(order, [random_rational(rng) for _ in range(order - 1)])
+            num, den = a.nums, a.den
+        for n in lengths:
+            assert rising(num, den, n, mul) == _rising_fold(num, den, n, mul), (a, n)
+        assert pochhammer(a, 300) == _rising_reference(a, 300)

@@ -555,22 +555,21 @@ def ProcessPoolExecutor(max_workers: int):
 def _run_instances(instances, workers: int):
     # More processes than cores or instances only adds start-up cost.
     workers = min(workers, os.cpu_count() or 1, len(instances))
-    if workers <= 1:
-        return [_verify_instance(t) for t in instances]
-    from concurrent.futures.process import BrokenProcessPool
+    if workers > 1:
+        from concurrent.futures.process import BrokenProcessPool
 
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_verify_instance, instances, chunksize=1))
-    except (BrokenProcessPool, OSError) as exc:
-        # Restricted environments fall back to the serial path; the report
-        # order is the instance order either way.
-        print(
-            f"sclab: process pool unavailable ({type(exc).__name__}); "
-            "running serially",
-            file=sys.stderr,
-        )
-        return [_verify_instance(t) for t in instances]
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(_verify_instance, instances, chunksize=1))
+        except (BrokenProcessPool, OSError) as exc:
+            # Restricted environments fall back to the serial path; the
+            # report order is the instance order either way.
+            print(
+                f"sclab: process pool unavailable ({type(exc).__name__}); "
+                "running serially",
+                file=sys.stderr,
+            )
+    return [_verify_instance(t) for t in instances]
 
 
 # ---------------------------------------------------------------------------

@@ -278,15 +278,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # opened before the run, so an unwritable path costs no verification
         out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+        try:
+            return _run(args, out)
+        finally:
+            if args.out:
+                out.close()  # flushes, so it can fail after a good write
     except OSError as exc:
-        # an unwritable --out is a usage error, not a failed congruence
+        # an unwritable report is a usage error, not a failed congruence
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return 2
-    try:
-        return _run(args, out)
-    finally:
-        if args.out:
-            out.close()
 
 
 def _run(args, out) -> int:
@@ -307,11 +307,7 @@ def _run(args, out) -> int:
         for rec in records:
             if "elapsed_ms" in rec:
                 rec["elapsed_ms"] = 0
-    try:
-        _emit(records, args.format, out)
-    except OSError as exc:
-        print(f"error: cannot write the report: {exc}", file=sys.stderr)
-        return 2
+    _emit(records, args.format, out)  # main reports its OSError
     if args.format == "text":
         print("\n".join(footer))
     return code

@@ -113,19 +113,11 @@ class CycElement:
 
     @classmethod
     def _make(cls, order: int, nums, den: int) -> "CycElement":
-        """nums/den, reduced mod Phi_n and den nonzero, in canonical form.
-        A den 2^a q^b of 2^512 or more, q in (3, 5, 7), as den^n of a
-        rising factorial over a small den, is cancelled by valuations, which
-        single-digit remainders tell; a gcd divides the numerators by den."""
+        """nums/den, reduced mod Phi_n and den nonzero, in canonical form:
+        a positive den and one gcd divided out of den and the numerators."""
         if den < 0:
             nums, den = [-a for a in nums], -den
-        odd = den >> 512 and den >> (den & -den).bit_length() - 1
-        q = odd and next((q for q in (3, 5, 7) if not odd % q), 3)
-        if odd and pow(q, m := round(math.log(odd, q)), 1 << 64) == odd % (1 << 64) and q**m == odd:
-            for d in (1 << 29, 2, q**10, q):
-                while not den % d and not any(a % d for a in nums):
-                    nums, den = [a // d for a in nums], den // d
-        elif den != 1 and (g := math.gcd(den, *nums)) != 1:
+        if den != 1 and (g := math.gcd(den, *nums)) != 1:
             nums, den = [a // g for a in nums], den // g
         out = object.__new__(cls)
         # the slot descriptors write past the immutable __setattr__
@@ -199,9 +191,6 @@ class CycElement:
             return CycElement._make(self.order, (self.nums[0] + sign * den * other,) + self.nums[1:], den)
         other = self._wrap(other)
         d2 = other.den
-        if den == d2:
-            nums = [a + sign * b for a, b in zip(self.nums, other.nums)]
-            return CycElement._make(self.order, nums, den)
         g = math.gcd(den, d2)
         s1, s2 = d2 // g, sign * (den // g)
         nums = [a * s1 + b * s2 for a, b in zip(self.nums, other.nums)]

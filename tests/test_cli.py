@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import json
 import shlex
 from fractions import Fraction
@@ -498,6 +500,40 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command, target):
     assert out == ""
     assert err.startswith("error: cannot write the report: ")
     assert err.count("\n") == 1 and str(tmp_path / target) in err
+
+
+class _FullDisk(io.StringIO):
+    """A report file on a full disk: each method in ``failing`` raises ENOSPC."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def flush(self):
+        if "flush" in self.failing:
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def close(self):
+        super().close()
+        if "close" in self.failing:
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("failing", [("flush", "close"), ("close",)])
+def test_report_that_fails_to_flush_or_close_is_a_usage_error(monkeypatch, capsys, failing):
+    opened = []
+
+    def open_full(*args, **kwargs):
+        opened.append(_FullDisk(failing))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "open", open_full, raising=False)
+    code, _, err = run(
+        capsys, "verify", "--claim", "lr3", "--p", "3", "--test-mode", "--out", "report",
+    )
+    assert code == 2
+    assert err == "error: cannot write the report: [Errno 28] No space left on device\n"
+    assert len(opened) == 1 and opened[0].closed
 
 
 def test_proofchain_failure_exits_1_and_prints_its_records(monkeypatch, capsys):

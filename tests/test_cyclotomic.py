@@ -420,8 +420,9 @@ def _make_by_gcd(nums, den):
 
 
 def test_make_matches_the_gcd_route(rng):
-    # dens 2^a q^b of 2^512 or more, q in (3, 5, 7), take valuations and
-    # the others a gcd; each draw shares a random part of den with the numerators
+    # dens 2^a q^b, q in (3, 5, 7), as den^n of a rising factorial gives,
+    # on both sides of 2^512 and with or without another factor; each draw
+    # shares a random part of den with the numerators
     routes = set()
     for trial in range(400):
         order = rng.choice(SUPPORTED_ORDERS)
@@ -440,7 +441,8 @@ def test_make_matches_the_gcd_route(rng):
         assert (got.nums, got.den) == _make_by_gcd(nums, den), (order, nums, den)
         routes.add((abs(den) >= 2**512, extra == 1))
     assert routes == {(True, True), (True, False), (False, True), (False, False)}
-    # 3f agrees with 3^400 mod 2^64 but is no power of 3: the gcd route
+    # 3f agrees with 3^400 mod 2^64 but is no power of 3, so a shortcut
+    # for powers that looked at the low 64 bits would cancel it wrongly
     f = 3**399 + 2**64
     got = CycElement._make(5, [7 * f, 0, 2 * f, 5 * f], 3 * f)
     assert (got.nums, got.den) == ((7, 0, 2, 5), 3)

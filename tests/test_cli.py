@@ -1,5 +1,4 @@
 import errno
-import hashlib
 import io
 import json
 import shlex
@@ -369,64 +368,6 @@ def test_qverify_json_golden(capsys, p, r, twist, zero, code):
     )
     assert got_code == code
     assert out == QVERIFY_GOLDEN.format(p=p, r=r, twist=twist, zero=zero)
-
-
-# sha256 of `sclab scan --claim X --format json --test-mode` at the default
-# bound, recorded with the exact-Fraction left side; the residue route must
-# give the same bytes
-SCAN_GOLDEN_SHA256 = {
-    "a1": "658f11ac094df6a759e10ebb975445a9533be251aaf1fb4275830a65326c051d",
-    "conj1": "ea6540aca641cbee8dccedff929d5695c964ff442891f668a742671c51fa8d7b",
-    "conj3": "bcf03b2bd60997536360c92c53fc6b286ffffb4e74bd7de6b5666640ec576398",
-    "d2": "89856c52c16528a9b57f472e7046737d7276b88a846aabb6e6473468b1c65120",
-    "lr3": "0e8f2797ca9346229349a6a9d3d5a8f459391a874f544af1ddaad149a1f9414c",
-    "thm1": "cc199be59d8836552e23ec9946c94335b276c12ebd953f9208c9dcd5d2433955",
-    "thm2": "0227bf0520ecb6cc481eb974fc9b142c61373803ac985b37fd85d469a69b9154",
-}
-
-
-@pytest.mark.parametrize("claim", sorted(SCAN_GOLDEN_SHA256))
-def test_scan_json_golden(capsys, claim):
-    code, out, _ = run(capsys, "scan", "--claim", claim, "--format", "json", "--test-mode")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_GOLDEN_SHA256[claim]
-
-
-# sha256 of `sclab proofchain --claim C --p P --r R --format json --test-mode`
-# and of `sclab identity --name all --seed 308520 --format json --test-mode`,
-# recorded with Fraction-coefficient cyclotomic elements; the integer kernel
-# must give the same bytes
-PROOFCHAIN_GOLDEN_SHA256 = {
-    ("thm1", 7, 1): "504e5ec1fa3952ab759c50ea264f758c21e14cc255cb8e8470136c0f0e5ac189",
-    ("thm1", 13, -1): "59bbabc5e1e650d6f36a3f8d84773dd44ce215d763759026b5c8d58346b8f9a2",
-    ("thm1", 397, -9): "801a032fe67dc1b5b0c3eeb618e4e371a604dba4cd5c6f42e264c335615f19ed",
-    ("thm1", 1009, -3): "7b4377dd58e854a7c972ab976bf94930b43781d7632121bfcc6c8be9ccf8e57e",
-    ("thm2", 5, 1): "3f0c3cce2fd848c24d2eeec4cdfa3178c51510d2e927f0e036ff982466d8f24f",
-    ("thm2", 13, -1): "78e5a59e0bd08cdb9b0974f90a2a6f664bc4a62456908e1d17e190507470583b",
-    ("thm2", 401, 1): "e10b8b57cd2833c1ae9374bf3c868f715b7f60c0977e414f8845a39ce48fae56",
-    ("thm2", 1009, -1): "f29efd5d096b8be6e4408ee8f8396a94abed9bb5a6e9b9d1f97a9155e413480e",
-}
-IDENTITY_GOLDEN_SHA256 = "5794308202d32d0f9a745f81bfc39094b2027719b3eedc3500a8c17e92ab3a97"
-
-
-@pytest.mark.parametrize("claim, p, r", sorted(PROOFCHAIN_GOLDEN_SHA256))
-def test_proofchain_json_golden(capsys, claim, p, r):
-    code, out, _ = run(
-        capsys, "proofchain", "--claim", claim, "--p", str(p), "--r", str(r),
-        "--format", "json", "--test-mode",
-    )
-    assert code == 0
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == PROOFCHAIN_GOLDEN_SHA256[(claim, p, r)]
-
-
-def test_identity_json_golden(capsys):
-    code, out, _ = run(
-        capsys, "identity", "--name", "all", "--seed", "308520",
-        "--format", "json", "--test-mode",
-    )
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == IDENTITY_GOLDEN_SHA256
 
 
 SKIPPED_CHAIN_GOLDEN = """[

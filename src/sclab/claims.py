@@ -18,13 +18,12 @@ The ``lr3``/``d2`` closed forms are Long-Ramakrishna's (Adv. Math. 290,
 2016).
 
 The proof chains replay the derivations of ``thm1`` and ``thm2`` on the
-identity code in ``hyperkernel``, sides and series built from the pairs
-the seeded fuzzers compare: ``_whipple_sides`` and ``_d1_sides`` for the
-transformations, ``_whipple_series`` for thm1's unshifted four-slot series,
-and ``_karlsson_minton_series`` for its real-shifted one, evaluated once
-and read by both steps that use it.  The thm2 chain splits the rising
-factorials ``_d1_sides`` formed, and both chains read series shapes and
-closed forms from the family entries.
+identity code in ``hyperkernel``, each step's valuation read off an
+integral (numerator, denominator) pair, which needs no canonical form.
+The thm1 chain reads the pairs the fuzzers compare, of ``_whipple_parts``,
+``_four_slot`` and ``_karlsson_minton_sum``; the thm2 chain splits the
+field values of ``_d1_sides``.  Both read the claim's left side as
+``_weighted_sum``'s pair, and series shapes and closed forms from FAMILIES.
 
 A verification never asserts more than v_p(lhs - rhs) >= k for the
 family's modulus exponent k; the witness valuation is always reported.
@@ -44,16 +43,21 @@ from .cyclotomic import CycElement
 from .hyperkernel import (
     SeriesSpec,
     _d1_sides,
-    _karlsson_minton_series,
-    _whipple_series,
-    _whipple_sides,
+    _flat,
+    _four_slot,
+    _karlsson_minton_sum,
+    _lift,
+    _product,
+    _same,
+    _weighted_sum,
+    _whipple_parts,
     eval_truncated,
     eval_truncated_residue,
     hypergeometric_sum,
 )
 from .padic import PadicContext, Residue, vp
 from .pgamma import gamma_p
-from .rationals import is_prime, iter_primes, pochhammer
+from .rationals import is_prime, iter_primes, pochhammer, rising
 from .records import FrozenRecord, Record
 
 
@@ -614,25 +618,30 @@ class ProofChain(Record):
         self._add(name, detail, None, None, holds)
 
     def congruence(self, name, detail, k, difference):
-        """A step that holds iff v_p(difference) >= k, the witness being
-        v_p(difference), taken coordinate-wise for a field element.  None
-        stands for a side that must be rational and is not: the step fails
-        with no witness."""
+        """A step that holds iff v_p(difference) >= k for a (num, den) pair,
+        the witness being that valuation; None, a side that must be
+        rational and is not, fails the step with no witness."""
         if difference is None:
-            self._add(name, detail, k, None, False)
-            return
-        if isinstance(difference, CycElement):
-            witness = _cyc_valuation(difference, self.p)
-        else:
-            witness = vp(difference, self.p)
+            return self._add(name, detail, k, None, False)
+        witness = _valuation(*difference, self.p)
         self._add(name, detail, k, _finite(witness), witness >= k)
 
 
-def _cyc_valuation(u: CycElement, p: int):
-    """Coordinate-wise valuation min_i v_p(coefficient_i), read off the
-    integer numerators and their one denominator."""
-    top = min((vp(a, p) for a in u.nums if a), default=math.inf)
-    return top - vp(u.den, p)
+def _valuation(num, den: int, p: int):
+    """v_p(num / den), min_i v_p(num_i) - v_p(den) for a numerator tuple;
+    every representative of the value gives the same, so none is reduced."""
+    nums = num if type(num) is tuple else (num,)
+    return min((vp(c, p) for c in nums if c), default=math.inf) - vp(den, p)
+
+
+def _rational_difference(u, v):
+    """u - v for (num, den) pairs over int dens, unreduced; None when a
+    numerator does not flatten to an int, as a side that is not rational."""
+    (a, b), (c, d) = u, v
+    a, c = _flat(a), _flat(c)
+    if type(a) is not int or type(c) is not int:
+        return None
+    return a * d - c * b, b * d
 
 
 def _start_chain(claim_id: str, p: int, r: int, skip_reason: str) -> ProofChain:
@@ -645,24 +654,24 @@ def _start_chain(claim_id: str, p: int, r: int, skip_reason: str) -> ProofChain:
     return chain
 
 
-def _transformation_steps(chain: ProofChain, field_name: str, lhs76, rhs76) -> Fraction:
+def _transformation_steps(chain: ProofChain, field_name: str, holds: bool, lhs76) -> tuple:
     """The two steps every chain opens with: the seven-slot transformation
-    instance holds exactly over the field, and its rational left side is
-    (1/r) times the claim's weighted sum mod p^k.  Returns that sum."""
+    instance holds exactly over the field, and its rational left side, the
+    pair lhs76, is (1/r) times the claim's weighted sum mod p^k, returned."""
     chain.exact(
         "transformation-instance",
         f"seven-slot transformation instance holds exactly over {field_name}",
-        lhs76 == rhs76,
+        holds,
     )
     k = family(chain.claim).modulus_exponent
-    series = lhs_value(chain.claim, chain.p, chain.r)
+    total, den = _weighted_sum(lhs_spec(chain.claim, chain.p, chain.r))
     chain.congruence(
         "series-reduction",
         f"transformed series matches (1/r) * weighted sum mod p^{k}",
         k,
-        lhs76.rational_value() - series / chain.r if lhs76.is_rational else None,
+        _rational_difference(lhs76, (total, den * chain.r)),
     )
-    return series
+    return total, den
 
 
 def proof_chain_thm1(p: int, r: int) -> ProofChain:
@@ -680,14 +689,15 @@ def proof_chain_thm1(p: int, r: int) -> ProofChain:
     a, power, slope, const = FAMILIES["thm1"].series(r)
     b, c = Fraction(r + 5, 10), Fraction(r + 3 * p, 5)
     shift = Fraction(3 * p, 5) * CycElement.zeta(4)
-    lhs76, prefactor, f43_a = _whipple_sides(a, b, c, a + shift, a - shift, n)
-    _transformation_steps(chain, "Q(i)", lhs76, prefactor * f43_a)
+    # d, e are conjugate: every side flattens to ints, with no field product
+    lhs76, prefactor, f43_a, _ = _whipple_parts(a, b, c, a + shift, a - shift, n)
+    _transformation_steps(chain, "Q(i)", _same(lhs76, _product((prefactor, f43_a), None), None), lhs76)
 
     # valuations add, so the series' tail terms are never formed: for k < p,
     # v_p((a)_k / k!) moves by v_p(a + k - 1) = v_p(num + (k - 1) den) - v_p(den)
     tail_ratio_ok, tail_witness = True, math.inf
-    ratio_v = vp(pochhammer(a, n) / math.factorial(n), p)
     num, den, den_v = a.numerator, a.denominator, vp(a.denominator, p)
+    ratio_v = vp(rising(num, den, n), p) - n * den_v - vp(math.factorial(n), p)
     for k in range(n + 1, p):
         ratio_v += vp(num + (k - 1) * den, p) - den_v
         tail_ratio_ok = tail_ratio_ok and ratio_v >= 1
@@ -704,33 +714,34 @@ def proof_chain_thm1(p: int, r: int) -> ProofChain:
         "prefactor-valuation",
         "rising-factorial prefactor is divisible by p^2",
         2,
-        prefactor.rational_value() if prefactor.is_rational else None,
+        _rational_difference(prefactor, (0, 1)),
     )
 
-    f43_b = _whipple_series(a, b, c, a, a, n)
+    (a_num, b_num, c_num), lifted_den, _ = _lift([a, b, c])
+    f43_b = _four_slot(a_num, b_num, c_num, a_num, a_num, n, lifted_den, None)
     chain.congruence(
         "imaginary-shift-swap",
         "four-slot series with conjugate imaginary shifts matches the "
         "unshifted one mod p^2",
         2,
-        f43_a.rational_value() - f43_b if f43_a.is_rational else None,
+        _rational_difference(f43_a, f43_b),
     )
 
     # at d, e = a +- p/5 Whipple's four-slot series is the Karlsson-Minton
     # series with lower parameters a - n, 1 + a - b, 1 + a - c
     ms = [(1 - r) // 2, (2 * p + r - 5) // 10, (2 * p + r - 5) // 5]
-    f43_c = _karlsson_minton_series(n, (a - n, 1 + a - b, 1 + a - c), ms)
+    *f43_c, _ = _karlsson_minton_sum(n, (a - n, 1 + a - b, 1 + a - c), ms)
     chain.congruence(
         "real-shift-swap",
         "unshifted four-slot series matches the real-shifted one mod p^2",
         2,
-        f43_b - f43_c,
+        _rational_difference(f43_b, f43_c),
     )
     chain.exact(
         "karlsson-minton-vanishing",
         "the real-shifted series is an exact zero of the integrally "
         "shifted summation",
-        f43_c == 0,
+        f43_c[0] == 0,
     )
 
     report = verify("thm1", p, r)
@@ -764,14 +775,15 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
     )
     paired_lhs = math.prod(paired)
     ratio = lead_lhs * paired_lhs / lower
-    series = _transformation_steps(chain, "Q(zeta_5)", lhs76, ratio * linear * tail43)
+    holds = lhs76 == ratio * linear * tail43
+    series = _transformation_steps(chain, "Q(zeta_5)", holds, lhs76.as_integer_ratio())
     form = rhs_form("thm2", p, r)
     chain.congruence(
         "remainder-block",
         "linear factors times the terminating series match 8 * finite sum "
         "mod p in every coordinate",
         1,
-        linear * tail43 - 8 * form.finite_sum,
+        (linear * tail43 - 8 * form.finite_sum).as_integer_ratio(),
     )
 
     lead_rest = pochhammer(1 + Fraction(r, 3), n - 1)
@@ -806,7 +818,7 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
         "the full rising-factorial ratio matches its rational closed form "
         "mod p^5 in every coordinate",
         5,
-        ratio - _parity_sign(n) * Fraction(10 * p ** 4, 81) * unit_ratio,
+        (ratio - _parity_sign(n) * Fraction(10 * p ** 4, 81) * unit_ratio).as_integer_ratio(),
     )
 
     sign = _parity_sign(n + r + 1)
@@ -815,11 +827,11 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
         "gamma-quotient-form",
         "the rational ratio matches the Gamma quotient form mod p",
         1,
-        unit_ratio - gamma_lift,
+        (unit_ratio - gamma_lift).as_integer_ratio(),
     )
 
     assembled = form.coefficient * form.finite_sum * sign * unit_ratio
-    witness = vp(series - assembled, p)
+    witness = _valuation(*_rational_difference(series, assembled.as_integer_ratio()), p)
     chain._add(
         "assembly",
         "weighted sum matches the assembled closed form mod p^5, in "

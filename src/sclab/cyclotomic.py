@@ -166,6 +166,10 @@ class CycElement:
     def denominator(self) -> int:
         return self.den
 
+    def as_integer_ratio(self) -> tuple:
+        """(nums, den): the integral numerator tuple over the int den."""
+        return self.nums, self.den
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients of 1, x, ..., x^(phi(n)-1) as Fractions."""

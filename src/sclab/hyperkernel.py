@@ -31,9 +31,8 @@ power basis.
 Every series of the identity checks comes from one of three builders:
 ``_well_poised`` (the terminating very-well-poised seven-slot series, the
 left side of both transformations), ``_four_slot`` (Whipple's four-slot
-series) and ``_karlsson_minton_sum``.  The claim chains read value-level
-sides (``_whipple_sides``, ``_d1_sides``, ``_whipple_series``,
-``_karlsson_minton_series``), built by ``_value`` from the same pairs.
+series) and ``_karlsson_minton_sum``.  The claim chains read their pairs;
+the thm2 chain also reads ``_d1_sides``, values ``_value`` builds from them.
 """
 
 from __future__ import annotations
@@ -334,12 +333,6 @@ def _four_slot(a, b, c, d, e, n: int, den: int, mul) -> tuple:
     return _sum([*((x, den) for x in ups), (-n, 1)], [(x, den) for x in lows], n + 1, mul)
 
 
-def _whipple_series(a, b, c, d, e, n: int) -> Scalar:
-    """``_four_slot``'s value at the parameters themselves."""
-    (a, b, c, d, e), den, order = _lift([a, b, c, d, e])
-    return _value(*_four_slot(a, b, c, d, e, n, den, _PRODUCT.get(order)), order)
-
-
 def _whipple_parts(a, b, c, d, e, n: int) -> tuple:
     """Whipple's reduction of the well-poised series at params (b, c, d, e)
     to his four-slot series with the prefactor (1 + a)_n (1 + a - d - e)_n
@@ -358,12 +351,6 @@ def _whipple_parts(a, b, c, d, e, n: int) -> tuple:
     if bottom == 0:
         raise PoleInRangeError("prefactor denominator vanishes")
     return lhs, (top, bottom), _four_slot(a, b, c, d, e, n, den, mul), order
-
-
-def _whipple_sides(a, b, c, d, e, n: int):
-    """``_whipple_parts``'s three sides as values, for reuse."""
-    *sides, order = _whipple_parts(a, b, c, d, e, n)
-    return tuple(_value(*side, order) for side in sides)
 
 
 def check_whipple(a, b, c, d, e, n: int) -> bool:
@@ -394,11 +381,6 @@ def _karlsson_minton_sum(n: int, bs, ms) -> tuple:
     # an integral Fraction shift is an int one; a float one is refused
     ups = [(_plus(b, int(as_rational(m)) * den), den) for b, m in zip(bs, ms)]
     return (*_sum([(-n, 1), *ups], [(b, den) for b in bs], n + 1, _PRODUCT.get(order)), order)
-
-
-def _karlsson_minton_series(n: int, bs, ms) -> Scalar:
-    """``_karlsson_minton_sum``'s value."""
-    return _value(*_karlsson_minton_sum(n, bs, ms))
 
 
 def check_karlsson_minton(n: int, bs, ms) -> bool:

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from sclab import hyperkernel
+from sclab.cyclotomic import _PRODUCT
+
 
 @pytest.fixture
 def rng() -> random.Random:
@@ -20,3 +23,25 @@ def random_padic_rational(rng: random.Random, p: int, num_bound: int = 60) -> Fr
         den = rng.randint(1, num_bound)
         if den % p:
             return Fraction(rng.randint(-num_bound, num_bound), den)
+
+
+# The identity builders' pairs as values, each through one ``_value``, to
+# hold against the value-level references in identity_reference.py.
+
+
+def pair_whipple_sides(a, b, c, d, e, n):
+    """``_whipple_parts``'s seven-slot series, prefactor and four-slot series."""
+    *sides, order = hyperkernel._whipple_parts(a, b, c, d, e, n)
+    return tuple(hyperkernel._value(*side, order) for side in sides)
+
+
+def pair_whipple_series(a, b, c, d, e, n):
+    """``_four_slot`` at the parameters themselves."""
+    (a, b, c, d, e), den, order = hyperkernel._lift([a, b, c, d, e])
+    series = hyperkernel._four_slot(a, b, c, d, e, n, den, _PRODUCT.get(order))
+    return hyperkernel._value(*series, order)
+
+
+def pair_karlsson_minton_series(n, bs, ms):
+    """``_karlsson_minton_sum``'s (total, den, order) as a value."""
+    return hyperkernel._value(*hyperkernel._karlsson_minton_sum(n, bs, ms))

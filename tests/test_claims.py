@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import identity_reference as ref
 from sclab import claims, hyperkernel
 from sclab.claims import (
     FAMILIES,
@@ -439,6 +440,47 @@ def test_proof_chain_thm1_tail_step_matches_the_fraction_loop():
         assert (tail.passed, tail.witness_valuation) == _tail_step_fraction_loop(p, r), (p, r)
 
 
+def _thm1_chain_by_values(p, r):
+    """Each thm1 step's (witness, passed), from the value-level sides of
+    identity_reference and the exact left side."""
+    import identity_reference as ref
+
+    def rational(x):
+        return x.rational_value() if isinstance(x, CycElement) else x
+
+    def step(k, difference):
+        w = vp(difference, p)
+        return None if w == math.inf else w, w >= k
+
+    n = (3 * p - r) // 5
+    a, b, c = Fraction(r, 5), Fraction(r + 5, 10), Fraction(r + 3 * p, 5)
+    shift = Fraction(3 * p, 5) * CycElement.zeta(4)
+    lhs76, prefactor, f43_a = ref.whipple_sides(a, b, c, a + shift, a - shift, n)
+    f43_b = ref.whipple_series(a, b, c, a, a, n)
+    ms = [(1 - r) // 2, (2 * p + r - 5) // 10, (2 * p + r - 5) // 5]
+    f43_c = ref.karlsson_minton_series(n, (a - n, 1 + a - b, 1 + a - c), ms)
+    passed, witness = _tail_step_by_values(p, r)
+    report = verify("thm1", p, r)
+    return [
+        (None, lhs76 == prefactor * f43_a),
+        step(4, rational(lhs76) - lhs_value("thm1", p, r) / r),
+        (witness, passed),
+        step(2, rational(prefactor)),
+        step(2, rational(f43_a) - f43_b),
+        step(2, f43_b - f43_c),
+        (None, f43_c == 0),
+        (report.witness_valuation, report.passed),
+    ]
+
+
+@pytest.mark.parametrize("p, r", [(7, 1), (13, -1), (19, -3), (13, -11), (29, -13)])
+def test_proof_chain_thm1_pairs_match_the_value_level_sides(p, r):
+    # the chain runs on the identity builders' integer pairs; the witnesses
+    # must be those of the sides evaluated as field values
+    steps = proof_chain_thm1(p, r).steps
+    assert [(s.witness_valuation, s.passed) for s in steps] == _thm1_chain_by_values(p, r)
+
+
 def test_proof_chain_thm1_skips_p_two():
     chain = proof_chain_thm1(2, 1)
     assert chain.status == "skipped"
@@ -601,22 +643,37 @@ def test_thm1_sweep_never_takes_the_exact_fallback(monkeypatch):
     assert max(rep.witness_valuation for rep in result.reports) == 6
 
 
-def test_cyc_valuation_reads_numerators_and_denominator(rng):
+def test_pair_valuation_reads_numerators_and_denominator(rng):
     from conftest import random_rational
 
-    from sclab.cyclotomic import CycElement
-
     u = CycElement(5, [Fraction(1, 7), Fraction(49), 0, Fraction(14, 3)])
-    assert claims._cyc_valuation(u, 7) == -1
-    assert claims._cyc_valuation(u * 49, 7) == 1
-    assert claims._cyc_valuation(CycElement.zero(4), 7) == math.inf
+    assert claims._valuation(*u.as_integer_ratio(), 7) == -1
+    assert claims._valuation(*(u * 49).as_integer_ratio(), 7) == 1
+    assert claims._valuation(*CycElement.zero(4).as_integer_ratio(), 7) == math.inf
     for _ in range(200):
         p = rng.choice([3, 5, 7])
         order = rng.choice([1, 4, 5])
         coeffs = [random_rational(rng, 60, 30) for _ in range(rng.randint(0, 6))]
         u = CycElement(order, coeffs)
         want = min((vp(c, p) for c in u.coeffs if c), default=math.inf)
-        assert claims._cyc_valuation(u, p) == want
+        assert claims._valuation(*u.as_integer_ratio(), p) == want
+    # an int numerator, and representatives that share a power of p
+    assert claims._valuation(0, 5, 7) == math.inf
+    assert claims._valuation(-14, 49, 7) == claims._valuation(-2 * 7 ** 3, 7 ** 4, 7) == -1
+    assert claims._valuation((7 ** 3, 0, 7 ** 2), 7 ** 4, 7) == -2
+
+
+def test_a_tuple_numerator_fails_a_rational_side_without_witness():
+    # the series-reduction step needs the transformed series as a rational:
+    # (1 + i)/2 is not, while (3 + 0i)/2 is, given as a numerator tuple
+    assert claims._rational_difference(((3, 0), 2), (3, 2)) == (0, 4)
+    assert claims._rational_difference(((1, 1), 2), (3, 2)) is None
+    chain = claims.ProofChain("thm1", 7, 1)
+    claims._transformation_steps(chain, "Q(i)", True, ((1, 1), 2))
+    assert [(s.name, s.witness_valuation, s.passed) for s in chain.steps] == [
+        ("transformation-instance", None, True), ("series-reduction", None, False),
+    ]
+    assert chain.status == "fail"
 
 
 def test_non_integral_closed_form_raises():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import pair_karlsson_minton_series, pair_whipple_series, pair_whipple_sides
 from sclab import hyperkernel
 from sclab.cyclotomic import CycElement
 from sclab.hyperkernel import (
@@ -141,8 +142,8 @@ def test_karlsson_minton_instances_from_the_chain():
         assert sum(ms) < n
         assert check_karlsson_minton(n, bs, ms)
         shift = Fraction(p, 5)
-        whipple = hyperkernel._whipple_series(a, b, c, a + shift, a - shift, n)
-        assert hyperkernel._karlsson_minton_series(n, bs, ms) == whipple == 0
+        whipple = pair_whipple_series(a, b, c, a + shift, a - shift, n)
+        assert pair_karlsson_minton_series(n, bs, ms) == whipple == 0
 
 
 def test_karlsson_minton_guard():
@@ -186,8 +187,8 @@ def test_identity_sides_take_int_parameters():
     # int parameters are lifted as Fractions are; the sides must still be exact
     # and equal to the sides built from the same values as Fractions
     cases = [
-        (hyperkernel._whipple_sides, (7, 2, 3, 5, 13), (3,)),
-        (hyperkernel._whipple_sides, (11, 3, 5, 7, Fraction(2, 3)), (3,)),
+        (pair_whipple_sides, (7, 2, 3, 5, 13), (3,)),
+        (pair_whipple_sides, (11, 3, 5, 7, Fraction(2, 3)), (3,)),
         (hyperkernel._d1_sides, (1, 2, 3, 5), (2, 1)),
         (hyperkernel._d1_sides, (11, 2, 3, 5), (2, 2)),
     ]
@@ -200,7 +201,7 @@ def test_identity_sides_take_int_parameters():
             assert all(type(x) in (int, Fraction) for x in lows)
             got = (lhs, *uppers, lower, linear, tail)
         assert all(isinstance(value, Fraction) for value in got)
-    km = hyperkernel._karlsson_minton_series
+    km = pair_karlsson_minton_series
     assert km(4, (5, 2), (1, 2)) == km(4, (Fraction(5), Fraction(2)), (1, 2)) == 0
     assert check_whipple(7, 2, 3, 5, 13, 3)
     assert check_d1(11, 2, 3, 5, 2, 2)
@@ -356,7 +357,7 @@ def test_identity_sides_match_hand_written_lists_on_rational_draws(rng):
     for _ in range(150):
         whipple_args = (q(), q(), q(), q(), q(), rng.randint(0, 6))
         evaluated += _assert_same_sides(
-            hyperkernel._whipple_sides, _whipple_sides_by_hand, whipple_args
+            pair_whipple_sides, _whipple_sides_by_hand, whipple_args
         )
         d1_args = (q(), q(), q(), q(), rng.randint(0, 6), rng.randint(0, 6))
         evaluated += _assert_same_sides(hyperkernel._d1_sides, _d1_sides_by_hand, d1_args)
@@ -376,7 +377,7 @@ def test_identity_sides_match_hand_written_lists_at_chain_instances():
         a, b, c = Fraction(r, 5), Fraction(r + 5, 10), Fraction(r + 3 * p, 5)
         shift = Fraction(3 * p, 5) * i
         args = (a, b, c, a + shift, a - shift, n)
-        assert _assert_same_sides(hyperkernel._whipple_sides, _whipple_sides_by_hand, args)
+        assert _assert_same_sides(pair_whipple_sides, _whipple_sides_by_hand, args)
 
 
 def test_fuzz_d1_draws_a_fixed_sequence(monkeypatch):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import identity_reference as ref
-from conftest import random_padic_rational
+from conftest import pair_karlsson_minton_series, pair_whipple_sides, random_padic_rational
 from sclab import hyperkernel, rationals
 from sclab.cyclotomic import _PRODUCT, CycElement
 from sclab.hyperkernel import (
@@ -37,8 +37,8 @@ def _field_value(rng, order):
 
 
 def test_identity_sides_match_the_reference_over_fields():
-    # the value-level sides the chains read, from the same pairs the checks
-    # compare, over Q(i) and Q(zeta_5); d, e are sometimes a conjugate pair
+    # the sides as values of the pairs the checks compare and the chains
+    # read, over Q(i) and Q(zeta_5); d, e are sometimes a conjugate pair
     rng = random.Random(5)
     evaluated = 0
     for _ in range(300):
@@ -51,11 +51,11 @@ def test_identity_sides_match_the_reference_over_fields():
         ms = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))
         km = (sum(ms) + rng.randint(1, 4), tuple(_field_value(rng, order) for _ in ms), ms)
         for new, old, args in [
-            (hyperkernel._whipple_sides, ref.whipple_sides, whipple),
+            (pair_whipple_sides, ref.whipple_sides, whipple),
             (check_whipple, ref.check_whipple, whipple),
             (hyperkernel._d1_sides, ref.d1_sides, d1),
             (check_d1, ref.check_d1, d1),
-            (hyperkernel._karlsson_minton_series, ref.karlsson_minton_series, km),
+            (pair_karlsson_minton_series, ref.karlsson_minton_series, km),
             (check_karlsson_minton, ref.check_karlsson_minton, km),
         ]:
             want = ref.outcome(old, args)

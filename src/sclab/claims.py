@@ -617,13 +617,12 @@ class ProofChain(Record):
         """A step that is an exact identity: no modulus, no witness."""
         self._add(name, detail, None, None, holds)
 
-    def congruence(self, name, detail, k, difference):
-        """A step that holds iff v_p(difference) >= k for a (num, den) pair,
-        the witness being that valuation; None, a side that must be
-        rational and is not, fails the step with no witness."""
-        if difference is None:
+    def congruence(self, name, detail, k, witness):
+        """A step that holds iff the valuation ``witness`` is at least k;
+        None, a side that must be rational and is not, fails the step with
+        no witness."""
+        if witness is None:
             return self._add(name, detail, k, None, False)
-        witness = _valuation(*difference, self.p)
         self._add(name, detail, k, _finite(witness), witness >= k)
 
 
@@ -634,14 +633,23 @@ def _valuation(num, den: int, p: int):
     return min((vp(c, p) for c in nums if c), default=math.inf) - vp(den, p)
 
 
-def _rational_difference(u, v):
-    """u - v for (num, den) pairs over int dens, unreduced; None when a
-    numerator does not flatten to an int, as a side that is not rational."""
+def _difference_valuation(u, v, p: int, k: int):
+    """v_p(u - v) for (num, den) pairs over int dens; None when a numerator
+    does not flatten to an int, as a side that is not rational.  With u =
+    a/b and v = c/d, a*d - c*b is read mod p^M first, M = v_p(b) + v_p(d)
+    + k + 2: a nonzero residue has the exact valuation, and the p-sized
+    cross-product is formed only when it is 0, at a witness of k + 2 or
+    more."""
     (a, b), (c, d) = u, v
     a, c = _flat(a), _flat(c)
     if type(a) is not int or type(c) is not int:
         return None
-    return a * d - c * b, b * d
+    vb, vd = vp(b, p), vp(d, p)
+    m = p ** (vb + vd + k + 2)
+    top = (a % m * (d % m) - c % m * (b % m)) % m
+    if not top:  # v_p(a*d - c*b) >= M: only the exact product tells how far
+        top = a * d - c * b
+    return vp(top, p) - vb - vd
 
 
 def _start_chain(claim_id: str, p: int, r: int, skip_reason: str) -> ProofChain:
@@ -669,7 +677,7 @@ def _transformation_steps(chain: ProofChain, field_name: str, holds: bool, lhs76
         "series-reduction",
         f"transformed series matches (1/r) * weighted sum mod p^{k}",
         k,
-        _rational_difference(lhs76, (total, den * chain.r)),
+        _difference_valuation(lhs76, (total, den * chain.r), chain.p, k),
     )
     return total, den
 
@@ -714,7 +722,7 @@ def proof_chain_thm1(p: int, r: int) -> ProofChain:
         "prefactor-valuation",
         "rising-factorial prefactor is divisible by p^2",
         2,
-        _rational_difference(prefactor, (0, 1)),
+        _difference_valuation(prefactor, (0, 1), p, 2),
     )
 
     (a_num, b_num, c_num), lifted_den, _ = _lift([a, b, c])
@@ -724,7 +732,7 @@ def proof_chain_thm1(p: int, r: int) -> ProofChain:
         "four-slot series with conjugate imaginary shifts matches the "
         "unshifted one mod p^2",
         2,
-        _rational_difference(f43_a, f43_b),
+        _difference_valuation(f43_a, f43_b, p, 2),
     )
 
     # at d, e = a +- p/5 Whipple's four-slot series is the Karlsson-Minton
@@ -735,7 +743,7 @@ def proof_chain_thm1(p: int, r: int) -> ProofChain:
         "real-shift-swap",
         "unshifted four-slot series matches the real-shifted one mod p^2",
         2,
-        _rational_difference(f43_b, f43_c),
+        _difference_valuation(f43_b, f43_c, p, 2),
     )
     chain.exact(
         "karlsson-minton-vanishing",
@@ -783,7 +791,7 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
         "linear factors times the terminating series match 8 * finite sum "
         "mod p in every coordinate",
         1,
-        (linear * tail43 - 8 * form.finite_sum).as_integer_ratio(),
+        _valuation(*(linear * tail43 - 8 * form.finite_sum).as_integer_ratio(), p),
     )
 
     lead_rest = pochhammer(1 + Fraction(r, 3), n - 1)
@@ -813,12 +821,13 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
         * math.factorial(block) ** 3
         / math.factorial(n) ** 4
     )
+    closed = _parity_sign(n) * Fraction(10 * p ** 4, 81) * unit_ratio
     chain.congruence(
         "ratio-closed-form",
         "the full rising-factorial ratio matches its rational closed form "
         "mod p^5 in every coordinate",
         5,
-        (ratio - _parity_sign(n) * Fraction(10 * p ** 4, 81) * unit_ratio).as_integer_ratio(),
+        _valuation(*(ratio - closed).as_integer_ratio(), p),
     )
 
     sign = _parity_sign(n + r + 1)
@@ -827,11 +836,11 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
         "gamma-quotient-form",
         "the rational ratio matches the Gamma quotient form mod p",
         1,
-        (unit_ratio - gamma_lift).as_integer_ratio(),
+        _valuation(*(unit_ratio - gamma_lift).as_integer_ratio(), p),
     )
 
     assembled = form.coefficient * form.finite_sum * sign * unit_ratio
-    witness = _valuation(*_rational_difference(series, assembled.as_integer_ratio()), p)
+    witness = _difference_valuation(series, assembled.as_integer_ratio(), p, 5)
     chain._add(
         "assembly",
         "weighted sum matches the assembled closed form mod p^5, in "

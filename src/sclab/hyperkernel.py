@@ -10,14 +10,15 @@ A series here is a finite weighted sum
 with all scalars in Q or in one cyclotomic field.  ``_sum`` sums every
 series on raw integers, each parameter an integral numerator over an int
 denominator: rational values as ints, even as field elements, irrational
-ones as numerator tuples through ``cyclotomic``'s closed-form products;
-a conjugate pair's product drops back to an int.  It has two reduction
-orders.  Mod p^K it folds each step into the running sum; exactly, it
-folds runs of ``rationals._FOLD_MAX`` steps and merges neighbouring runs
-pairwise, level by level (binary splitting), so long sums multiply
-operands of like size.  ``eval_truncated`` divides a spec's sum once,
-building one canonical element; ``eval_truncated_residue`` runs it mod
-p^K, exact whenever the term denominators are p-adic units.
+ones as numerator tuples, multiplied once into a polynomial in k through
+``cyclotomic``'s closed-form products; a conjugate pair's product drops
+back to an int polynomial.  It has two reduction orders.  Mod p^K it
+folds each step into the running sum; exactly, it folds runs of
+``rationals._FOLD_MAX`` steps and merges neighbouring runs pairwise,
+level by level (binary splitting), so long sums multiply operands of
+like size.  ``eval_truncated`` divides a spec's sum once, building one
+canonical element; ``eval_truncated_residue`` runs it mod p^K, exact
+whenever the term denominators are p-adic units.
 
 The identity checks never divide.  Each lifts its parameters once to
 numerators over one shared denominator, so 1 + a - x is an integer sum,
@@ -145,6 +146,34 @@ def _weighted_sum(spec: SeriesSpec, modulus: int = 0) -> tuple:
     )
 
 
+def _poly(factors, mul):
+    """prod (an + k*ad) over the factors as a polynomial in k for ``_at``:
+    its coefficients, highest degree first, as a list of ints when every
+    one is rational, else as a tuple of such lists, one per coordinate."""
+    coeffs = [1]
+    for an, ad in factors:
+        # coefficient j of c(k) * (ad*k + an) is c_(j-1) ad + c_j an; a
+        # slope 0 leaves the degree, and drops the new leading zero
+        coeffs = [
+            _plus(_times(u, ad, mul), _times(v, an, mul)) for u, v in zip([*coeffs, 0], [0, *coeffs])
+        ][0 if ad else 1 :]
+    if all(type(c) is int for c in coeffs):
+        return coeffs
+    width = len(next(c for c in coeffs if type(c) is tuple))
+    rows = [c if type(c) is tuple else (c,) + (0,) * (width - 1) for c in coeffs]
+    return tuple(map(list, zip(*rows)))
+
+
+def _at(poly, k):
+    """A ``_poly`` at k by Horner, as an int or a flattened numerator tuple."""
+    if type(poly) is tuple:
+        return _flat(tuple([_at(c, k) for c in poly]))
+    v = 0
+    for c in poly:
+        v = v * k + c
+    return v
+
+
 def _sum(ups, lows, n_terms, mul=None, z=(1, 1), e=1, weight=((0, 1), (1, 1)), modulus=0):
     """The truncated sum as total / den, with total and den integral: ints
     when every parameter is rational, and otherwise each an int or a
@@ -156,12 +185,18 @@ def _sum(ups, lows, n_terms, mul=None, z=(1, 1), e=1, weight=((0, 1), (1, 1)), m
     share one denominator, the weight's times the product of the den_k so
     far.  One loop forms num_k and den_k from the rational factors as ints
     and stops at a term that is exactly zero (a terminating upper
-    parameter); with a tuple product ``mul`` the irrational factors join
-    through ``_times``.  It folds the steps in one of two orders: under a
-    nonzero modulus every step, as int products reduced after each step;
-    without one, runs of _FOLD_MAX steps, whose (term, den, total) then
-    merge pairwise, level by level.  Raises PoleInRangeError when a lower
-    rising factorial vanishes inside the truncation.
+    parameter).  With a tuple product ``mul``, the irrational upper factors,
+    z's numerator among them with slope 0, are multiplied once into a
+    polynomial in k, and the lower ones into another; each step evaluates
+    both by Horner on int coordinates, the canonical coordinates of the
+    factors' product.  Polynomials with rational coefficients, as of
+    conjugate pairs, run the series on ints; otherwise a step makes three
+    field products (term, total, den).  It folds the steps in one of two
+    orders: under a nonzero modulus every step, as int products reduced
+    after each step; without one, runs of _FOLD_MAX steps, whose (term,
+    den, total) then merge pairwise, level by level.  Raises
+    PoleInRangeError when a lower rising factorial vanishes inside the
+    truncation.
     """
     for bn, bd in lows:
         if type(bn) is int and not bn % bd and 0 <= -bn < (n_terms - 1) * bd:
@@ -170,12 +205,12 @@ def _sum(ups, lows, n_terms, mul=None, z=(1, 1), e=1, weight=((0, 1), (1, 1)), m
     low_dens = math.prod(bd for _, bd in lows)
     den_const = z_den * math.prod(ad for _, ad in ups)
     if mul is not None:
-        # the irrational factors apart, z's numerator among them unshifted
-        cyc_ups = [(an, ad) for an, ad in (*ups, (z_num, 0)) if type(an) is not int]
-        cyc_lows = [(bn, bd) for bn, bd in lows if type(bn) is not int]
+        up_poly = _poly([(an, ad) for an, ad in (*ups, (z_num, 0)) if type(an) is not int], mul)
+        low_poly = _poly([(bn, bd) for bn, bd in lows if type(bn) is not int], mul)
         ups = [(an, ad) for an, ad in ups if type(an) is int]
         lows = [(bn, bd) for bn, bd in lows if type(bn) is int]
         z_num = z_num if type(z_num) is int else 1
+        flat = type(up_poly) is list and type(low_poly) is list
     (w_slope, w_slope_den), (w_const, w_const_den) = weight
     w_step, w_start = w_slope * w_const_den, w_const * w_slope_den
     total = w_start if n_terms else 0
@@ -200,12 +235,14 @@ def _sum(ups, lows, n_terms, mul=None, z=(1, 1), e=1, weight=((0, 1), (1, 1)), m
             if modulus:
                 term, total, den = term % modulus, total % modulus, den % modulus
                 continue
+        elif flat:
+            term *= num * _at(up_poly, k)
+            step *= _at(low_poly, k)
+            total = total * step + w * term
+            den *= step
         else:
-            for an, ad in cyc_ups:
-                num = _times(num, (an[0] + k * ad, *an[1:]), mul)
-            for bn, bd in cyc_lows:
-                step = _times(step, (bn[0] + k * bd, *bn[1:]), mul)
-            term = _times(term, num, mul)
+            term = _times(term, _times(num, _at(up_poly, k), mul), mul)
+            step = _times(step, _at(low_poly, k), mul)
             total = _plus(_times(total, step, mul), _times(w, term, mul))
             den = _times(den, step, mul)
         if k == end:  # an exact run ends, and the next starts empty

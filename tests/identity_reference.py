@@ -4,7 +4,9 @@ Each check evaluates its sides as Fractions or CycElements, through
 ``hypergeometric_sum`` and ``pochhammer``, and compares values with
 ``==``.  ``sclab.hyperkernel`` runs the same checks on integral numerators
 and compares cross-products; the equivalence tests hold the two to the same
-bool, or the same exception type, on every draw.
+bool, or the same exception type, on every draw.  ``factor_sum`` is the
+series kernel's reference: each step formed factor by factor, whose
+(total, den) pair ``hyperkernel._sum`` must give exactly.
 """
 
 from __future__ import annotations
@@ -154,6 +156,34 @@ def conjugate_product_congruence(a, b, p, k, order):
         if value is None or vp(value - plain ** 2, p) < 2:
             return False
     return True
+
+
+def factor_sum(ups, lows, n_terms, mul, z=(1, 1), e=1, weight=((0, 1), (1, 1))):
+    """``hyperkernel._sum``'s exact (total, den) pair, folded one step at a
+    time, each step's numerator and denominator formed factor by factor
+    through ``_times``: an int or a numerator tuple per parameter, with no
+    polynomial in k and no runs."""
+    times, plus = hyperkernel._times, hyperkernel._plus
+    (w_slope, w_slope_den), (w_const, w_const_den) = weight
+    w_step, w_start = w_slope * w_const_den, w_const * w_slope_den
+    total = w_start if n_terms else 0
+    term, den = 1, w_slope_den * w_const_den
+
+    def shifted(an, ad, k):
+        return an + k * ad if type(an) is int else (an[0] + k * ad, *an[1:])
+
+    for k in range(n_terms - 1):
+        num, step = z[0], z[1] * (k + 1) ** e
+        for an, ad in ups:
+            num, step = times(num, shifted(an, ad, k), mul), times(step, ad, mul)
+        for bn, bd in lows:
+            num, step = times(num, bd, mul), times(step, shifted(bn, bd, k), mul)
+        if num == 0:
+            break
+        term = times(term, num, mul)
+        total = plus(times(total, step, mul), times(w_step * (k + 1) + w_start, term, mul))
+        den = times(den, step, mul)
+    return total, den
 
 
 # ---------------------------------------------------------------------------

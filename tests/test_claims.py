@@ -666,14 +666,39 @@ def test_pair_valuation_reads_numerators_and_denominator(rng):
 def test_a_tuple_numerator_fails_a_rational_side_without_witness():
     # the series-reduction step needs the transformed series as a rational:
     # (1 + i)/2 is not, while (3 + 0i)/2 is, given as a numerator tuple
-    assert claims._rational_difference(((3, 0), 2), (3, 2)) == (0, 4)
-    assert claims._rational_difference(((1, 1), 2), (3, 2)) is None
+    assert claims._difference_valuation(((3, 0), 2), (3, 2), 7, 4) == math.inf
+    assert claims._difference_valuation(((1, 1), 2), (3, 2), 7, 4) is None
     chain = claims.ProofChain("thm1", 7, 1)
     claims._transformation_steps(chain, "Q(i)", True, ((1, 1), 2))
     assert [(s.name, s.witness_valuation, s.passed) for s in chain.steps] == [
         ("transformation-instance", None, True), ("series-reduction", None, False),
     ]
     assert chain.status == "fail"
+
+
+def test_difference_valuation_matches_the_exact_cross_product(rng):
+    # u - v at valuations from -3 up and exactly 0, on unreduced
+    # representatives with negative dens and powers of p on both sides; in
+    # many draws the residue mod p^M is 0 and the exact product is formed
+    checked = {"residue": 0, "exact": 0}
+    for _ in range(400):
+        p, k = rng.choice([3, 5, 7]), rng.randint(1, 5)
+        x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+        j = rng.choice([None, *range(-3, 12)])
+        y = x
+        if j is not None:
+            y += Fraction(p) ** j * Fraction(rng.choice([-1, 1]) * rng.randint(1, 50), 1 + p * rng.randint(0, 9))
+        pairs = []
+        for w in (x, y):
+            f = rng.choice([-1, 1]) * rng.randint(1, 9) * p ** rng.randint(0, 3)
+            pairs.append((w.numerator * f, w.denominator * f))
+        u, v = pairs
+        if rng.random() < 0.3:
+            u = ((u[0], 0), u[1])  # a rational numerator tuple reads as an int
+        got = claims._difference_valuation(u, v, p, k)
+        assert got == vp(x - y, p), (u, v, p, k)
+        checked["exact" if got >= k + 2 else "residue"] += 1
+    assert min(checked.values()) > 100
 
 
 def test_non_integral_closed_form_raises():

@@ -10,7 +10,7 @@ import pytest
 
 import identity_reference as ref
 from conftest import pair_karlsson_minton_series, pair_whipple_sides, random_padic_rational
-from sclab import hyperkernel, rationals
+from sclab import claims, cyclotomic, hyperkernel, rationals
 from sclab.cyclotomic import _PRODUCT, CycElement
 from sclab.hyperkernel import (
     IdentityPreconditionError,
@@ -225,3 +225,128 @@ def test_non_int_counts_are_refused():
     assert ref.check_karlsson_minton(*km, (Fraction(1), 0)) is True
     with pytest.raises(IdentityPreconditionError):
         check_karlsson_minton(3.0, *km[1:], (1, 0))
+
+
+# ---------------------------------------------------------------------------
+# The series kernel against its factor-by-factor reference
+# ---------------------------------------------------------------------------
+
+
+def _conjugates(order, nums):
+    """The Galois conjugates of a numerator tuple other than itself."""
+    return [tuple(cyclotomic._conjugate(order, nums, j)) for j in cyclotomic._CONJUGATES[order]]
+
+
+def _series_draw(rng, order, shape, n_terms):
+    """_sum's (ups, lows, z, e, weight) of one shape over Q(i) or Q(zeta_5),
+    with rational parameters besides and a weight over denominators."""
+    width = {4: 2, 5: 4}[order]
+
+    def irrational():
+        while True:
+            nums = tuple(rng.randint(-9, 9) for _ in range(width))
+            if any(nums[1:]):
+                return nums, rng.choice((1, 2, 3))
+
+    def rational(lower):
+        num, den = rng.randint(-9, 9), rng.choice((1, 2, 3, 5))
+        # a lower parameter stays off the nonpositive integers
+        return (num * 5 + rng.randint(1, 4), 5) if lower and num % den == 0 else (num, den)
+
+    ups = [rational(False) for _ in range(rng.randint(0, 2))]
+    lows = [rational(True) for _ in range(rng.randint(0, 2))]
+    z = rng.choice((-2, 1, 3)), rng.choice((1, 7))
+    if shape == "irrational-z":
+        z = irrational()
+        ups += [irrational() for _ in range(rng.randint(0, 1))]
+        lows += [irrational() for _ in range(rng.randint(0, 1))]
+    elif shape in ("conjugates", "conjugates-plus-one"):
+        # the full orbit; or, with one conjugate dropped at order 5, three
+        # of the four conjugates plus one more factor, as in the thm2 chain
+        for side in (ups, lows):
+            nums, den = irrational()
+            orbit = [nums, *_conjugates(order, nums)]
+            if shape == "conjugates-plus-one":
+                orbit = orbit[: 3 if order == 5 else 2] + [irrational()[0]]
+            side += [(x, den) for x in orbit]
+    elif shape == "rational-at-zero":
+        # x + k and conj(x)/2 + k multiply to a rational value at k = 0 only
+        for side in (ups, lows):
+            nums, den = irrational()
+            side += [(nums, den), (_conjugates(order, nums)[-1], 2 * den)]
+    elif shape == "terminating":
+        ups += [irrational(), (-rng.randint(0, max(n_terms - 1, 0)), 1)]
+        lows += [irrational()]
+    rng.shuffle(ups)
+    rng.shuffle(lows)
+    weight = (rng.randint(-5, 5), rng.choice((1, 2, 3))), (rng.randint(-5, 5), rng.choice((1, 7)))
+    return ups, lows, z, rng.randint(0, 3), weight
+
+
+_SHAPES = ("rational", "irrational-z", "conjugates", "conjugates-plus-one", "rational-at-zero", "terminating")
+
+
+@pytest.mark.parametrize("order", [4, 5])
+@pytest.mark.parametrize("n_terms", [0, 1, 2, 23, 24, 25, 60])
+def test_sum_matches_the_factor_by_factor_reference(order, n_terms):
+    # 24 steps fill one run: 25 terms end a run, and 60 merge three
+    rng = random.Random(f"sum:{order}:{n_terms}")
+    mul = _PRODUCT[order]
+    kinds = set()
+    for shape in _SHAPES:
+        for _ in range(4):
+            ups, lows, z, e, weight = _series_draw(rng, order, shape, n_terms)
+            got = hyperkernel._sum(ups, lows, n_terms, mul, z, e, weight)
+            assert got == ref.factor_sum(ups, lows, n_terms, mul, z, e, weight), (shape, ups, lows, z)
+            if shape in ("rational", "conjugates"):
+                assert all(type(x) is int for x in got), (shape, got)
+            kinds.add(tuple(type(x) for x in got))
+    if n_terms > 2:
+        assert (int, int) in kinds and (tuple, tuple) in kinds
+
+
+class _Counting:
+    """A tuple product that counts its calls."""
+
+    def __init__(self, mul):
+        self.mul, self.calls = mul, 0
+
+    def __call__(self, u, v):
+        self.calls += 1
+        return self.mul(u, v)
+
+
+def test_a_conjugate_well_poised_series_makes_no_field_product_per_step():
+    # the thm1 chain's seven-slot series at p = 211, r = -7, where
+    # d, e = a +- (3p/5) i, at two lengths
+    p, r = 211, -7
+    a = claims.FAMILIES["thm1"].series(r)[0]
+    shift = Fraction(3 * p, 5) * CycElement.zeta(4)
+    params = [a, Fraction(r + 5, 10), Fraction(r + 3 * p, 5), a + shift, a - shift]
+    (a, *params), den, _ = hyperkernel._lift(params)
+    calls = []
+    for n in (30, 300):
+        mul = _Counting(_PRODUCT[4])
+        total, sum_den = hyperkernel._well_poised(a, params, n, den, mul)
+        assert type(total) is int and type(sum_den) is int
+        calls.append(mul.calls)
+    assert calls[0] == calls[1]
+
+
+def test_a_thm2_shaped_series_makes_three_field_products_per_step():
+    # three of the four conjugates of x plus one more factor, above and
+    # below, as in the thm2 chain's seven-slot series, over 99 steps
+    x, y = (3, -1, 4, 1), (2, 7, 1, 8)
+    orbit = [x, *_conjugates(5, x)][:3]
+    ups = [(1, 3), (7, 6), *((u, 3) for u in orbit), (y, 3), (-99, 1)]
+    lows = [(1, 6), *((u, 3) for u in _conjugates(5, y)[:3]), (x, 3), (301, 3)]
+
+    def calls(n_terms):
+        mul = _Counting(_PRODUCT[5])
+        total, den = hyperkernel._sum(ups, lows, n_terms, mul)
+        assert n_terms == 1 or type(total) is type(den) is tuple
+        return mul.calls
+
+    steps, runs = 99, 99 // hyperkernel._FOLD_MAX + 1
+    # a merge of two runs makes at most four products
+    assert calls(steps + 1) <= calls(1) + 3 * steps + 4 * (runs - 1)

@@ -625,6 +625,10 @@ class ProofChain(Record):
             return self._add(name, detail, k, None, False)
         self._add(name, detail, k, _finite(witness), witness >= k)
 
+    def difference(self, name, detail, k, u, v):
+        """``congruence`` on v_p(u - v) for (num, den) pairs u and v."""
+        self.congruence(name, detail, k, _difference_valuation(u, v, self.p, k))
+
 
 def _valuation(num, den: int, p: int):
     """v_p(num / den), min_i v_p(num_i) - v_p(den) for a numerator tuple;
@@ -673,11 +677,11 @@ def _transformation_steps(chain: ProofChain, field_name: str, holds: bool, lhs76
     )
     k = family(chain.claim).modulus_exponent
     total, den = _weighted_sum(lhs_spec(chain.claim, chain.p, chain.r))
-    chain.congruence(
+    chain.difference(
         "series-reduction",
         f"transformed series matches (1/r) * weighted sum mod p^{k}",
         k,
-        _difference_valuation(lhs76, (total, den * chain.r), chain.p, k),
+        lhs76, (total, den * chain.r),
     )
     return total, den
 
@@ -718,32 +722,32 @@ def proof_chain_thm1(p: int, r: int) -> ProofChain:
         tail_ratio_ok and tail_witness >= power,
     )
 
-    chain.congruence(
+    chain.difference(
         "prefactor-valuation",
         "rising-factorial prefactor is divisible by p^2",
         2,
-        _difference_valuation(prefactor, (0, 1), p, 2),
+        prefactor, (0, 1),
     )
 
     (a_num, b_num, c_num), lifted_den, _ = _lift([a, b, c])
     f43_b = _four_slot(a_num, b_num, c_num, a_num, a_num, n, lifted_den, None)
-    chain.congruence(
+    chain.difference(
         "imaginary-shift-swap",
         "four-slot series with conjugate imaginary shifts matches the "
         "unshifted one mod p^2",
         2,
-        _difference_valuation(f43_a, f43_b, p, 2),
+        f43_a, f43_b,
     )
 
     # at d, e = a +- p/5 Whipple's four-slot series is the Karlsson-Minton
     # series with lower parameters a - n, 1 + a - b, 1 + a - c
     ms = [(1 - r) // 2, (2 * p + r - 5) // 10, (2 * p + r - 5) // 5]
     *f43_c, _ = _karlsson_minton_sum(n, (a - n, 1 + a - b, 1 + a - c), ms)
-    chain.congruence(
+    chain.difference(
         "real-shift-swap",
         "unshifted four-slot series matches the real-shifted one mod p^2",
         2,
-        _difference_valuation(f43_b, f43_c, p, 2),
+        f43_b, f43_c,
     )
     chain.exact(
         "karlsson-minton-vanishing",

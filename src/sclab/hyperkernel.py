@@ -190,8 +190,9 @@ def _sum(ups, lows, n_terms, mul=None, z=(1, 1), e=1, weight=((0, 1), (1, 1)), m
     polynomial in k, and the lower ones into another; each step evaluates
     both by Horner on int coordinates, the canonical coordinates of the
     factors' product.  Polynomials with rational coefficients, as of
-    conjugate pairs, run the series on ints; otherwise a step makes three
-    field products (term, total, den).  It folds the steps in one of two
+    conjugate pairs, keep every value an int, so ``_times`` makes int
+    products only; otherwise a step makes three field products (term,
+    total, den).  It folds the steps in one of two
     orders: under a nonzero modulus every step, as int products reduced
     after each step; without one, runs of _FOLD_MAX steps, whose (term,
     den, total) then merge pairwise, level by level.  Raises
@@ -210,7 +211,6 @@ def _sum(ups, lows, n_terms, mul=None, z=(1, 1), e=1, weight=((0, 1), (1, 1)), m
         ups = [(an, ad) for an, ad in ups if type(an) is int]
         lows = [(bn, bd) for bn, bd in lows if type(bn) is int]
         z_num = z_num if type(z_num) is int else 1
-        flat = type(up_poly) is list and type(low_poly) is list
     (w_slope, w_slope_den), (w_const, w_const_den) = weight
     w_step, w_start = w_slope * w_const_den, w_const * w_slope_den
     total = w_start if n_terms else 0
@@ -235,11 +235,6 @@ def _sum(ups, lows, n_terms, mul=None, z=(1, 1), e=1, weight=((0, 1), (1, 1)), m
             if modulus:
                 term, total, den = term % modulus, total % modulus, den % modulus
                 continue
-        elif flat:
-            term *= num * _at(up_poly, k)
-            step *= _at(low_poly, k)
-            total = total * step + w * term
-            den *= step
         else:
             term = _times(term, _times(num, _at(up_poly, k), mul), mul)
             step = _times(step, _at(low_poly, k), mul)

@@ -20,9 +20,10 @@ The ``lr3``/``d2`` closed forms are Long-Ramakrishna's (Adv. Math. 290,
 The proof chains replay the derivations of ``thm1`` and ``thm2`` on the
 identity code in ``hyperkernel``, each step's valuation read off an
 integral (numerator, denominator) pair, which needs no canonical form.
-The thm1 chain reads the pairs the fuzzers compare, of ``_whipple_parts``,
-``_four_slot`` and ``_karlsson_minton_sum``; the thm2 chain splits the
-field values of ``_d1_sides``.  Both read the claim's left side as
+The chains read the pairs the fuzzers compare: the thm1 chain those of
+``_whipple_parts``, ``_four_slot`` and ``_karlsson_minton_sum``, the thm2
+chain those of ``_d1_parts``, whose one field denominator it divides by
+in its remainder block.  Both read the claim's left side as
 ``_weighted_sum``'s pair, and series shapes and closed forms from FAMILIES.
 
 A verification never asserts more than v_p(lhs - rhs) >= k for the
@@ -39,16 +40,19 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .cyclotomic import CycElement
+from .cyclotomic import _PRODUCT, CycElement
 from .hyperkernel import (
     SeriesSpec,
-    _d1_sides,
+    _d1_parts,
     _flat,
     _four_slot,
     _karlsson_minton_sum,
     _lift,
+    _minus,
     _product,
     _same,
+    _times,
+    _value,
     _weighted_sum,
     _whipple_parts,
     eval_truncated,
@@ -782,27 +786,32 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
     n = (2 * p - r) // 3
     z = CycElement.zeta(5)
     scale = Fraction(2 * p, 3)
-    lhs76, lows, (lead_lhs, *paired), lower, linear, tail43 = _d1_sides(
+    # the series' irrational uppers and lowers, and the ratio's lower factors up
+    # to sign, each run over a zeta_5 orbit: lhs76 and lower come back as ints
+    lhs76, lows, (lead, *paired), lower, linear, tail43, den, order = _d1_parts(
         Fraction(r, 3), scale * z, scale * z ** 2, scale * z ** 3, n, 1 - r
     )
-    paired_lhs = math.prod(paired)
-    ratio = lead_lhs * paired_lhs / lower
-    holds = lhs76 == ratio * linear * tail43
-    series = _transformation_steps(chain, "Q(zeta_5)", holds, lhs76.as_integer_ratio())
+    mul = _PRODUCT[order]
+    paired = _product(((u, den ** n) for u in paired), mul)
+    ratio = (_times(lead, paired[0], mul), lower)  # the uppers' den^(4n) cancel the lower's
+    block43 = _product((linear, tail43), mul)
+    holds = _same(lhs76, _product((ratio, block43), mul), mul)
+    series = _transformation_steps(chain, "Q(zeta_5)", holds, lhs76)
     form = rhs_form("thm2", p, r)
+    # the chain's one field division: the tail's lower parameters are no orbit
     chain.congruence(
         "remainder-block",
         "linear factors times the terminating series match 8 * finite sum "
         "mod p in every coordinate",
         1,
-        _valuation(*(linear * tail43 - 8 * form.finite_sum).as_integer_ratio(), p),
+        _valuation(*(_value(*block43, order) - 8 * form.finite_sum).as_integer_ratio(), p),
     )
 
     lead_rest = pochhammer(1 + Fraction(r, 3), n - 1)
     chain.exact(
         "leading-pochhammer-extraction",
         "the top factor 2p/3 splits off the leading rising factorial exactly",
-        lead_lhs == scale * lead_rest,
+        _same((lead, den ** n), (scale * lead_rest).as_integer_ratio(), mul),
     )
 
     # the tail's lower parameters are x = 2r/3 + (2p/3) s, s a pair sum
@@ -810,13 +819,13 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
     block = (p + r) // 3
     pair_sums = (z + z ** 2, z + z ** 3, z ** 2 + z ** 3)
     paired_rhs = Fraction(5 * p ** 3, 27) * math.prod(
-        pochhammer(x + 1, j0) * pochhammer(1 + Fraction(p, 3) * (2 * s + 1), block)
+        pochhammer(_value(x, den, order) + 1, j0) * pochhammer(1 + Fraction(p, 3) * (2 * s + 1), block)
         for x, s in zip(lows, pair_sums)
     )
     chain.exact(
         "paired-pochhammer-extraction",
         "the three paired rising factorials factor through 5p^3/27 exactly",
-        paired_lhs == paired_rhs,
+        _same(paired, paired_rhs.as_integer_ratio(), mul),
     )
 
     unit_ratio = (
@@ -825,13 +834,13 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
         * math.factorial(block) ** 3
         / math.factorial(n) ** 4
     )
-    closed = _parity_sign(n) * Fraction(10 * p ** 4, 81) * unit_ratio
+    c_num, c_den = (_parity_sign(n) * Fraction(10 * p ** 4, 81) * unit_ratio).as_integer_ratio()
     chain.congruence(
         "ratio-closed-form",
         "the full rising-factorial ratio matches its rational closed form "
         "mod p^5 in every coordinate",
         5,
-        _valuation(*(ratio - closed).as_integer_ratio(), p),
+        _valuation(_minus(_times(ratio[0], c_den, mul), c_num * lower), lower * c_den, p),
     )
 
     sign = _parity_sign(n + r + 1)

@@ -32,8 +32,8 @@ power basis.
 Every series of the identity checks comes from one of three builders:
 ``_well_poised`` (the terminating very-well-poised seven-slot series, the
 left side of both transformations), ``_four_slot`` (Whipple's four-slot
-series) and ``_karlsson_minton_sum``.  The claim chains read their pairs;
-the thm2 chain also reads ``_d1_sides``, values ``_value`` builds from them.
+series) and ``_karlsson_minton_sum``.  The claim chains read their pairs,
+and the thm2 chain divides one by its field denominator through ``_value``.
 """
 
 from __future__ import annotations
@@ -451,17 +451,6 @@ def _d1_parts(t, a, b, c, n: int, m: int) -> tuple:
     tail_ups = [(-m, 1), (-n, 1), (top, den), (w, den)]
     tail = _sum(tail_ups, [(x, den) for x in lows], min(m, n) + 1, mul)
     return lhs, lows, uppers, lower, linear, tail, den, order
-
-
-def _d1_sides(t, a, b, c, n: int, m: int):
-    """``_d1_parts`` as values, for reuse: (seven-slot series, lows, the
-    upper rising factorials, their lower product, linear factor, tail)."""
-    lhs, lows, uppers, lower, linear, tail, den, order = _d1_parts(t, a, b, c, n, m)
-    value = functools.partial(_value, order=order)
-    return (
-        value(*lhs), tuple(value(x, den) for x in lows), tuple(value(u, den ** n) for u in uppers),
-        value(lower, den ** (4 * n)), value(*linear), value(*tail),
-    )
 
 
 def check_d1(t, a, b, c, n: int, m: int) -> bool:

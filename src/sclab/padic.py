@@ -23,10 +23,11 @@ class NonIntegralInputError(ValueError):
 def vp(x, p: int) -> Valuation:
     """p-adic valuation of a rational; +infinity for 0, negative for
     denominators divisible by p.  Raises ValueError for p < 2, where no
-    valuation exists."""
+    valuation exists.  An int is read as it is, with denominator 1."""
     if p < 2:
         raise ValueError(f"a valuation needs p >= 2, got {p}")
-    x = as_rational(x)
+    if not isinstance(x, int):
+        x = as_rational(x)
     if x == 0:
         return math.inf
     num, den = x.numerator, x.denominator

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -45,3 +46,15 @@ def pair_whipple_series(a, b, c, d, e, n):
 def pair_karlsson_minton_series(n, bs, ms):
     """``_karlsson_minton_sum``'s (total, den, order) as a value."""
     return hyperkernel._value(*hyperkernel._karlsson_minton_sum(n, bs, ms))
+
+
+def pair_d1_sides(t, a, b, c, n, m):
+    """``_d1_parts`` as values: (seven-slot series, the tail's lower
+    parameters, the ratio's upper rising factorials, their lower product,
+    linear factor, tail)."""
+    lhs, lows, uppers, lower, linear, tail, den, order = hyperkernel._d1_parts(t, a, b, c, n, m)
+    value = functools.partial(hyperkernel._value, order=order)
+    return (
+        value(*lhs), tuple(value(x, den) for x in lows), tuple(value(u, den ** n) for u in uppers),
+        value(lower, den ** (4 * n)), value(*linear), value(*tail),
+    )

@@ -512,6 +512,74 @@ def test_proof_chain_thm2_rejects_inadmissible():
         proof_chain_thm2(11, -1)
 
 
+def _thm2_chain_by_values(p, r):
+    """Each thm2 step's (witness, passed), from the value-level sides of
+    identity_reference, CycElement arithmetic and the exact left side."""
+
+    def step(k, x):
+        # a field value's valuation is the least of its coordinates'
+        coords = x.coeffs if isinstance(x, CycElement) else (x,)
+        w = min((vp(c, p) for c in coords if c), default=math.inf)
+        return None if w == math.inf else w, w >= k
+
+    n, j0, block = (2 * p - r) // 3, (p - 2 * r - 3) // 3, (p + r) // 3
+    z, scale = CycElement.zeta(5), Fraction(2 * p, 3)
+    args = (Fraction(r, 3), scale * z, scale * z ** 2, scale * z ** 3, n, 1 - r)
+    lhs76, lows, (lead, *paired), lower, linear, tail43 = ref.d1_sides(*args)
+    ratio = lead * math.prod(paired) / lower
+    form = rhs_form("thm2", p, r)
+    lead_rest = pochhammer(1 + Fraction(r, 3), n - 1)
+    pair_sums = (z + z ** 2, z + z ** 3, z ** 2 + z ** 3)
+    paired_rhs = Fraction(5 * p ** 3, 27) * math.prod(
+        pochhammer(x + 1, j0) * pochhammer(1 + Fraction(p, 3) * (2 * s + 1), block)
+        for x, s in zip(lows, pair_sums)
+    )
+    unit_ratio = (
+        lead_rest * pochhammer(1 + Fraction(2 * r, 3), j0) ** 3
+        * Fraction(math.factorial(block) ** 3, math.factorial(n) ** 4)
+    )
+    sign = (-1) ** (n + r + 1)
+    gamma_lift = sign * claims._gamma_product(form.gamma_factors, PadicContext(p, 1)) % p
+    series = lhs_value("thm2", p, r)
+    assembly = step(5, series - form.coefficient * form.finite_sum * sign * unit_ratio)
+    return [
+        (None, lhs76 == ratio * linear * tail43),
+        step(5, lhs76 - series / r),
+        step(1, linear * tail43 - 8 * form.finite_sum),
+        (None, lead == scale * lead_rest),
+        (None, math.prod(paired) == paired_rhs),
+        step(5, ratio - (-1) ** n * Fraction(10 * p ** 4, 81) * unit_ratio),
+        step(1, unit_ratio - gamma_lift),
+        (assembly[0], verify("thm2", p, r).passed and assembly[1]),
+    ]
+
+
+@pytest.mark.parametrize("p, r", [(5, 1), (7, -1), (13, -1), (17, -2), (29, -11)])
+def test_proof_chain_thm2_pairs_match_the_value_level_sides(p, r):
+    # the chain runs on _d1_parts's integer pairs; the witnesses must be those
+    # of the sides evaluated as field values
+    steps = proof_chain_thm2(p, r).steps
+    assert [(s.witness_valuation, s.passed) for s in steps] == _thm2_chain_by_values(p, r)
+    # the chain reads the seven-slot series and the ratio's lower product as
+    # ints: their irrational parameters run over whole zeta_5 orbits
+    z, scale = CycElement.zeta(5), Fraction(2 * p, 3)
+    args = (Fraction(r, 3), scale * z, scale * z ** 2, scale * z ** 3, (2 * p - r) // 3, 1 - r)
+    lhs, _, _, lower, *_ = hyperkernel._d1_parts(*args)
+    assert [type(x) for x in (*lhs, lower)] == [int, int, int]
+
+
+def test_proof_chain_thm2_divides_by_one_field_element(monkeypatch):
+    # the remainder block's field denominator is the chain's one inverse;
+    # every other step cross-multiplies or reads integer pairs
+    calls = []
+    inverse = CycElement.inverse
+    monkeypatch.setattr(CycElement, "inverse", lambda self: calls.append(self) or inverse(self))
+    for p, r in [(5, 1), (13, -1), (199, -4), (401, 1)]:
+        calls.clear()
+        assert proof_chain_thm2(p, r).passed
+        assert len(calls) == 1, (p, r, len(calls))
+
+
 def test_perturbed_instance_fails():
     # adding p^3 to the sum must drop the witness below the modulus
     p = 7

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import pair_karlsson_minton_series, pair_whipple_series, pair_whipple_sides
+from conftest import (
+    pair_d1_sides,
+    pair_karlsson_minton_series,
+    pair_whipple_series,
+    pair_whipple_sides,
+)
 from sclab import hyperkernel
 from sclab.cyclotomic import CycElement
 from sclab.hyperkernel import (
@@ -189,13 +194,13 @@ def test_identity_sides_take_int_parameters():
     cases = [
         (pair_whipple_sides, (7, 2, 3, 5, 13), (3,)),
         (pair_whipple_sides, (11, 3, 5, 7, Fraction(2, 3)), (3,)),
-        (hyperkernel._d1_sides, (1, 2, 3, 5), (2, 1)),
-        (hyperkernel._d1_sides, (11, 2, 3, 5), (2, 2)),
+        (pair_d1_sides, (1, 2, 3, 5), (2, 1)),
+        (pair_d1_sides, (11, 2, 3, 5), (2, 2)),
     ]
     for build, params, counts in cases:
         got = build(*params, *counts)
         assert got == build(*map(Fraction, params), *counts)
-        if build is hyperkernel._d1_sides:
+        if build is pair_d1_sides:
             # the tail's lower parameters are sums of the parameters as given
             lhs, lows, uppers, lower, linear, tail = got
             assert all(type(x) in (int, Fraction) for x in lows)
@@ -360,7 +365,7 @@ def test_identity_sides_match_hand_written_lists_on_rational_draws(rng):
             pair_whipple_sides, _whipple_sides_by_hand, whipple_args
         )
         d1_args = (q(), q(), q(), q(), rng.randint(0, 6), rng.randint(0, 6))
-        evaluated += _assert_same_sides(hyperkernel._d1_sides, _d1_sides_by_hand, d1_args)
+        evaluated += _assert_same_sides(pair_d1_sides, _d1_sides_by_hand, d1_args)
     assert evaluated > 200  # most draws meet no pole
 
 
@@ -370,7 +375,7 @@ def test_identity_sides_match_hand_written_lists_at_chain_instances():
         scale = Fraction(2 * p, 3)
         n = (2 * p - r) // 3
         args = (Fraction(r, 3), scale * z, scale * z ** 2, scale * z ** 3, n, 1 - r)
-        assert _assert_same_sides(hyperkernel._d1_sides, _d1_sides_by_hand, args)
+        assert _assert_same_sides(pair_d1_sides, _d1_sides_by_hand, args)
     i = CycElement.zeta(4)
     for p, r in [(7, 1), (13, -1), (211, -7)]:
         n = (3 * p - r) // 5

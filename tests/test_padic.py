@@ -20,6 +20,10 @@ def test_vp_examples():
     assert vp(Fraction(50, 3), 5) == 2
     assert vp(Fraction(3, 25), 5) == -2
     assert vp(0, 7) == math.inf
+    # a float, even an integral one, is not exact and is refused
+    for x in (4.0, 0.5):
+        with pytest.raises(TypeError):
+            vp(x, 2)
 
 
 def test_context_validation():
@@ -97,6 +101,9 @@ def test_valuation_rules(rng):
         p = rng.choice([2, 3, 5, 7])
         x = random_padic_rational(rng, p) * Fraction(p) ** rng.randint(-2, 3)
         y = random_padic_rational(rng, p) * Fraction(p) ** rng.randint(-2, 3)
+        # an int is read without a Fraction, to the same valuation
+        for m in (0, -x.numerator, rng.randint(-10**18, 10**18) * p ** rng.randint(0, 20)):
+            assert vp(m, p) == vp(Fraction(m), p), (m, p)
         if x == 0 or y == 0:
             continue
         assert vp(x * y, p) == vp(x, p) + vp(y, p)

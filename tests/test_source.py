@@ -1,4 +1,5 @@
 import ast
+import functools
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "sclab").glob("*.py"))
@@ -8,22 +9,24 @@ _FLOAT_CALLS = {"log", "log2", "log10", "sqrt", "exp", "pow"}
 
 
 def _found(matches) -> list[str]:
-    """file:line of every syntax node in the package that ``matches``."""
+    """file:line of every syntax node in the package that ``matches``, which
+    is called with the node and its module's tree."""
     return [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-        if matches(node)
+        for tree in [ast.parse(path.read_text(encoding="utf-8"), str(path))]
+        for node in ast.walk(tree)
+        if matches(node, tree)
     ]
 
 
 def test_no_check_rests_on_assert():
     # python -O strips assert statements, so a guard written as one is no guard
     assert SOURCES
-    assert _found(lambda node: isinstance(node, ast.Assert)) == []
+    assert _found(lambda node, tree: isinstance(node, ast.Assert)) == []
 
 
-def _float_call(node) -> bool:
+def _float_call(node, tree) -> bool:
     if not isinstance(node, ast.Call):
         return False
     func = node.func
@@ -39,3 +42,27 @@ def _float_call(node) -> bool:
 
 def test_no_floating_point_calls():
     assert _found(_float_call) == []
+
+
+@functools.cache
+def _dead_imports(tree) -> frozenset:
+    """The import aliases of a module whose bound name the module never
+    reads and does not list in ``__all__``; ``from __future__`` imports are
+    compiler directives and bind nothing."""
+    nodes = list(ast.walk(tree))
+    read = {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return frozenset(
+        alias
+        for node in nodes
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if (alias.asname or alias.name.split(".")[0]) not in read
+    )
+
+
+def test_no_dead_imports():
+    # a name left imported after the code that read it is gone
+    assert _found(lambda node, tree: node in _dead_imports(tree)) == []

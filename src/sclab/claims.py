@@ -49,6 +49,7 @@ from .hyperkernel import (
     _karlsson_minton_sum,
     _lift,
     _minus,
+    _plus,
     _product,
     _same,
     _times,
@@ -814,18 +815,22 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
         _same((lead, den ** n), (scale * lead_rest).as_integer_ratio(), mul),
     )
 
-    # the tail's lower parameters are x = 2r/3 + (2p/3) s, s a pair sum
+    # the tail's lower parameters are x = 2r/3 + (2p/3) s, s a pair sum, and
+    # 1 + (p/3)(2s + 1) is (3 + p) + 2p s over 3; the pair sums zeta + zeta^2,
+    # zeta + zeta^3 and zeta^2 + zeta^3 by their zeta, zeta^2, zeta^3 coordinates
     j0 = (p - 2 * r - 3) // 3
     block = (p + r) // 3
-    pair_sums = (z + z ** 2, z + z ** 3, z ** 2 + z ** 3)
-    paired_rhs = Fraction(5 * p ** 3, 27) * math.prod(
-        pochhammer(_value(x, den, order) + 1, j0) * pochhammer(1 + Fraction(p, 3) * (2 * s + 1), block)
-        for x, s in zip(lows, pair_sums)
+    pair_sums = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
+    paired_rhs = _product(
+        [(5 * p ** 3, 27)]
+        + [(rising(_plus(x, den), den, j0, mul), den ** j0) for x in lows]
+        + [(rising((3 + p, *(2 * p * c for c in s)), 3, block, mul), 3 ** block) for s in pair_sums],
+        mul,
     )
     chain.exact(
         "paired-pochhammer-extraction",
         "the three paired rising factorials factor through 5p^3/27 exactly",
-        _same(paired, paired_rhs.as_integer_ratio(), mul),
+        _same(paired, paired_rhs, mul),
     )
 
     unit_ratio = (

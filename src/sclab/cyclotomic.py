@@ -14,10 +14,12 @@ a reduction.  The inverse comes from the norm through the same products:
 u * prod_j sigma_j(u) = N(u) is rational, where sigma_j sends x to x^j
 over the units j mod n other than 1.
 
-Loops of many products run on the numerator tuples themselves and build
-one element at the end with ``CycElement._make``: ``rationals.pochhammer``
-reads the products as ``CycElement._PRODUCT``, since this module imports
-``rationals``, and ``hyperkernel``'s series import ``_PRODUCT``.
+Loops of many products run on the numerator tuples themselves, with no
+element built on the way: ``rationals.rising`` takes the order's product
+as an argument, and ``hyperkernel``'s series and the proof chains import
+``_PRODUCT``.  A rising factorial in the field is
+``rising(nums, den, n, _PRODUCT[order])`` over den^n; ``CycElement._make``
+turns such a pair into one canonical element where a value is needed.
 """
 
 from __future__ import annotations
@@ -103,8 +105,6 @@ class CycElement:
     """An element of Q[x]/Phi_n(x), n in {1, 4, 5}: ``nums`` over ``den``."""
 
     __slots__ = ("order", "nums", "den")
-    # for rationals.pochhammer, which cannot import this module back
-    _PRODUCT = _PRODUCT
 
     def __new__(cls, order: int, coeffs) -> "CycElement":
         _degree(order)
@@ -156,15 +156,6 @@ class CycElement:
     @classmethod
     def one(cls, order: int) -> "CycElement":
         return cls._make(order, [1] + [0] * (_degree(order) - 1), 1)
-
-    @property
-    def numerator(self) -> "CycElement":
-        """den * self, integral with denominator 1, as for int and Fraction."""
-        return CycElement._make(self.order, self.nums, 1)
-
-    @property
-    def denominator(self) -> int:
-        return self.den
 
     def as_integer_ratio(self) -> tuple:
         """(nums, den): the integral numerator tuple over the int den."""

@@ -7,12 +7,14 @@ integers: cyclotomic elements are integer numerators over one
 denominator, quotient-ring coefficients are ``int``, and series steps and
 residues run on integer numerators and denominators; ``_cleared`` brings
 a list of rationals over one denominator for ``cyclotomic`` and ``qring``
-alike.  No floating point enters any value.  ``rising``, the one rising
-factorial over Q, Q(i) and Q(zeta_5), on an int numerator or a numerator
-tuple over an int denominator, folds up to _FOLD_MAX factors and halves
-longer products, a balanced tree; ``pochhammer`` builds its value once
-from it.  ``iter_primes`` enumerates primes from a segmented sieve, in
-memory O(sqrt(hi)), and ``primes_in`` lists them.
+alike.  No floating point enters any value.  ``rising`` forms a rising
+factorial's numerator over den^n, on an int numerator or on a numerator
+tuple of Q(i) or Q(zeta_5) with the order's product passed in; it folds
+up to _FOLD_MAX factors and halves longer products, a balanced tree.
+``pochhammer``, the rising factorial of a rational, builds its Fraction
+once from it and refuses a field element: ``cyclotomic`` imports this
+module, never the other way round.  ``iter_primes`` enumerates primes from a segmented sieve, in memory
+O(sqrt(hi)), and ``primes_in`` lists them.
 """
 
 from __future__ import annotations
@@ -50,27 +52,21 @@ def _cleared(coeffs):
 _FOLD_MAX = 24
 
 
-def pochhammer(a, n: int):
-    """Rising factorial a(a+1)...(a+n-1), with the empty product 1 for n = 0:
-    a Fraction for an int or Fraction ``a``, a CycElement of a's order for a
-    field element.  ``a`` is split once into an integral numerator over an
-    int denominator den, ``rising`` multiplies the n integral factors, and
-    the product is divided once by den^n.
+def pochhammer(a, n: int) -> Fraction:
+    """Rising factorial a(a+1)...(a+n-1) of a rational ``a``, with the empty
+    product 1 for n = 0.  ``a`` is read through ``as_rational`` (a float,
+    a complex or a field element raises TypeError), ``rising`` multiplies
+    the n integral factors of its numerator, and the product is divided
+    once by den^n.  A field element's rising factorial is ``rising`` on its
+    numerator tuple.
 
     A nonpositive integer ``a`` legitimately yields 0 once the factors
     cross zero (terminating series); that is not an error.
     """
     if n < 0:
         raise ValueError("pochhammer length must be nonnegative")
-    if isinstance(a, float):
-        raise TypeError("floats are not exact; pass a Fraction, int or CycElement")
-    if isinstance(a, (int, Fraction)):
-        return Fraction(rising(a.numerator, a.denominator, n), a.denominator ** n)
-    # a CycElement: the class carries its products, as this module cannot
-    # import cyclotomic, which imports it
-    if not n:
-        return a.one(a.order)
-    return a._make(a.order, rising(a.nums, a.den, n, a._PRODUCT[a.order]), a.den ** n)
+    a = as_rational(a)
+    return Fraction(rising(a.numerator, a.denominator, n), a.denominator ** n)
 
 
 def rising(num, den: int, n: int, mul=None):

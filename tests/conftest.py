@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from sclab import hyperkernel
-from sclab.cyclotomic import _PRODUCT
+from sclab.cyclotomic import _PRODUCT, CycElement
+from sclab.rationals import rising
 
 
 @pytest.fixture
@@ -24,6 +25,14 @@ def random_padic_rational(rng: random.Random, p: int, num_bound: int = 60) -> Fr
         den = rng.randint(1, num_bound)
         if den % p:
             return Fraction(rng.randint(-num_bound, num_bound), den)
+
+
+def rising_element(a, n):
+    """(a)_n of a field element as the package forms it: ``rising`` on a's
+    numerator tuple over den^n, made one canonical element by ``_make``.
+    The empty product comes back from ``rising`` as the int 1."""
+    nums = rising(a.nums, a.den, n, _PRODUCT[a.order])
+    return CycElement._make(a.order, nums if n else CycElement.one(a.order).nums, a.den ** n)
 
 
 # The identity builders' pairs as values, each through one ``_value``, to

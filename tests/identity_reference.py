@@ -1,7 +1,7 @@
 """Reference identity checks, evaluated as field values.
 
 Each check evaluates its sides as Fractions or CycElements, through
-``hypergeometric_sum`` and ``pochhammer``, and compares values with
+``hypergeometric_sum`` and ``rising_product``, and compares values with
 ``==``.  ``sclab.hyperkernel`` runs the same checks on integral numerators
 and compares cross-products; the equivalence tests hold the two to the same
 bool, or the same exception type, on every draw.  ``factor_sum`` is the
@@ -25,6 +25,16 @@ from sclab.hyperkernel import (
 )
 from sclab.padic import NonIntegralInputError, vp
 from sclab.rationals import as_rational, is_prime, pochhammer
+
+
+def rising_product(x, n):
+    """(x)_n as the product of values x(x + 1)...(x + n - 1), the empty
+    product being 1 in x's domain.  It uses no ``rationals.rising``, the
+    kernel of the integer routes under test."""
+    out = CycElement.one(x.order) if isinstance(x, CycElement) else Fraction(1)
+    for j in range(n):
+        out = out * (x + j)
+    return out
 
 
 def scalars(values):
@@ -68,10 +78,10 @@ def whipple_sides(a, b, c, d, e, n):
         raise ValueError("n must be a nonnegative integer")
     a, b, c, d, e = scalars([a, b, c, d, e])
     lhs = well_poised(a, (b, c, d, e), n)
-    den1 = pochhammer(1 + a - d, n)
-    den2 = pochhammer(1 + a - e, n)
+    den1 = rising_product(1 + a - d, n)
+    den2 = rising_product(1 + a - e, n)
     nonzero_or_pole(den1, den2)
-    prefactor = pochhammer(a + 1, n) * pochhammer(a - d - e + 1, n) / (den1 * den2)
+    prefactor = rising_product(a + 1, n) * rising_product(a - d - e + 1, n) / (den1 * den2)
     return lhs, prefactor, whipple_series(a, b, c, d, e, n)
 
 
@@ -107,9 +117,9 @@ def d1_sides(t, a, b, c, n, m):
     lows = (s - c, s - b, s - a)
     top, w = s - t, s + n
     lhs = well_poised(t, (t - a, t - b, t - c, w), n)
-    lower = math.prod(pochhammer(x, n) for x in (1 + a, 1 + b, 1 + c, top))
+    lower = math.prod(rising_product(x, n) for x in (1 + a, 1 + b, 1 + c, top))
     nonzero_or_pole(lower)
-    uppers = (pochhammer(1 + t, n), *(pochhammer(x + 1, n) for x in lows))
+    uppers = (rising_product(1 + t, n), *(rising_product(x + 1, n) for x in lows))
     lin_den = math.prod(x + n for x in lows)
     nonzero_or_pole(lin_den)
     linear = math.prod(lows, start=Fraction(1)) / lin_den
@@ -135,7 +145,7 @@ def conjugate_product_congruence(a, b, p, k, order):
     base = CycElement.from_rational(order, a)
     step = CycElement.from_rational(order, b * p)
     plain = pochhammer(a, k)
-    factors = [pochhammer(base + step * root ** j, k) for j in range(order)]
+    factors = [rising_product(base + step * root ** j, k) for j in range(order)]
     mul = _PRODUCT[order]
 
     def rational_product(elements):

@@ -531,7 +531,7 @@ def _thm2_chain_by_values(p, r):
     lead_rest = pochhammer(1 + Fraction(r, 3), n - 1)
     pair_sums = (z + z ** 2, z + z ** 3, z ** 2 + z ** 3)
     paired_rhs = Fraction(5 * p ** 3, 27) * math.prod(
-        pochhammer(x + 1, j0) * pochhammer(1 + Fraction(p, 3) * (2 * s + 1), block)
+        ref.rising_product(x + 1, j0) * ref.rising_product(1 + Fraction(p, 3) * (2 * s + 1), block)
         for x, s in zip(lows, pair_sums)
     )
     unit_ratio = (
@@ -574,6 +574,18 @@ def test_proof_chain_thm2_divides_by_one_field_element(monkeypatch):
     calls = []
     inverse = CycElement.inverse
     monkeypatch.setattr(CycElement, "inverse", lambda self: calls.append(self) or inverse(self))
+    for p, r in [(5, 1), (13, -1), (199, -4), (401, 1)]:
+        calls.clear()
+        assert proof_chain_thm2(p, r).passed
+        assert len(calls) == 1, (p, r, len(calls))
+
+
+def test_proof_chain_thm2_builds_one_field_value(monkeypatch):
+    # that division is also the chain's one canonical field value: every
+    # other step reads integer pairs or numerator tuples
+    calls = []
+    value = claims._value
+    monkeypatch.setattr(claims, "_value", lambda *args: calls.append(args) or value(*args))
     for p, r in [(5, 1), (13, -1), (199, -4), (401, 1)]:
         calls.clear()
         assert proof_chain_thm2(p, r).passed
@@ -803,7 +815,7 @@ def test_proof_chain_thm2_fails_on_a_perturbed_tail_sum(monkeypatch):
 @pytest.mark.parametrize("p, r", [(13, -1), (199, -4), (401, 1)])
 def test_proof_chain_thm2_forms_each_rising_factorial_once(monkeypatch, p, r):
     # every (argument, length) the chain and its identity sides ask for;
-    # the sides form theirs on numerators x over den
+    # the sides and the paired extraction form theirs on numerators x over den
     seen = []
 
     def spy(a, n):
@@ -816,6 +828,7 @@ def test_proof_chain_thm2_forms_each_rising_factorial_once(monkeypatch, p, r):
         return rising(x, den, n, mul)
 
     monkeypatch.setattr(claims, "pochhammer", spy)
+    monkeypatch.setattr(claims, "rising", raw_spy)
     monkeypatch.setattr(hyperkernel, "rising", raw_spy)
     assert proof_chain_thm2(p, r).passed
     assert len(seen) == len(set(seen)) > 0

@@ -10,9 +10,7 @@ from sclab.cyclotomic import (
     OrderMismatchError,
     root_power_sum_check,
 )
-from sclab.rationals import pochhammer
-
-from conftest import random_rational
+from conftest import random_rational, rising_element
 
 
 def test_square_root_of_minus_one():
@@ -136,7 +134,7 @@ def test_galois_symmetric_products_are_rational(rng):
                     CycElement.from_rational(order, a)
                     + CycElement.from_rational(order, b * p) * root ** j
                 )
-                product = product * pochhammer(shifted, k)
+                product = product * rising_element(shifted, k)
             assert product.is_rational
 
 
@@ -389,7 +387,7 @@ def test_long_pochhammer_matches_reference_fold(order):
     base = a.coeffs
     for j in range(300):
         ref = _ref_mul(order, ref, (base[0] + j,) + base[1:])
-    got = pochhammer(a, 300)
+    got = rising_element(a, 300)
     _assert_canonical(got)
     assert got.coeffs == ref
     assert max(abs(c).bit_length() for c in got.nums) > 2000
@@ -404,11 +402,11 @@ def test_short_pochhammer_is_canonical(order):
         a = CycElement(order, coeffs[:deg])
         ref = _ref_reduce(order, [1])
         for n in (0, 1):
-            got = pochhammer(a, n)
+            got = rising_element(a, n)
             _assert_canonical(got)
             assert got.order == order and got.coeffs == ref
             ref = _ref_mul(order, ref, a.coeffs)
-        assert (pochhammer(a, 1).nums, pochhammer(a, 1).den) == (a.nums, a.den)
+        assert (rising_element(a, 1).nums, rising_element(a, 1).den) == (a.nums, a.den)
 
 
 def _make_by_gcd(nums, den):

@@ -123,6 +123,27 @@ def _perturbed_rising(rules):
     return perturbed
 
 
+def _perturbed_product(rules):
+    """The reference's ``rising_product`` changed as ``_perturbed_rising``
+    changes ``rising``, on the values of the field factors it is given:
+    ("add", i, c) adds c zeta^i, ("times", m) multiplies by m."""
+    true_product = ref.rising_product
+
+    def perturbed(x, n):
+        out = true_product(x, n)
+        for match, (how, *change) in rules:
+            if not match(x.coeffs):
+                continue
+            if how == "add":
+                i, c = change
+                out = out + c * CycElement.zeta(x.order) ** i
+            else:
+                out = out * change[0]
+        return out
+
+    return perturbed
+
+
 def _at(value):
     return lambda coords: coords[0] == value and not any(coords[1:])
 
@@ -158,9 +179,8 @@ A, B, P, K = Fraction(1, 3), Fraction(2, 3), 7, 2  # (a)_k is a 7-adic unit
 )
 def test_conjugate_product_false_paths_match_the_reference(monkeypatch, case, rules):
     assert conjugate_product_congruence(*case) and ref.conjugate_product_congruence(*case)
-    perturbed = _perturbed_rising(rules)
-    monkeypatch.setattr(rationals, "rising", perturbed)  # the reference's pochhammer
-    monkeypatch.setattr(hyperkernel, "rising", perturbed)
+    monkeypatch.setattr(hyperkernel, "rising", _perturbed_rising(rules))
+    monkeypatch.setattr(ref, "rising_product", _perturbed_product(rules))
     assert conjugate_product_congruence(*case) is False
     assert ref.conjugate_product_congruence(*case) is False
 

@@ -66,3 +66,27 @@ def _dead_imports(tree) -> frozenset:
 def test_no_dead_imports():
     # a name left imported after the code that read it is gone
     assert _found(lambda node, tree: node in _dead_imports(tree)) == []
+
+
+# cyclotomic imports rationals, so rationals reaches no field element, not
+# even through a class attribute as CycElement._PRODUCT once was
+_FIELD_NAMES = {"cyclotomic", "CycElement", "_PRODUCT", "_make"}
+
+
+def _names(node) -> set:
+    """The names a syntax node binds, reads or imports from."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.alias):
+        return {node.name, node.asname}
+    if isinstance(node, ast.ImportFrom):
+        return set((node.module or "").split("."))
+    return set()
+
+
+def test_rationals_reaches_no_field_element():
+    path = next(p for p in SOURCES if p.name == "rationals.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert [node.lineno for node in ast.walk(tree) if _names(node) & _FIELD_NAMES] == []

@@ -7,18 +7,20 @@ A series here is a finite weighted sum
                      ---------------------------------
                         k!^e  *  prod_j (b_j)_k
 
-with all scalars in Q or in one cyclotomic field.  ``_sum`` sums every
-series on raw integers, each parameter an integral numerator over an int
-denominator: rational values as ints, even as field elements, irrational
-ones as numerator tuples, multiplied once into a polynomial in k through
-``cyclotomic``'s closed-form products; a conjugate pair's product drops
-back to an int polynomial.  It has two reduction orders.  Mod p^K it
-folds each step into the running sum; exactly, it folds runs of
-``rationals._FOLD_MAX`` steps and merges neighbouring runs pairwise,
-level by level (binary splitting), so long sums multiply operands of
-like size.  ``eval_truncated`` divides a spec's sum once, building one
-canonical element; ``eval_truncated_residue`` runs it mod p^K, exact
-whenever the term denominators are p-adic units.
+with all scalars in Q or in one cyclotomic field.  A series has two
+routes, both on raw integers, each parameter an integral numerator over
+an int denominator.  Exactly, ``_sum`` takes rational values as ints,
+even as field elements, and irrational ones as numerator tuples,
+multiplied once into a polynomial in k through ``cyclotomic``'s
+closed-form products; a conjugate pair's product drops back to an int
+polynomial.  It folds runs of ``rationals._FOLD_MAX`` steps and merges
+neighbouring runs pairwise, level by level (binary splitting), so long
+sums multiply operands of like size; ``eval_truncated`` divides a spec's
+sum once, building one canonical element.  Mod p^K, ``_residue_sum``
+sums a rational series by Horner from its last term back, on streams of
+step factors that ``_factors`` builds in C; ``eval_truncated_residue``
+inverts its one denominator, exact whenever the term denominators are
+p-adic units.
 
 The identity checks never divide.  Each lifts its parameters once to
 numerators over one shared denominator, so 1 + a - x is an integer sum,
@@ -40,8 +42,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import repeat
 
 from .cyclotomic import _PRODUCT, CycElement, _reduce
 from .padic import NonIntegralInputError, PadicContext, Residue
@@ -135,15 +139,19 @@ def _flat(u):
     return u if type(u) is int or any(u[1:]) else u[0]
 
 
-def _weighted_sum(spec: SeriesSpec, modulus: int = 0) -> tuple:
-    """``_sum`` of the spec, its parameters split once by ``_split``."""
+def _spec_pairs(spec: SeriesSpec) -> tuple:
+    """(ups, lows, z, weight, order): the spec's values split once by
+    ``_split``, the weight's m and r as (numerator, denominator) pairs."""
     pairs, order = _split([*spec.upper, *spec.lower, spec.argument])
     weight = [(w.numerator, w.denominator) for w in map(as_rational, spec.weight)]
     n_up = len(spec.upper)
-    return _sum(
-        pairs[:n_up], pairs[n_up:-1], spec.truncation, _PRODUCT.get(order),
-        pairs[-1], spec.factorial_power, weight, modulus,
-    )
+    return pairs[:n_up], pairs[n_up:-1], pairs[-1], weight, order
+
+
+def _weighted_sum(spec: SeriesSpec) -> tuple:
+    """``_sum`` of the spec."""
+    ups, lows, z, weight, order = _spec_pairs(spec)
+    return _sum(ups, lows, spec.truncation, _PRODUCT.get(order), z, spec.factorial_power, weight)
 
 
 def _poly(factors, mul):
@@ -174,7 +182,15 @@ def _at(poly, k):
     return v
 
 
-def _sum(ups, lows, n_terms, mul=None, z=(1, 1), e=1, weight=((0, 1), (1, 1)), modulus=0):
+def _poles(lows, n_terms) -> None:
+    """Raise PoleInRangeError when a rational lower parameter's rising
+    factorial vanishes inside the truncation."""
+    for bn, bd in lows:
+        if type(bn) is int and not bn % bd and 0 <= -bn < (n_terms - 1) * bd:
+            raise PoleInRangeError(f"lower parameter {bn // bd} vanishes at shift {-bn // bd}")
+
+
+def _sum(ups, lows, n_terms, mul=None, z=(1, 1), e=1, weight=((0, 1), (1, 1))):
     """The truncated sum as total / den, with total and den integral: ints
     when every parameter is rational, and otherwise each an int or a
     numerator tuple over denominator 1 in the parameters' field.
@@ -192,16 +208,12 @@ def _sum(ups, lows, n_terms, mul=None, z=(1, 1), e=1, weight=((0, 1), (1, 1)), m
     factors' product.  Polynomials with rational coefficients, as of
     conjugate pairs, keep every value an int, so ``_times`` makes int
     products only; otherwise a step makes three field products (term,
-    total, den).  It folds the steps in one of two
-    orders: under a nonzero modulus every step, as int products reduced
-    after each step; without one, runs of _FOLD_MAX steps, whose (term,
-    den, total) then merge pairwise, level by level.  Raises
-    PoleInRangeError when a lower rising factorial vanishes inside the
-    truncation.
+    total, den).  The loop folds runs of _FOLD_MAX steps, whose (term, den,
+    total) then merge pairwise, level by level.  Mod p^K the same pair
+    comes from ``_residue_sum``.  Raises PoleInRangeError when a lower
+    rising factorial vanishes inside the truncation.
     """
-    for bn, bd in lows:
-        if type(bn) is int and not bn % bd and 0 <= -bn < (n_terms - 1) * bd:
-            raise PoleInRangeError(f"lower parameter {bn // bd} vanishes at shift {-bn // bd}")
+    _poles(lows, n_terms)
     z_num, z_den = z
     low_dens = math.prod(bd for _, bd in lows)
     den_const = z_den * math.prod(ad for _, ad in ups)
@@ -232,9 +244,6 @@ def _sum(ups, lows, n_terms, mul=None, z=(1, 1), e=1, weight=((0, 1), (1, 1)), m
             term *= num
             total = total * step + w * term
             den *= step
-            if modulus:
-                term, total, den = term % modulus, total % modulus, den % modulus
-                continue
         else:
             term = _times(term, _times(num, _at(up_poly, k), mul), mul)
             step = _times(step, _at(low_poly, k), mul)
@@ -253,6 +262,44 @@ def _sum(ups, lows, n_terms, mul=None, z=(1, 1), e=1, weight=((0, 1), (1, 1)), m
             ] + runs[len(runs) & ~1 :]
         _, den, total = runs[0]
     return total, den
+
+
+def _factors(pairs, const, n):
+    """const * prod (an + k*ad) over the pairs, ad > 0, for k = n-1 down to
+    0, as an iterator run in C: one descending range per distinct pair,
+    raised to its multiplicity by ``map(pow)``."""
+    counts = {}
+    for pair in pairs:
+        counts[pair] = counts.get(pair, 0) + 1
+    out = repeat(const, n) if const != 1 or not counts else None
+    for (an, ad), m in counts.items():
+        factor = range(an + (n - 1) * ad, an - ad, -ad)
+        factor = factor if m == 1 else map(pow, factor, repeat(m))
+        out = factor if out is None else map(operator.mul, out, factor)
+    return out
+
+
+def _residue_sum(ups, lows, n_terms, z, e, weight, modulus) -> tuple:
+    """``_sum``'s (total, den) mod ``modulus`` for rational pairs, by Horner
+    from the last term back: from A = w_n and B = 1, each k from n-1 down
+    to 0 sets B = B den_k and A = w_k B + num_k A.  n is where ``_sum``
+    stops, the first k with num_k = 0, else n_terms - 1."""
+    _poles(lows, n_terms)
+    z_num, z_den = z
+    (w_slope, w_slope_den), (w_const, w_const_den) = weight
+    w_step, w_start = w_slope * w_const_den, w_const * w_slope_den
+    n = max(n_terms - 1, 0) if z_num else 0
+    for an, ad in ups:
+        if not an % ad and 0 <= -an // ad < n:
+            n = -an // ad
+    nums = _factors(ups, z_num * math.prod(bd for _, bd in lows), n)
+    steps = _factors([(1, 1)] * e + lows, z_den * math.prod(ad for _, ad in ups), n)
+    total, den = w_step * n + w_start if n_terms else 0, 1
+    weights = range(total - w_step, w_start - w_step, -w_step) if w_step else repeat(w_start, n)
+    for w, num, step in zip(weights, nums, steps):
+        den = den * step % modulus
+        total = (w * den + num * total) % modulus
+    return total, den * w_slope_den * w_const_den % modulus
 
 
 def _value(total, den, order: int) -> Scalar:
@@ -282,7 +329,7 @@ def eval_truncated_residue(spec: SeriesSpec, ctx: PadicContext) -> Residue:
     """Residue mod p^K of the truncated sum of a rational spec, in O(N)
     integer multiplies mod p^K.
 
-    ``_weighted_sum`` runs mod p^K, and its one denominator is inverted at
+    ``_residue_sum`` runs mod p^K, and its one denominator is inverted at
     the end.  That is exact when every denominator factor of a nonzero
     term, and the weight's denominator, is prime to p;
     NonIntegralInputError is raised otherwise.
@@ -290,7 +337,8 @@ def eval_truncated_residue(spec: SeriesSpec, ctx: PadicContext) -> Residue:
     values = list(spec.upper) + list(spec.lower) + [spec.argument] + list(spec.weight)
     if any(isinstance(v, CycElement) for v in values):
         raise TypeError("the residue route takes rational parameters only")
-    total, den = _weighted_sum(spec, ctx.modulus)
+    ups, lows, z, weight, _ = _spec_pairs(spec)
+    total, den = _residue_sum(ups, lows, spec.truncation, z, spec.factorial_power, weight, ctx.modulus)
     if den % ctx.p == 0:
         raise NonIntegralInputError(
             f"a term's denominator or the weight's is divisible by {ctx.p}"

@@ -26,12 +26,15 @@ from operator import attrgetter
 
 
 def as_rational(x) -> Fraction:
-    """Coerce an int or Fraction to Fraction.  Floats are rejected.  A
-    Fraction is returned as it is: Fractions are immutable."""
+    """An int, Fraction or Decimal as the Fraction of its exact value; a
+    Fraction is returned as it is, Fractions being immutable.  A float or a
+    str raises TypeError, as does any other type ``Fraction`` refuses."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass a Fraction or int")
+    if isinstance(x, str):
+        raise TypeError(f"strings are not parsed; pass a Fraction or int, not {x!r}")
     return Fraction(x)
 
 

@@ -10,8 +10,8 @@ from conftest import (
     pair_whipple_sides,
     rising_element,
 )
-from identity_reference import rising_product
-from sclab import hyperkernel
+from identity_reference import factor_sum, rising_product
+from sclab import claims, hyperkernel
 from sclab.cyclotomic import _PRODUCT, CycElement
 from sclab.hyperkernel import (
     IdentityPreconditionError,
@@ -29,7 +29,7 @@ from sclab.hyperkernel import (
     hypergeometric_sum,
 )
 from sclab.padic import NonIntegralInputError, PadicContext, vp
-from sclab.rationals import pochhammer, rising
+from sclab.rationals import pochhammer, primes_in, rising
 
 # Frozen by the direct-summation oracle below: the weighted fifth-power sum
 # at p = 7, r = 1, whose 7-adic valuation is 4.
@@ -498,6 +498,72 @@ def test_eval_truncated_residue_rejects_field_coefficients():
     )
     with pytest.raises(TypeError):
         eval_truncated_residue(spec, PadicContext(5, 3))
+
+
+def _residue_draw(rng, p):
+    """(ups, lows, n_terms, z, e, weight) of rational pairs with p-adic unit
+    denominators, with a repeated upper pair, a terminating upper, a zero z
+    numerator or weight slope, and a lower parameter that vanishes one step
+    past the range drawn often enough to be counted."""
+    dens = [d for d in (1, 2, 3, 4, 5, 7, 9) if d % p]
+
+    def pair(bound=12):
+        return rng.randint(-bound, bound), rng.choice(dens)
+
+    n_terms = rng.randint(0, 2) if rng.random() < 0.25 else rng.randint(3, 3 * p)
+    ups = [pair() for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.4:
+        ups += [pair()] * rng.randint(2, 6)
+    if rng.random() < 0.3:
+        ups.append((-rng.choice((0, n_terms // 2)), 1))
+    rng.shuffle(ups)
+    lows = [pair() for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.2:
+        d = rng.choice(dens)
+        lows.append((-(n_terms - 1) * d, d))
+    z = 0 if rng.random() < 0.15 else rng.choice((-3, -1, 1, 2)), rng.choice(dens)
+    weight = (0 if rng.random() < 0.3 else rng.randint(-5, 5), rng.choice(dens)), pair(5)
+    return ups, lows, n_terms, z, rng.randint(0, 6), weight
+
+
+def test_residue_sum_matches_the_factor_by_factor_reference(rng):
+    # _residue_sum's pair against factor_sum's exact pair, mod p^K; factor_sum
+    # shares no code with backward Horner or its factor streams.  A pole in
+    # range raises the same message on both routes
+    seen = dict.fromkeys(("repeated", "stops", "zero-z", "zero-slope", "short", "edge-pole"), 0)
+    checked = 0
+    for _ in range(500):
+        p = rng.choice((3, 5, 7, 11, 13))
+        modulus = p ** rng.randint(1, 6)
+        ups, lows, n_terms, z, e, weight = args = _residue_draw(rng, p)
+        try:
+            total, den = hyperkernel._residue_sum(*args, modulus)
+        except PoleInRangeError as exc:
+            with pytest.raises(PoleInRangeError) as exact:
+                hyperkernel._sum(ups, lows, n_terms, None, z, e, weight)
+            assert str(exact.value) == str(exc)
+            continue
+        want_total, want_den = factor_sum(ups, lows, n_terms, None, z, e, weight)
+        assert (total - want_total) % modulus == 0 and (den - want_den) % modulus == 0, args
+        checked += 1
+        seen["repeated"] += len(set(ups)) < len(ups)
+        seen["stops"] += any(an <= 0 and not an % ad and -an // ad < n_terms - 1 for an, ad in ups)
+        seen["zero-z"] += z[0] == 0 and n_terms > 1
+        seen["zero-slope"] += weight[0][0] == 0 and n_terms > 1
+        seen["short"] += n_terms < 3
+        seen["edge-pole"] += any(bn == -(n_terms - 1) * bd for bn, bd in lows) and n_terms > 1
+    assert checked >= 200
+    assert min(seen.values()) >= 20, seen
+
+
+def test_lhs_residue_matches_the_exact_value_at_every_default_r():
+    for fam in claims.FAMILIES.values():
+        for r in fam.default_r_values:
+            for p in primes_in(5, 150):
+                if claims.admissible(fam.id, p, r):
+                    ctx = PadicContext(p, fam.modulus_exponent + claims.LHS_GUARD_DIGITS)
+                    want = ctx.reduce(claims.lhs_value(fam.id, p, r))
+                    assert claims.lhs_residue(fam.id, p, r, ctx) == want, (fam.id, p, r)
 
 
 def test_eval_truncated_residue_pole_detection():

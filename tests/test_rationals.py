@@ -10,6 +10,7 @@ import pytest
 import sclab
 from sclab import rationals
 from sclab.cyclotomic import _PRODUCT, CycElement
+from sclab.padic import vp
 from sclab.rationals import as_rational, is_prime, iter_primes, pochhammer, primes_in, rising
 
 from conftest import random_rational, rising_element
@@ -139,17 +140,23 @@ def test_pochhammer_result_types():
         (1 + 2j, TypeError),
         (CycElement.zeta(5), TypeError),
         (CycElement.from_rational(4, Fraction(1, 2)), TypeError),
+        ("1/2", TypeError),
+        ("a", TypeError),
     ],
-    ids=["decimal", "none", "complex", "field", "rational-field"],
+    ids=["decimal", "none", "complex", "field", "rational-field", "str-rational", "str-word"],
 )
 def test_pochhammer_reads_its_argument_as_a_rational(a, want):
     # as vp does: a Decimal exactly, anything else that is no rational
-    # refused; a field element's rising factorial is ``rising`` on its tuple
+    # refused, a str that Fraction would parse included; a field element's
+    # rising factorial is ``rising`` on its tuple
     if isinstance(want, Fraction):
         assert pochhammer(a, 2) == want
+        assert vp(a, 5) == vp(Fraction(a), 5)
     else:
         with pytest.raises(want):
             pochhammer(a, 2)
+        with pytest.raises(want):
+            vp(a, 5)
 
 
 def test_pochhammer_rejects_floats_and_negative_length():

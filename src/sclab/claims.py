@@ -17,14 +17,20 @@ series, Gamma quotient and finite sum; the remaining three (``lr3``,
 The ``lr3``/``d2`` closed forms are Long-Ramakrishna's (Adv. Math. 290,
 2016).
 
+``verify``, ``lhs_residue``, ``rhs_form`` and ``rhs_residue`` read what
+does not depend on p from ``_plan``, formed once per (entry, r): the
+left side's Horner constants, the Gamma factors and the finite sum.  The
+exact ``Fraction`` route (``lhs_spec``, ``lhs_value``) is the reference.
+
 The proof chains replay the derivations of ``thm1`` and ``thm2`` on the
 identity code in ``hyperkernel``, each step's valuation read off an
 integral (numerator, denominator) pair, which needs no canonical form.
 The chains read the pairs the fuzzers compare: the thm1 chain those of
 ``_whipple_parts``, ``_four_slot`` and ``_karlsson_minton_sum``, the thm2
 chain those of ``_d1_parts``, whose one field denominator it divides by
-in its remainder block.  Both read the claim's left side as
-``_weighted_sum``'s pair, and series shapes and closed forms from FAMILIES.
+in its remainder block.  Both read series shapes and closed forms from
+FAMILIES, and the claim's left side from the plan as a residue, forming
+its exact pair only where that residue leaves a difference at 0.
 
 A verification never asserts more than v_p(lhs - rhs) >= k for the
 family's modulus exponent k; the witness valuation is always reported.
@@ -32,12 +38,12 @@ family's modulus exponent k; the witness valuation is always reported.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
 import time
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .cyclotomic import _PRODUCT, CycElement
@@ -46,18 +52,20 @@ from .hyperkernel import (
     _d1_parts,
     _flat,
     _four_slot,
+    _horner_plan,
     _karlsson_minton_sum,
     _lift,
     _minus,
     _plus,
     _product,
+    _residue,
     _same,
+    _split,
     _times,
     _value,
     _weighted_sum,
     _whipple_parts,
     eval_truncated,
-    eval_truncated_residue,
     hypergeometric_sum,
 )
 from .padic import PadicContext, Residue, vp
@@ -97,7 +105,9 @@ class ClosedForm(FrozenRecord):
 
 
 class FamilyInfo(FrozenRecord):
-    """Everything the package knows about one claim family."""
+    """Everything the package knows about one claim family.  An entry
+    holds functions, and compares and hashes as itself: ``_plan`` is
+    keyed on it, so a replaced entry never reads its predecessor's plan."""
 
     __slots__ = (
         "id", "description", "modulus_exponent", "takes_r",
@@ -119,6 +129,8 @@ class FamilyInfo(FrozenRecord):
         "hand_verified": (),
     }
 
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
     @property
     def canonical_r(self) -> int:
         return self.default_r_values[0]
@@ -128,11 +140,10 @@ def _parity_sign(n: int) -> int:
     return -1 if n % 2 else 1
 
 
-@lru_cache(maxsize=None)
 def _weighted_tail_sum(r: int) -> Fraction:
     """The finite factor sum_{k=0}^{1-r} (r-1)_k (r/3)_k^3 / (k! (2r/3)_k^3).
-    The unbounded cache holds one Fraction per distinct r: at r = -1000 it
-    has ~6.7 kbit (under 1 KB) and takes 7-16 ms of CPU to form."""
+    At r = -1000 it has ~6.7 kbit (under 1 KB) and takes 4-16 ms of CPU to
+    form; ``_plan`` forms it once per family entry and r."""
     return hypergeometric_sum(
         upper=(Fraction(r - 1), Fraction(r, 3), Fraction(r, 3), Fraction(r, 3)),
         lower=(Fraction(2 * r, 3),) * 3,
@@ -327,23 +338,41 @@ def _require_context_for(ctx: PadicContext, p: int) -> None:
         raise ValueError(f"context is for p = {ctx.p}, not p = {p}")
 
 
+@functools.lru_cache(maxsize=2048)
+def _plan(fam: FamilyInfo, r: int) -> tuple:
+    """(series, gammas, finite sum) of a family entry at r, formed once:
+    the left side's ``_horner_plan``, and the right side's Gamma factors
+    and finite sum.  The least recently used of 2048 plans is dropped."""
+    a, power, slope, const = fam.series(r)
+    (up, *weight), _ = _split([a, slope, const])
+    series = _horner_plan([up] * power, [], (1, 1), power, weight)
+    return series, tuple(fam.gammas(r)), fam.finite_sum(r)
+
+
 def lhs_residue(claim_id: str, p: int, r: int | None, ctx: PadicContext) -> Residue:
     """Residue of the claim's truncated series mod ctx's p^K.  Every term
     (wk + r)(a)_k^e / k!^e with k < p has a p-adic unit denominator, so
     this is exact, in O(p) modular multiplies."""
     _require_context_for(ctx, p)
-    return eval_truncated_residue(lhs_spec(claim_id, p, r), ctx)
+    series, _, _ = _plan(family(claim_id), resolve_r(claim_id, r))
+    return Residue(_residue(series, p, p, ctx.modulus), ctx)
+
+
+def _case(fam: FamilyInfo, p: int) -> tuple:
+    """The (coefficient, case label) of the family's closed form at p."""
+    case = fam.cases.get(p % fam.case_modulus)
+    if case is None:
+        raise InadmissibleInstanceError(f"({fam.id}, p={p}): no closed form for this p")
+    return case
 
 
 def rhs_form(claim_id: str, p: int, r: int | None = None) -> ClosedForm:
     """Closed-form right side at (p, r), as an unevaluated product."""
     fam = family(claim_id)
     r = resolve_r(claim_id, r)
-    case = fam.cases.get(p % fam.case_modulus)
-    if case is None:
-        raise InadmissibleInstanceError(f"({fam.id}, p={p}): no closed form for this p")
-    coefficient, label = case
-    return ClosedForm(coefficient(p, r), fam.gammas(r), fam.finite_sum(r), label)
+    coefficient, label = _case(fam, p)
+    _, gammas, finite_sum = _plan(fam, r)
+    return ClosedForm(coefficient(p, r), gammas, finite_sum, label)
 
 
 def _gamma_product(factors, ctx: PadicContext) -> int:
@@ -352,25 +381,12 @@ def _gamma_product(factors, ctx: PadicContext) -> int:
     return math.prod(pow(gamma_p(x, ctx).value, j, m) for x, j in factors) % m
 
 
-def _assemble_residue(form: ClosedForm, ctx: PadicContext, full_precision: bool) -> Residue:
-    scalar = form.coefficient * form.finite_sum
-    if scalar == 0:
-        return Residue(0, ctx)
-    v = vp(scalar, ctx.p)
-    if v < 0:
-        raise RuntimeError("closed form is not p-integral")
-    if v >= ctx.k:
-        return Residue(0, ctx)
-    # The Gamma factors are units, so they only matter mod p^(k - v); the
-    # scalar's p-power is reattached after the unit part is assembled.
-    unit_ctx = ctx if full_precision else PadicContext(ctx.p, ctx.k - v)
-    unit = unit_ctx.reduce(scalar / Fraction(ctx.p) ** v).value
-    acc = unit * _gamma_product(form.gamma_factors, unit_ctx)
-    return Residue(ctx.p ** v * acc % ctx.modulus, ctx)
-
-
-def _rhs_residue(claim_id, p, r, ctx, form, full_precision: bool) -> Residue:
+def _rhs_residue(claim_id, p, r, ctx, full_precision: bool) -> Residue:
+    """The closed form mod p^k on ints: the scalar coefficient * finite sum
+    has valuation v, and the Gamma factors, units, are taken mod p^(k - v),
+    or mod p^k with ``full_precision``."""
     fam = family(claim_id)
+    r = resolve_r(claim_id, r)
     if ctx is None:
         ctx = PadicContext(p, fam.modulus_exponent)
     _require_context_for(ctx, p)
@@ -379,21 +395,32 @@ def _rhs_residue(claim_id, p, r, ctx, form, full_precision: bool) -> Residue:
             "the Gamma evaluator requires odd p; the p = 2, r = 1 instance "
             "is established by direct hand computation and excluded here"
         )
-    return _assemble_residue(form or rhs_form(claim_id, p, r), ctx, full_precision)
+    coefficient, _ = _case(fam, p)
+    _, gammas, s = _plan(fam, r)
+    c = coefficient(p, r)
+    num, den = c.numerator * s.numerator, c.denominator * s.denominator
+    if num == 0:
+        return Residue(0, ctx)
+    vn, vd = vp(num, p), vp(den, p)
+    v = vn - vd
+    if v < 0:
+        raise RuntimeError("closed form is not p-integral")
+    if v >= ctx.k:
+        return Residue(0, ctx)
+    unit_ctx = ctx if full_precision else PadicContext(p, ctx.k - v)
+    unit = unit_ctx.reduce(num // p ** vn * pow(den // p ** vd, -1, unit_ctx.modulus)).value
+    acc = unit * _gamma_product(gammas, unit_ctx)
+    return Residue(p ** v * acc % ctx.modulus, ctx)
 
 
-def rhs_residue(
-    claim_id: str, p: int, r: int | None = None, ctx: PadicContext | None = None,
-    *, _form: ClosedForm | None = None,
-) -> Residue:
-    """Residue of the closed form mod p^k (k from ctx, default the family's).
-    ``verify`` passes the ``rhs_form`` it already built as ``_form``."""
-    return _rhs_residue(claim_id, p, r, ctx, _form, full_precision=False)
+def rhs_residue(claim_id: str, p: int, r: int | None = None, ctx: PadicContext | None = None) -> Residue:
+    """Residue of the closed form mod p^k (k from ctx, default the family's)."""
+    return _rhs_residue(claim_id, p, r, ctx, full_precision=False)
 
 
 def rhs_residue_direct(claim_id: str, p: int, r: int | None = None, ctx: PadicContext | None = None) -> Residue:
     """Reference route: every Gamma factor at full context precision."""
-    return _rhs_residue(claim_id, p, r, ctx, None, full_precision=True)
+    return _rhs_residue(claim_id, p, r, ctx, full_precision=True)
 
 
 # ---------------------------------------------------------------------------
@@ -463,13 +490,14 @@ def verify(
     _require_admissible(fam.id, p, rr)
     k = _resolve_exponent(fam, modulus_exponent)
     started = time.perf_counter()
+    series, gammas, _ = _plan(fam, rr)
     ctx = PadicContext(p, k)
-    wide = PadicContext(p, k + LHS_GUARD_DIGITS)
-    lhs = lhs_residue(claim_id, p, rr, wide)
-    form = rhs_form(claim_id, p, rr)
-    rhs = rhs_residue(claim_id, p, rr, ctx, _form=form)
-    difference = (lhs.value - rhs.value) % wide.modulus
-    if form.gamma_factors:
+    wide = p ** (k + LHS_GUARD_DIGITS)
+    lhs = _residue(series, p, p, wide)
+    _, label = _case(fam, p)
+    rhs = rhs_residue(claim_id, p, rr, ctx)
+    difference = (lhs - rhs.value) % wide
+    if gammas:
         # the right side is known only mod p^k, so any valuation past k
         # depends on the representative picked for it
         witness = min(vp(difference, p), k)
@@ -486,8 +514,8 @@ def verify(
         p=p,
         r=rr,
         modulus_exponent=k,
-        case_label=form.case_label,
-        lhs_residue=lhs.value % ctx.modulus,
+        case_label=label,
+        lhs_residue=lhs % ctx.modulus,
         rhs_residue=rhs.value,
         witness_valuation=_finite(witness),
         passed=passed,
@@ -630,9 +658,9 @@ class ProofChain(Record):
             return self._add(name, detail, k, None, False)
         self._add(name, detail, k, _finite(witness), witness >= k)
 
-    def difference(self, name, detail, k, u, v):
-        """``congruence`` on v_p(u - v) for (num, den) pairs u and v."""
-        self.congruence(name, detail, k, _difference_valuation(u, v, self.p, k))
+    def difference(self, name, detail, k, u, v, exact=None):
+        """``congruence`` on ``_difference_valuation(u, v, p, k, exact)``."""
+        self.congruence(name, detail, k, _difference_valuation(u, v, self.p, k, exact))
 
 
 def _valuation(num, den: int, p: int):
@@ -642,13 +670,15 @@ def _valuation(num, den: int, p: int):
     return min((vp(c, p) for c in nums if c), default=math.inf) - vp(den, p)
 
 
-def _difference_valuation(u, v, p: int, k: int):
+def _difference_valuation(u, v, p: int, k: int, exact=None):
     """v_p(u - v) for (num, den) pairs over int dens; None when a numerator
     does not flatten to an int, as a side that is not rational.  With u =
     a/b and v = c/d, a*d - c*b is read mod p^M first, M = v_p(b) + v_p(d)
     + k + 2: a nonzero residue has the exact valuation, and the p-sized
     cross-product is formed only when it is 0, at a witness of k + 2 or
-    more."""
+    more.  With ``exact``, c is a residue mod p^M of v's numerator, and
+    ``exact()`` gives v's exact pair, over a den of d's valuation, for
+    that product."""
     (a, b), (c, d) = u, v
     a, c = _flat(a), _flat(c)
     if type(a) is not int or type(c) is not int:
@@ -657,6 +687,8 @@ def _difference_valuation(u, v, p: int, k: int):
     m = p ** (vb + vd + k + 2)
     top = (a % m * (d % m) - c % m * (b % m)) % m
     if not top:  # v_p(a*d - c*b) >= M: only the exact product tells how far
+        if exact is not None:
+            return _difference_valuation(u, exact(), p, k)
         top = a * d - c * b
     return vp(top, p) - vb - vd
 
@@ -674,21 +706,27 @@ def _start_chain(claim_id: str, p: int, r: int, skip_reason: str) -> ProofChain:
 def _transformation_steps(chain: ProofChain, field_name: str, holds: bool, lhs76) -> tuple:
     """The two steps every chain opens with: the seven-slot transformation
     instance holds exactly over the field, and its rational left side, the
-    pair lhs76, is (1/r) times the claim's weighted sum mod p^k, returned."""
+    pair lhs76, is (1/r) times the claim's weighted sum mod p^k.  The sum
+    is read as a residue mod p^N, N = v_p(lhs76's den) + v_p(r) + k + 2,
+    the modulus ``_difference_valuation`` reads it at; returned with a
+    function that forms its exact ``_weighted_sum`` pair once, if asked."""
     chain.exact(
         "transformation-instance",
         f"seven-slot transformation instance holds exactly over {field_name}",
         holds,
     )
-    k = family(chain.claim).modulus_exponent
-    total, den = _weighted_sum(lhs_spec(chain.claim, chain.p, chain.r))
+    fam, p, r = family(chain.claim), chain.p, chain.r
+    k = fam.modulus_exponent
+    modulus = p ** (vp(lhs76[1], p) + vp(r, p) + k + 2)
+    series = _residue(_plan(fam, r)[0], p, p, modulus)
+    exact = functools.cache(lambda: _weighted_sum(lhs_spec(chain.claim, p, r)))
     chain.difference(
         "series-reduction",
         f"transformed series matches (1/r) * weighted sum mod p^{k}",
         k,
-        lhs76, (total, den * chain.r),
+        lhs76, (series, r), lambda: (exact()[0], exact()[1] * r),
     )
-    return total, den
+    return series, exact
 
 
 def proof_chain_thm1(p: int, r: int) -> ProofChain:
@@ -797,7 +835,7 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
     ratio = (_times(lead, paired[0], mul), lower)  # the uppers' den^(4n) cancel the lower's
     block43 = _product((linear, tail43), mul)
     holds = _same(lhs76, _product((ratio, block43), mul), mul)
-    series = _transformation_steps(chain, "Q(zeta_5)", holds, lhs76)
+    series, exact = _transformation_steps(chain, "Q(zeta_5)", holds, lhs76)
     form = rhs_form("thm2", p, r)
     # the chain's one field division: the tail's lower parameters are no orbit
     chain.congruence(
@@ -858,7 +896,9 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
     )
 
     assembled = form.coefficient * form.finite_sum * sign * unit_ratio
-    witness = _difference_valuation(series, assembled.as_integer_ratio(), p, 5)
+    # series is known mod p^N, N >= 7, and read mod p^(v_p(den) + 7): past
+    # N only if v_p(den) > 0, where the difference's valuation is -v_p(den)
+    witness = _difference_valuation(assembled.as_integer_ratio(), (series, 1), p, 5, exact)
     chain._add(
         "assembly",
         "weighted sum matches the assembled closed form mod p^5, in "

@@ -18,9 +18,9 @@ neighbouring runs pairwise, level by level (binary splitting), so long
 sums multiply operands of like size; ``eval_truncated`` divides a spec's
 sum once, building one canonical element.  Mod p^K, ``_residue_sum``
 sums a rational series by Horner from its last term back, on streams of
-step factors that ``_factors`` builds in C; ``eval_truncated_residue``
-inverts its one denominator, exact whenever the term denominators are
-p-adic units.
+step factors that ``_factors`` builds in C from a ``_horner_plan``, the
+series' constants formed apart from its length; ``_residue`` inverts its
+one denominator, exact whenever the term denominators are p-adic units.
 
 The identity checks never divide.  Each lifts its parameters once to
 numerators over one shared denominator, so 1 + a - x is an integer sum,
@@ -264,42 +264,61 @@ def _sum(ups, lows, n_terms, mul=None, z=(1, 1), e=1, weight=((0, 1), (1, 1))):
     return total, den
 
 
-def _factors(pairs, const, n):
-    """const * prod (an + k*ad) over the pairs, ad > 0, for k = n-1 down to
-    0, as an iterator run in C: one descending range per distinct pair,
-    raised to its multiplicity by ``map(pow)``."""
-    counts = {}
-    for pair in pairs:
-        counts[pair] = counts.get(pair, 0) + 1
-    out = repeat(const, n) if const != 1 or not counts else None
-    for (an, ad), m in counts.items():
+def _factors(tally, const, n):
+    """const * prod (an + k*ad)^m over a tally's ((an, ad), m), ad > 0, for
+    k = n-1 down to 0, as an iterator run in C: one descending range per
+    distinct pair, raised to its multiplicity by ``map(pow)``."""
+    out = repeat(const, n) if const != 1 or not tally else None
+    for (an, ad), m in tally:
         factor = range(an + (n - 1) * ad, an - ad, -ad)
         factor = factor if m == 1 else map(pow, factor, repeat(m))
         out = factor if out is None else map(operator.mul, out, factor)
     return out
 
 
-def _residue_sum(ups, lows, n_terms, z, e, weight, modulus) -> tuple:
-    """``_sum``'s (total, den) mod ``modulus`` for rational pairs, by Horner
-    from the last term back: from A = w_n and B = 1, each k from n-1 down
-    to 0 sets B = B den_k and A = w_k B + num_k A.  n is where ``_sum``
-    stops, the first k with num_k = 0, else n_terms - 1."""
-    _poles(lows, n_terms)
+def _horner_plan(ups, lows, z, e, weight) -> tuple:
+    """What ``_residue_sum`` needs of a rational series but its length, in
+    one tuple: the lows, the first k with num_k = 0 (z = 0 or a terminating
+    upper; else infinite), each side's tally of equal pairs with its
+    constant factor, and the weight's step, start and denominator."""
     z_num, z_den = z
     (w_slope, w_slope_den), (w_const, w_const_den) = weight
-    w_step, w_start = w_slope * w_const_den, w_const * w_slope_den
-    n = max(n_terms - 1, 0) if z_num else 0
-    for an, ad in ups:
-        if not an % ad and 0 <= -an // ad < n:
-            n = -an // ad
-    nums = _factors(ups, z_num * math.prod(bd for _, bd in lows), n)
-    steps = _factors([(1, 1)] * e + lows, z_den * math.prod(ad for _, ad in ups), n)
+    stop = min((-an // ad for an, ad in ups if an <= 0 and not an % ad), default=math.inf)
+    steps = [(1, 1)] * e + list(lows)
+    return (
+        tuple(lows), stop if z_num else 0,
+        tuple({u: ups.count(u) for u in ups}.items()), z_num * math.prod(bd for _, bd in lows),
+        tuple({s: steps.count(s) for s in steps}.items()), z_den * math.prod(ad for _, ad in ups),
+        w_slope * w_const_den, w_const * w_slope_den, w_slope_den * w_const_den,
+    )
+
+
+def _residue_sum(plan, n_terms, modulus) -> tuple:
+    """``_sum``'s (total, den) mod ``modulus`` for a ``_horner_plan``, by
+    Horner from the last term back: from A = w_n and B = 1, each k from
+    n-1 down to 0 sets B = B den_k and A = w_k B + num_k A.  n is where
+    ``_sum`` stops, the plan's stop if it comes first, else n_terms - 1."""
+    lows, stop, up_tally, num_const, low_tally, den_const, w_step, w_start, w_den = plan
+    _poles(lows, n_terms)
+    n = min(max(n_terms - 1, 0), stop)
+    nums = _factors(up_tally, num_const, n)
+    steps = _factors(low_tally, den_const, n)
     total, den = w_step * n + w_start if n_terms else 0, 1
     weights = range(total - w_step, w_start - w_step, -w_step) if w_step else repeat(w_start, n)
     for w, num, step in zip(weights, nums, steps):
         den = den * step % modulus
         total = (w * den + num * total) % modulus
-    return total, den * w_slope_den * w_const_den % modulus
+    return total, den * w_den % modulus
+
+
+def _residue(plan, n_terms, p: int, modulus: int) -> int:
+    """``_residue_sum``'s total over its den mod ``modulus``, a power of p:
+    exact when every den factor of a nonzero term, and the weight's, is
+    prime to p; NonIntegralInputError is raised otherwise."""
+    total, den = _residue_sum(plan, n_terms, modulus)
+    if den % p == 0:
+        raise NonIntegralInputError(f"a term's denominator or the weight's is divisible by {p}")
+    return total * pow(den, -1, modulus) % modulus
 
 
 def _value(total, den, order: int) -> Scalar:
@@ -327,23 +346,15 @@ def eval_truncated(spec: SeriesSpec) -> Scalar:
 
 def eval_truncated_residue(spec: SeriesSpec, ctx: PadicContext) -> Residue:
     """Residue mod p^K of the truncated sum of a rational spec, in O(N)
-    integer multiplies mod p^K.
-
-    ``_residue_sum`` runs mod p^K, and its one denominator is inverted at
-    the end.  That is exact when every denominator factor of a nonzero
-    term, and the weight's denominator, is prime to p;
-    NonIntegralInputError is raised otherwise.
+    integer multiplies mod p^K, by ``_residue``: NonIntegralInputError
+    when a denominator factor of a nonzero term, or the weight's, has p.
     """
     values = list(spec.upper) + list(spec.lower) + [spec.argument] + list(spec.weight)
     if any(isinstance(v, CycElement) for v in values):
         raise TypeError("the residue route takes rational parameters only")
     ups, lows, z, weight, _ = _spec_pairs(spec)
-    total, den = _residue_sum(ups, lows, spec.truncation, z, spec.factorial_power, weight, ctx.modulus)
-    if den % ctx.p == 0:
-        raise NonIntegralInputError(
-            f"a term's denominator or the weight's is divisible by {ctx.p}"
-        )
-    return Residue(total * pow(den, -1, ctx.modulus) % ctx.modulus, ctx)
+    plan = _horner_plan(ups, lows, z, spec.factorial_power, weight)
+    return Residue(_residue(plan, spec.truncation, ctx.p, ctx.modulus), ctx)
 
 
 def hypergeometric_sum(upper, lower, n_terms: int, argument: Scalar = 1) -> Scalar:

@@ -57,7 +57,9 @@ class PadicContext(FrozenRecord):
 
     def reduce(self, x) -> "Residue":
         """The unique residue of a p-adic integer x mod p^k, computed as
-        numerator * denominator^-1 mod p^k."""
+        numerator * denominator^-1 mod p^k; an int is reduced as it is."""
+        if type(x) is int:
+            return Residue(x % self.modulus, self)
         x = as_rational(x)
         if vp(x, self.p) < 0:
             raise NonIntegralInputError(

@@ -696,18 +696,25 @@ def test_verify_exact_fallback_when_residue_difference_vanishes(monkeypatch):
 
 
 def test_verify_builds_the_closed_form_once(monkeypatch):
-    calls = []
-    monkeypatch.setattr(
-        claims, "rhs_form", lambda *args: calls.append(args) or rhs_form(*args)
-    )
+    # the Gamma factors and the finite sum are read from the family entry
+    # once per (entry, r), into its plan: at most once for a verify, and
+    # not again for the next prime or the next verify of the same r
     instances = [
-        ("lr3", 59, None), ("d2", 7, None), ("a1", 13, None), ("thm1", 13, -1),
-        ("thm2", 5, -2), ("conj1", 7, -1), ("conj3", 7, 1),
+        ("lr3", [59, 61], None), ("d2", [7, 11], None), ("a1", [13, 11], None),
+        ("thm1", [13, 43], -1), ("thm2", [5, 11], -2), ("conj1", [7, 13], -1),
+        ("conj3", [7, 13], 1),
     ]
-    for claim, p, r in instances:
-        calls.clear()
-        rep = verify(claim, p, r)
-        assert calls == [(claim, p, resolve_r(claim, r))] and rep.passed
+    for claim, ps, r in instances:
+        calls = []
+        fam = FAMILIES[claim]
+        spied = fam._replace(
+            gammas=lambda r, fam=fam: calls.append("gammas") or fam.gammas(r),
+            finite_sum=lambda r, fam=fam: calls.append("finite_sum") or fam.finite_sum(r),
+        )
+        monkeypatch.setitem(FAMILIES, claim, spied)
+        for p in ps * 2:
+            assert verify(claim, p, r).passed, (claim, p)
+            assert sorted(calls) == ["finite_sum", "gammas"], (claim, p, calls)
     # the hand-verified instance is still refused
     with pytest.raises(UnsupportedInstanceError):
         verify("thm2", 2, 1)
@@ -781,12 +788,18 @@ def test_difference_valuation_matches_the_exact_cross_product(rng):
     assert min(checked.values()) > 100
 
 
-def test_non_integral_closed_form_raises():
+def test_non_integral_closed_form_raises(monkeypatch):
     # an explicit raise, not an assert: under python -O the residue would
-    # otherwise be assembled from a float p ** v
-    form = claims.ClosedForm(Fraction(1, 7), (), Fraction(1), "test")
-    with pytest.raises(RuntimeError, match="not p-integral"):
-        claims._assemble_residue(form, PadicContext(7, 3), False)
+    # otherwise be assembled from a float p ** v.  A coefficient 1/7, and a
+    # coefficient 7 times a finite sum 2/49, are not 7-integral
+    lr3 = FAMILIES["lr3"]
+    for coefficient, finite_sum in [(Fraction(1, 7), Fraction(1)), (Fraction(7), Fraction(2, 49))]:
+        cases = {key: (lambda p, r, c=coefficient: c, label) for key, (_, label) in lr3.cases.items()}
+        entry = lr3._replace(cases=cases, finite_sum=lambda r, s=finite_sum: s)
+        monkeypatch.setitem(FAMILIES, "lr3", entry)
+        for route in (rhs_residue, rhs_residue_direct):
+            with pytest.raises(RuntimeError, match="not p-integral"):
+                route("lr3", 7, None, PadicContext(7, 3))
 
 
 def test_congruence_on_a_missing_difference_fails_without_witness():
@@ -857,3 +870,77 @@ def test_proof_chain_thm1_tail_reads_the_family_series(monkeypatch):
     tail = next(s for s in proof_chain_thm1(409, -3).steps if s.name == "tail-vanishing")
     assert tail.modulus_exponent == power - 1
     assert tail.detail.endswith(f"mod p^{power - 1} in full")
+
+
+def _near_2000():
+    """A few admissible (claim, p, r) of thm1, thm2 and conj3 near p = 2000."""
+    out = []
+    for claim in ("thm1", "thm2", "conj3"):
+        rs = FAMILIES[claim].default_r_values
+        out += [(claim, p, r) for p in primes_in(1990, 2030) for r in rs if admissible(claim, p, r)][:3]
+    return out
+
+
+def test_verify_residues_match_the_exact_value_and_the_full_precision_right_side():
+    # verify reads both sides from the per-(entry, r) plan; its residues must
+    # be those of the exact left side and of every Gamma factor at p^k
+    grid = [
+        (fam.id, p, r)
+        for fam in FAMILIES.values()
+        for r in fam.default_r_values
+        for p in primes_in(2, 300)
+        if admissible(fam.id, p, r) and p not in fam.hand_verified
+    ]
+    near = _near_2000()
+    assert len(near) == 9 and len(grid) > 700
+    for claim, p, r in grid + near:
+        rep = verify(claim, p, r)
+        ctx = PadicContext(p, FAMILIES[claim].modulus_exponent)
+        assert rep.lhs_residue == ctx.reduce(lhs_value(claim, p, r)).value, (claim, p, r)
+        assert rep.rhs_residue == rhs_residue_direct(claim, p, r).value, (claim, p, r)
+
+
+@pytest.mark.parametrize("field", ["series", "gammas", "cases"])
+def test_a_replaced_entry_never_reads_a_stale_plan(monkeypatch, field):
+    # the plan is keyed on the entry object: an entry replaced after a
+    # verify of the same (claim, r) gets its own plan, and the report moves
+    claim, p, r = "thm2", 11, -2
+    thm2 = FAMILIES[claim]
+    a, power, slope, const = thm2.series(r)
+    (coefficient, label), = thm2.cases.values()
+    replacement = {
+        "series": lambda r: (a, power, slope, const + 1),
+        "gammas": lambda r: thm2.gammas(r) + ((Fraction(1, 2), 1),),
+        "cases": {0: (lambda p, r: 2 * coefficient(p, r), label)},
+    }[field]
+    before = verify(claim, p, r)
+    assert before.passed
+    monkeypatch.setitem(FAMILIES, claim, thm2._replace(**{field: replacement}))
+    after = verify(claim, p, r)
+    moved = after.lhs_residue if field == "series" else after.rhs_residue
+    assert moved != (before.lhs_residue if field == "series" else before.rhs_residue)
+    assert not after.passed
+    monkeypatch.undo()
+    assert verify(claim, p, r)._replace(elapsed_ms=0) == before._replace(elapsed_ms=0)
+
+
+def test_difference_valuation_reads_a_residue_and_forms_the_exact_pair_at_zero(rng):
+    # v given by its numerator mod p^M, M = v_p(b) + v_p(d) + k + 2, and a
+    # thunk for its exact pair: the thunk runs only when the residue is 0
+    counts = {"residue": 0, "exact": 0}
+    for _ in range(300):
+        p, k = rng.choice([3, 5, 7]), rng.randint(1, 5)
+        x = Fraction(rng.randint(-10**5, 10**5), rng.choice([1, 2, 4, 11]))
+        j = rng.choice([None, *range(0, 10)])
+        y = x if j is None else x + p ** j * Fraction(rng.choice([-1, 1]), rng.choice([1, 2, 8]))
+        b = x.denominator * p ** rng.randint(0, 2)
+        u = (x.numerator * (b // x.denominator), b)
+        d = y.denominator * p ** rng.randint(0, 2)
+        c = y.numerator * (d // y.denominator)
+        m = p ** (vp(b, p) + vp(d, p) + k + 2)
+        calls = []
+        got = claims._difference_valuation(u, (c % m, d), p, k, lambda: calls.append(1) or (c, d))
+        assert got == vp(x - y, p), (u, c, d, p, k)
+        assert bool(calls) == ((u[0] * d - c * b) % m == 0)
+        counts["exact" if calls else "residue"] += 1
+    assert min(counts.values()) > 50, counts

@@ -527,7 +527,8 @@ def _residue_draw(rng, p):
 
 
 def test_residue_sum_matches_the_factor_by_factor_reference(rng):
-    # _residue_sum's pair against factor_sum's exact pair, mod p^K; factor_sum
+    # _residue_sum's pair on a _horner_plan against factor_sum's exact pair,
+    # mod p^K, with the plan formed apart from the length; factor_sum
     # shares no code with backward Horner or its factor streams.  A pole in
     # range raises the same message on both routes
     seen = dict.fromkeys(("repeated", "stops", "zero-z", "zero-slope", "short", "edge-pole"), 0)
@@ -537,7 +538,8 @@ def test_residue_sum_matches_the_factor_by_factor_reference(rng):
         modulus = p ** rng.randint(1, 6)
         ups, lows, n_terms, z, e, weight = args = _residue_draw(rng, p)
         try:
-            total, den = hyperkernel._residue_sum(*args, modulus)
+            plan = hyperkernel._horner_plan(ups, lows, z, e, weight)
+            total, den = hyperkernel._residue_sum(plan, n_terms, modulus)
         except PoleInRangeError as exc:
             with pytest.raises(PoleInRangeError) as exact:
                 hyperkernel._sum(ups, lows, n_terms, None, z, e, weight)

@@ -19,7 +19,7 @@ The ``lr3``/``d2`` closed forms are Long-Ramakrishna's (Adv. Math. 290,
 
 ``verify``, ``lhs_residue``, ``rhs_form`` and ``rhs_residue`` read what
 does not depend on p from ``_plan``, formed once per (entry, r): the
-left side's Horner constants, the Gamma factors and the finite sum.  The
+left side's series plan, the Gamma factors and the finite sum.  The
 exact ``Fraction`` route (``lhs_spec``, ``lhs_value``) is the reference.
 
 The proof chains replay the derivations of ``thm1`` and ``thm2`` on the
@@ -30,7 +30,8 @@ The chains read the pairs the fuzzers compare: the thm1 chain those of
 chain those of ``_d1_parts``, whose one field denominator it divides by
 in its remainder block.  Both read series shapes and closed forms from
 FAMILIES, and the claim's left side from the plan as a residue, forming
-its exact pair only where that residue leaves a difference at 0.
+its exact pair on the same plan only where that residue leaves a
+difference at 0.
 
 A verification never asserts more than v_p(lhs - rhs) >= k for the
 family's modulus exponent k; the witness valuation is always reported.
@@ -61,9 +62,9 @@ from .hyperkernel import (
     _residue,
     _same,
     _split,
+    _sum,
     _times,
     _value,
-    _weighted_sum,
     _whipple_parts,
     eval_truncated,
     hypergeometric_sum,
@@ -319,13 +320,8 @@ def _require_admissible(claim_id: str, p: int, r: int) -> None:
 def lhs_spec(claim_id: str, p: int, r: int | None = None) -> SeriesSpec:
     """The truncated series of the claim, summed for k = 0 .. p-1."""
     a, power, slope, const = family(claim_id).series(resolve_r(claim_id, r))
-    return SeriesSpec(
-        upper=(a,) * power,
-        lower=(),
-        truncation=p,
-        weight=(Fraction(slope), Fraction(const)),
-        factorial_power=power,
-    )
+    weight = (Fraction(slope), Fraction(const))
+    return SeriesSpec(upper=(a,) * power, lower=(), truncation=p, weight=weight, factorial_power=power)
 
 
 def lhs_value(claim_id: str, p: int, r: int | None = None) -> Fraction:
@@ -341,11 +337,12 @@ def _require_context_for(ctx: PadicContext, p: int) -> None:
 @functools.lru_cache(maxsize=2048)
 def _plan(fam: FamilyInfo, r: int) -> tuple:
     """(series, gammas, finite sum) of a family entry at r, formed once:
-    the left side's ``_horner_plan``, and the right side's Gamma factors
-    and finite sum.  The least recently used of 2048 plans is dropped."""
+    the left side's ``_horner_plan`` with its tallies, and the right side's
+    Gamma factors and finite sum.  The least recently used of 2048 plans
+    is dropped."""
     a, power, slope, const = fam.series(r)
     (up, *weight), _ = _split([a, slope, const])
-    series = _horner_plan([up] * power, [], (1, 1), power, weight)
+    series = _horner_plan([up] * power, [], (1, 1), power, weight, tally=True)
     return series, tuple(fam.gammas(r)), fam.finite_sum(r)
 
 
@@ -448,10 +445,13 @@ class CongruenceReport(FrozenRecord):
 def _resolve_exponent(
     fam: FamilyInfo, modulus_exponent: int | None, name: str = "modulus exponent"
 ) -> int:
-    """The exponent to verify at: the family's when None, else one in
-    [1, family exponent].  ``name`` is what the error calls the value."""
+    """The exponent to verify at: the family's when None, else an int (not
+    a bool) in [1, family exponent].  ``name`` is what the error calls the
+    value."""
     if modulus_exponent is None:
         return fam.modulus_exponent
+    if type(modulus_exponent) is not int:
+        raise TypeError(f"{name} must be an int, got {modulus_exponent!r}")
     if not 1 <= modulus_exponent <= fam.modulus_exponent:
         raise ValueError(
             f"{name} for {fam.id} must be between 1 and "
@@ -709,7 +709,8 @@ def _transformation_steps(chain: ProofChain, field_name: str, holds: bool, lhs76
     pair lhs76, is (1/r) times the claim's weighted sum mod p^k.  The sum
     is read as a residue mod p^N, N = v_p(lhs76's den) + v_p(r) + k + 2,
     the modulus ``_difference_valuation`` reads it at; returned with a
-    function that forms its exact ``_weighted_sum`` pair once, if asked."""
+    function that forms its exact ``_sum`` pair on the same plan once, if
+    asked."""
     chain.exact(
         "transformation-instance",
         f"seven-slot transformation instance holds exactly over {field_name}",
@@ -719,7 +720,7 @@ def _transformation_steps(chain: ProofChain, field_name: str, holds: bool, lhs76
     k = fam.modulus_exponent
     modulus = p ** (vp(lhs76[1], p) + vp(r, p) + k + 2)
     series = _residue(_plan(fam, r)[0], p, p, modulus)
-    exact = functools.cache(lambda: _weighted_sum(lhs_spec(chain.claim, p, r)))
+    exact = functools.cache(lambda: _sum(_plan(fam, r)[0], p))
     chain.difference(
         "series-reduction",
         f"transformed series matches (1/r) * weighted sum mod p^{k}",

@@ -7,20 +7,17 @@ A series here is a finite weighted sum
                      ---------------------------------
                         k!^e  *  prod_j (b_j)_k
 
-with all scalars in Q or in one cyclotomic field.  A series has two
-routes, both on raw integers, each parameter an integral numerator over
-an int denominator.  Exactly, ``_sum`` takes rational values as ints,
-even as field elements, and irrational ones as numerator tuples,
-multiplied once into a polynomial in k through ``cyclotomic``'s
-closed-form products; a conjugate pair's product drops back to an int
-polynomial.  It folds runs of ``rationals._FOLD_MAX`` steps and merges
-neighbouring runs pairwise, level by level (binary splitting), so long
-sums multiply operands of like size; ``eval_truncated`` divides a spec's
-sum once, building one canonical element.  Mod p^K, ``_residue_sum``
-sums a rational series by Horner from its last term back, on streams of
-step factors that ``_factors`` builds in C from a ``_horner_plan``, the
-series' constants formed apart from its length; ``_residue`` inverts its
-one denominator, exact whenever the term denominators are p-adic units.
+with all scalars in Q or in one cyclotomic field, each parameter an
+integral numerator over an int denominator.  ``_horner_plan`` describes a
+series once, apart from its length: its rational factor pairs, its
+irrational ones multiplied into polynomials in k (a conjugate pair's
+product drops back to ints), its constants, its weight, its cut at a
+terminating upper and its first pole.  Two routes read a plan.  ``_sum`` sums it exactly,
+folding runs of ``rationals._FOLD_MAX`` steps and merging neighbouring
+runs pairwise (binary splitting); ``_residue_sum`` sums a rational plan
+mod p^K by Horner from the last term back, on streams of step factors
+that ``_factors`` builds in C.  ``eval_truncated`` and
+``eval_truncated_residue`` run them on a ``SeriesSpec``'s plan.
 
 The identity checks never divide.  Each lifts its parameters once to
 numerators over one shared denominator, so 1 + a - x is an integer sum,
@@ -97,10 +94,12 @@ class SeriesSpec(FrozenRecord):
     }
 
     def _check(self) -> None:
-        if self.truncation < 0:
-            raise ValueError("truncation must be nonnegative")
-        if self.factorial_power < 0:
-            raise ValueError("factorial power must be nonnegative")
+        for name in ("truncation", "factorial_power"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an int, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name.replace('_', ' ')} must be nonnegative")
 
 
 def _times(u, v, mul):
@@ -131,27 +130,14 @@ def _plus(u, v):
 
 def _minus(u, v):
     """u - v for numerators that are ints or numerator tuples."""
+    if type(u) is int and type(v) is int:
+        return u - v
     return _plus(u, -v if type(v) is int else tuple([-c for c in v]))
 
 
 def _flat(u):
     """A numerator tuple with zero non-constant coordinates as an int."""
     return u if type(u) is int or any(u[1:]) else u[0]
-
-
-def _spec_pairs(spec: SeriesSpec) -> tuple:
-    """(ups, lows, z, weight, order): the spec's values split once by
-    ``_split``, the weight's m and r as (numerator, denominator) pairs."""
-    pairs, order = _split([*spec.upper, *spec.lower, spec.argument])
-    weight = [(w.numerator, w.denominator) for w in map(as_rational, spec.weight)]
-    n_up = len(spec.upper)
-    return pairs[:n_up], pairs[n_up:-1], pairs[-1], weight, order
-
-
-def _weighted_sum(spec: SeriesSpec) -> tuple:
-    """``_sum`` of the spec."""
-    ups, lows, z, weight, order = _spec_pairs(spec)
-    return _sum(ups, lows, spec.truncation, _PRODUCT.get(order), z, spec.factorial_power, weight)
 
 
 def _poly(factors, mul):
@@ -182,64 +168,90 @@ def _at(poly, k):
     return v
 
 
-def _poles(lows, n_terms) -> None:
-    """Raise PoleInRangeError when a rational lower parameter's rising
-    factorial vanishes inside the truncation."""
-    for bn, bd in lows:
-        if type(bn) is int and not bn % bd and 0 <= -bn < (n_terms - 1) * bd:
-            raise PoleInRangeError(f"lower parameter {bn // bd} vanishes at shift {-bn // bd}")
+def _horner_plan(ups, lows, z=(1, 1), e=1, weight=((0, 1), (1, 1)), mul=None, tally=False) -> tuple:
+    """A series but its length: the one description that ``_sum`` and
+    ``_residue_sum`` read.  Each parameter, the argument z and the weight's
+    m and r are (numerator, denominator) pairs, each ad > 0, so term k+1 =
+    term k * num_k / den_k with num_k = num_const * prod (an + k*ad) over
+    the rational uppers and den_k = den_const * (k+1)^e * prod (bn + k*bd)
+    over the rational lowers, both integral.
 
-
-def _sum(ups, lows, n_terms, mul=None, z=(1, 1), e=1, weight=((0, 1), (1, 1))):
-    """The truncated sum as total / den, with total and den integral: ints
-    when every parameter is rational, and otherwise each an int or a
-    numerator tuple over denominator 1 in the parameters' field.
-
-    Each parameter, the argument z and the weight's m and r are
-    (numerator, denominator) pairs, so term k+1 = term k * num_k / den_k
-    with integral num_k and den_k.  The running term and the running sum
-    share one denominator, the weight's times the product of the den_k so
-    far.  One loop forms num_k and den_k from the rational factors as ints
-    and stops at a term that is exactly zero (a terminating upper
-    parameter).  With a tuple product ``mul``, the irrational upper factors,
-    z's numerator among them with slope 0, are multiplied once into a
-    polynomial in k, and the lower ones into another; each step evaluates
-    both by Horner on int coordinates, the canonical coordinates of the
-    factors' product.  Polynomials with rational coefficients, as of
-    conjugate pairs, keep every value an int, so ``_times`` makes int
-    products only; otherwise a step makes three field products (term,
-    total, den).  The loop folds runs of _FOLD_MAX steps, whose (term, den,
-    total) then merge pairwise, level by level.  Mod p^K the same pair
-    comes from ``_residue_sum``.  Raises PoleInRangeError when a lower
-    rising factorial vanishes inside the truncation.
-    """
-    _poles(lows, n_terms)
+    The plan is (stop, pole, ups, lows, e, num_const, den_const, w_step,
+    w_start, w_den, mul, up_poly, low_poly, tallies).  stop is the first k
+    with num_k = 0 (z = 0 or a terminating upper): the cut, past which
+    every term is zero.  pole is the first k with a rational lower factor
+    bn + k*bd = 0: a sum of more than pole + 1 terms meets it.  Each is
+    infinite when there is none.  The weight m*k + r is (w_step*k +
+    w_start) / w_den.  With a tuple product ``mul``, the irrational upper
+    factors, z's numerator among them with slope 0, and the lower ones are
+    each multiplied once into a polynomial in k (``_poly``); an irrational
+    factor is never 0.  With ``tally``, tallies holds each side's rational
+    pairs as a tally of equal pairs, ((an, ad), m), the lower side with the
+    e pairs (1, 1) of k!^e: the residue route's factor streams, formed once
+    for a plan that serves many moduli, and never on the exact route."""
     z_num, z_den = z
-    low_dens = math.prod(bd for _, bd in lows)
-    den_const = z_den * math.prod(ad for _, ad in ups)
+    (w_slope, w_slope_den), (w_const, w_const_den) = weight
+    num_const, den_const, up_poly, low_poly, tallies = 1, z_den, None, None, None
     if mul is not None:
-        up_poly = _poly([(an, ad) for an, ad in (*ups, (z_num, 0)) if type(an) is not int], mul)
-        low_poly = _poly([(bn, bd) for bn, bd in lows if type(bn) is not int], mul)
+        odd_ups = [(an, ad) for an, ad in ups if type(an) is not int]
+        odd_lows = [(bn, bd) for bn, bd in lows if type(bn) is not int]
+        up_poly = _poly(odd_ups if type(z_num) is int else [*odd_ups, (z_num, 0)], mul)
+        low_poly = _poly(odd_lows, mul)
+        num_const, den_const = math.prod(bd for _, bd in odd_lows), z_den * math.prod(ad for _, ad in odd_ups)
         ups = [(an, ad) for an, ad in ups if type(an) is int]
         lows = [(bn, bd) for bn, bd in lows if type(bn) is int]
         z_num = z_num if type(z_num) is int else 1
-    (w_slope, w_slope_den), (w_const, w_const_den) = weight
-    w_step, w_start = w_slope * w_const_den, w_const * w_slope_den
-    total = w_start if n_terms else 0
-    term, den = 1, w_slope_den * w_const_den
-    num_const = z_num * low_dens
+    # one plain loop per side, no generators: an identity check's series
+    # has a few terms, and its plan must cost no more than the loop it saves
+    stop, pole = math.inf if z_num else 0, math.inf
+    for bn, bd in lows:
+        num_const *= bd
+        if bn <= 0 and not bn % bd and -bn // bd < pole:
+            pole = -bn // bd
+    for an, ad in ups:
+        den_const *= ad
+        if an <= 0 and not an % ad and -an // ad < stop:
+            stop = -an // ad
+    if tally:
+        steps = [(1, 1)] * e + list(lows)
+        tallies = tuple({u: ups.count(u) for u in ups}.items()), tuple({s: steps.count(s) for s in steps}.items())
+    return (
+        stop, pole, ups, lows, e, z_num * num_const, den_const, w_slope * w_const_den,
+        w_const * w_slope_den, w_slope_den * w_const_den, mul, up_poly, low_poly, tallies,
+    )
+
+
+def _sum(plan, n_terms) -> tuple:
+    """The truncated sum of a ``_horner_plan`` as total / den, with total
+    and den integral: ints when every parameter is rational, and otherwise
+    each an int or a numerator tuple over denominator 1 in the parameters'
+    field.
+
+    The running term and the running sum share one denominator, the
+    weight's times the product of the den_k so far.  One loop forms num_k
+    and den_k from the rational factors as ints, up to the plan's stop; in
+    a field plan it evaluates both polynomials by Horner on int
+    coordinates.  Polynomials with rational coefficients, as of conjugate
+    pairs, keep every value an int; otherwise a step makes three field
+    products (term, total, den).  The loop folds runs of _FOLD_MAX steps,
+    whose (term, den, total) then merge pairwise, level by level.  Mod p^K
+    the same pair comes from ``_residue_sum``.  Raises PoleInRangeError
+    when a lower rising factorial vanishes inside the truncation.
+    """
+    stop, pole, ups, lows, e, num_const, den_const, w_step, w, den, mul, up_poly, low_poly, _ = plan
+    if pole < n_terms - 1:
+        raise PoleInRangeError(f"lower parameter {-pole} vanishes at shift {pole}")
+    total, term = w if n_terms else 0, 1
     runs, end = [], _FOLD_MAX - 1
-    for k in range(n_terms - 1):
+    for k in range(min(n_terms - 1, stop)):
         num = num_const
         for an, ad in ups:
             num *= an + k * ad
-        if num == 0:
-            break  # every later term is zero too; an irrational factor is never 0
         step = den_const * (k + 1) ** e
         for bn, bd in lows:
             step *= bn + k * bd
-        # term k+1, and the sum moved onto its denominator den * step
-        w = w_step * (k + 1) + w_start
+        # term k+1 and its weight, and the sum moved onto its denominator den * step
+        w += w_step
         if mul is None:
             term *= num
             total = total * step + w * term
@@ -276,30 +288,15 @@ def _factors(tally, const, n):
     return out
 
 
-def _horner_plan(ups, lows, z, e, weight) -> tuple:
-    """What ``_residue_sum`` needs of a rational series but its length, in
-    one tuple: the lows, the first k with num_k = 0 (z = 0 or a terminating
-    upper; else infinite), each side's tally of equal pairs with its
-    constant factor, and the weight's step, start and denominator."""
-    z_num, z_den = z
-    (w_slope, w_slope_den), (w_const, w_const_den) = weight
-    stop = min((-an // ad for an, ad in ups if an <= 0 and not an % ad), default=math.inf)
-    steps = [(1, 1)] * e + list(lows)
-    return (
-        tuple(lows), stop if z_num else 0,
-        tuple({u: ups.count(u) for u in ups}.items()), z_num * math.prod(bd for _, bd in lows),
-        tuple({s: steps.count(s) for s in steps}.items()), z_den * math.prod(ad for _, ad in ups),
-        w_slope * w_const_den, w_const * w_slope_den, w_slope_den * w_const_den,
-    )
-
-
 def _residue_sum(plan, n_terms, modulus) -> tuple:
-    """``_sum``'s (total, den) mod ``modulus`` for a ``_horner_plan``, by
-    Horner from the last term back: from A = w_n and B = 1, each k from
-    n-1 down to 0 sets B = B den_k and A = w_k B + num_k A.  n is where
-    ``_sum`` stops, the plan's stop if it comes first, else n_terms - 1."""
-    lows, stop, up_tally, num_const, low_tally, den_const, w_step, w_start, w_den = plan
-    _poles(lows, n_terms)
+    """``_sum``'s (total, den) mod ``modulus`` for a rational ``_horner_plan``
+    formed with ``tally``, by Horner from the last term back: from A = w_n
+    and B = 1, each k from n-1 down to 0 sets B = B den_k and A = w_k B +
+    num_k A.  n is where ``_sum`` stops, the plan's stop if it comes first,
+    else n_terms - 1."""
+    stop, pole, _, _, _, num_const, den_const, w_step, w_start, w_den, _, _, _, (up_tally, low_tally) = plan
+    if pole < n_terms - 1:
+        raise PoleInRangeError(f"lower parameter {-pole} vanishes at shift {pole}")
     n = min(max(n_terms - 1, 0), stop)
     nums = _factors(up_tally, num_const, n)
     steps = _factors(low_tally, den_const, n)
@@ -333,13 +330,22 @@ def _value(total, den, order: int) -> Scalar:
     return CycElement._make(order, total if type(total) is tuple else _reduce(order, [total]), den)
 
 
+def _spec_plan(spec: SeriesSpec, tally: bool = False) -> tuple:
+    """The spec's ``_horner_plan``, its values split once by ``_split``."""
+    pairs, order = _split([*spec.upper, *spec.lower, spec.argument])
+    weight = [(w.numerator, w.denominator) for w in map(as_rational, spec.weight)]
+    n_up = len(spec.upper)
+    mul = _PRODUCT.get(order)
+    return _horner_plan(pairs[:n_up], pairs[n_up:-1], pairs[-1], spec.factorial_power, weight, mul, tally)
+
+
 def eval_truncated(spec: SeriesSpec) -> Scalar:
     """Exact value of the truncated sum; PoleInRangeError when a lower
     rising factorial vanishes anywhere inside the truncation range.
 
     The value is a Fraction, or a CycElement when any parameter is one.
-    It costs one division, at the end of ``_weighted_sum``."""
-    total, den = _weighted_sum(spec)
+    It costs one division, of ``_sum``'s pair."""
+    total, den = _sum(_spec_plan(spec), spec.truncation)
     values = (*spec.upper, *spec.lower, spec.argument)
     return _value(total, den, next((v.order for v in values if isinstance(v, CycElement)), 0))
 
@@ -349,24 +355,15 @@ def eval_truncated_residue(spec: SeriesSpec, ctx: PadicContext) -> Residue:
     integer multiplies mod p^K, by ``_residue``: NonIntegralInputError
     when a denominator factor of a nonzero term, or the weight's, has p.
     """
-    values = list(spec.upper) + list(spec.lower) + [spec.argument] + list(spec.weight)
-    if any(isinstance(v, CycElement) for v in values):
+    if any(isinstance(v, CycElement) for v in (*spec.upper, *spec.lower, spec.argument, *spec.weight)):
         raise TypeError("the residue route takes rational parameters only")
-    ups, lows, z, weight, _ = _spec_pairs(spec)
-    plan = _horner_plan(ups, lows, z, spec.factorial_power, weight)
-    return Residue(_residue(plan, spec.truncation, ctx.p, ctx.modulus), ctx)
+    return Residue(_residue(_spec_plan(spec, tally=True), spec.truncation, ctx.p, ctx.modulus), ctx)
 
 
 def hypergeometric_sum(upper, lower, n_terms: int, argument: Scalar = 1) -> Scalar:
     """Plain (weightless) truncated series with a single k! factor."""
-    return eval_truncated(
-        SeriesSpec(
-            upper=tuple(upper),
-            lower=tuple(lower),
-            argument=argument,
-            truncation=n_terms,
-        )
-    )
+    spec = SeriesSpec(upper=tuple(upper), lower=tuple(lower), argument=argument, truncation=n_terms)
+    return eval_truncated(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +404,9 @@ def _well_poised(a, params, n: int, den: int, mul) -> tuple:
     numerators over den: upper a, 1 + a/2, each param and -n; lower a/2,
     1 + a - x for each param x, and 1 + a + n."""
     one_a = _plus(a, den)
-    return _sum(
-        [(a, den), (_plus(a, 2 * den), 2 * den), *((x, den) for x in params), (-n, 1)],
-        [(a, 2 * den), *((_minus(one_a, x), den) for x in params), (_plus(one_a, n * den), den)],
-        n + 1,
-        mul,
-    )
+    ups = [(a, den), (_plus(a, 2 * den), 2 * den), *[(x, den) for x in params], (-n, 1)]
+    lows = [(a, 2 * den), *[(_minus(one_a, x), den) for x in params], (_plus(one_a, n * den), den)]
+    return _sum(_horner_plan(ups, lows, mul=mul), n + 1)
 
 
 def _four_slot(a, b, c, d, e, n: int, den: int, mul) -> tuple:
@@ -421,7 +415,8 @@ def _four_slot(a, b, c, d, e, n: int, den: int, mul) -> tuple:
     one_a = _plus(a, den)
     ups = [_minus(_minus(one_a, b), c), d, e]
     lows = [_minus(_plus(d, e), _plus(a, n * den)), _minus(one_a, b), _minus(one_a, c)]
-    return _sum([*((x, den) for x in ups), (-n, 1)], [(x, den) for x in lows], n + 1, mul)
+    plan = _horner_plan([*[(x, den) for x in ups], (-n, 1)], [(x, den) for x in lows], mul=mul)
+    return _sum(plan, n + 1)
 
 
 def _whipple_parts(a, b, c, d, e, n: int) -> tuple:
@@ -471,7 +466,8 @@ def _karlsson_minton_sum(n: int, bs, ms) -> tuple:
     bs, den, order = _lift(bs)
     # an integral Fraction shift is an int one; a float one is refused
     ups = [(_plus(b, int(as_rational(m)) * den), den) for b, m in zip(bs, ms)]
-    return (*_sum([(-n, 1), *ups], [(b, den) for b in bs], n + 1, _PRODUCT.get(order)), order)
+    plan = _horner_plan([(-n, 1), *ups], [(b, den) for b in bs], mul=_PRODUCT.get(order))
+    return (*_sum(plan, n + 1), order)
 
 
 def check_karlsson_minton(n: int, bs, ms) -> bool:
@@ -508,7 +504,7 @@ def _d1_parts(t, a, b, c, n: int, m: int) -> tuple:
     if lower == 0 or linear[1] == 0:
         raise PoleInRangeError("prefactor denominator vanishes")
     tail_ups = [(-m, 1), (-n, 1), (top, den), (w, den)]
-    tail = _sum(tail_ups, [(x, den) for x in lows], min(m, n) + 1, mul)
+    tail = _sum(_horner_plan(tail_ups, [(x, den) for x in lows], mul=mul), min(m, n) + 1)
     return lhs, lows, uppers, lower, linear, tail, den, order
 
 

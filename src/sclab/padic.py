@@ -47,6 +47,8 @@ class PadicContext(FrozenRecord):
     __slots__ = ("p", "k", "modulus")
 
     def __init__(self, p: int, k: int):
+        if type(p) is not int or type(k) is not int:
+            raise TypeError(f"p and k must be ints, got p={p!r}, k={k!r}")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if k < 1:

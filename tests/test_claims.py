@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
@@ -267,6 +268,16 @@ def test_exponent_override_only_lowers():
     assert rep.modulus_exponent == 5 and rep.passed
     with pytest.raises(ValueError):
         verify("d2", 11, modulus_exponent=7)
+
+
+def test_modulus_exponent_must_be_an_int():
+    # True once verified at exponent 1 and reported modulus_exponent True,
+    # and 2.0 failed inside pow; both are refused with the value named
+    for claim, r, k in (("d2", None, True), ("thm1", 1, 2.0), ("thm1", 1, False), ("lr3", None, Fraction(2))):
+        with pytest.raises(TypeError, match=f"^modulus exponent must be an int, got {re.escape(repr(k))}$"):
+            verify(claim, 7 if claim != "lr3" else 5, r, k)
+    with pytest.raises(TypeError, match="^modulus exponent must be an int, got 2.0$"):
+        scan("thm1", 30, [1], 2.0)
 
 
 def test_d2_and_thm2_agree_mod_p5():
@@ -944,3 +955,22 @@ def test_difference_valuation_reads_a_residue_and_forms_the_exact_pair_at_zero(r
         assert bool(calls) == ((u[0] * d - c * b) % m == 0)
         counts["exact" if calls else "residue"] += 1
     assert min(counts.values()) > 50, counts
+
+
+@pytest.mark.parametrize("claim, p, r", [("thm1", 13, -1), ("thm2", 5, 1), ("thm2", 7, -1)])
+def test_proof_chains_build_no_series_spec(monkeypatch, claim, p, r):
+    # at these instances series-reduction's residue reads 0, so the chain
+    # forms the exact pair too: by _sum on the claim's cached plan, with no
+    # SeriesSpec.  The plan is warmed first, since a cold thm2 plan forms
+    # its finite sum through hypergeometric_sum
+    claims._plan(FAMILIES[claim], r)
+    specs, exact = [], []
+    monkeypatch.setattr(hyperkernel.SeriesSpec, "_check", lambda self: specs.append(self))
+
+    def spy(plan, n_terms):
+        exact.append(plan is claims._plan(FAMILIES[claim], r)[0])
+        return hyperkernel._sum(plan, n_terms)
+
+    monkeypatch.setattr(claims, "_sum", spy)
+    chain = (proof_chain_thm1 if claim == "thm1" else proof_chain_thm2)(p, r)
+    assert chain.passed and exact == [True] and specs == []

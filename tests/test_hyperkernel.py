@@ -527,26 +527,27 @@ def _residue_draw(rng, p):
 
 
 def test_residue_sum_matches_the_factor_by_factor_reference(rng):
-    # _residue_sum's pair on a _horner_plan against factor_sum's exact pair,
-    # mod p^K, with the plan formed apart from the length; factor_sum
-    # shares no code with backward Horner or its factor streams.  A pole in
-    # range raises the same message on both routes
+    # both routes on one _horner_plan, formed apart from the length:
+    # _residue_sum's pair mod p^K and _sum's exact pair against factor_sum's,
+    # which shares no code with the plan, backward Horner or its factor
+    # streams.  A pole in range raises the same message on both routes
     seen = dict.fromkeys(("repeated", "stops", "zero-z", "zero-slope", "short", "edge-pole"), 0)
     checked = 0
     for _ in range(500):
         p = rng.choice((3, 5, 7, 11, 13))
         modulus = p ** rng.randint(1, 6)
         ups, lows, n_terms, z, e, weight = args = _residue_draw(rng, p)
+        plan = hyperkernel._horner_plan(ups, lows, z, e, weight, tally=True)
         try:
-            plan = hyperkernel._horner_plan(ups, lows, z, e, weight)
             total, den = hyperkernel._residue_sum(plan, n_terms, modulus)
         except PoleInRangeError as exc:
             with pytest.raises(PoleInRangeError) as exact:
-                hyperkernel._sum(ups, lows, n_terms, None, z, e, weight)
+                hyperkernel._sum(plan, n_terms)
             assert str(exact.value) == str(exc)
             continue
-        want_total, want_den = factor_sum(ups, lows, n_terms, None, z, e, weight)
-        assert (total - want_total) % modulus == 0 and (den - want_den) % modulus == 0, args
+        want = factor_sum(ups, lows, n_terms, None, z, e, weight)
+        assert hyperkernel._sum(plan, n_terms) == want, args
+        assert (total - want[0]) % modulus == 0 and (den - want[1]) % modulus == 0, args
         checked += 1
         seen["repeated"] += len(set(ups)) < len(ups)
         seen["stops"] += any(an <= 0 and not an % ad and -an // ad < n_terms - 1 for an, ad in ups)
@@ -733,7 +734,7 @@ def test_conjugate_pairs_run_on_ints():
         truncation=12,
         weight=(Fraction(3), Fraction(1, 2)),
     )
-    total, den = hyperkernel._weighted_sum(spec)
+    total, den = hyperkernel._sum(hyperkernel._spec_plan(spec), spec.truncation)
     assert type(total) is int and type(den) is int
     got = eval_truncated(spec)
     assert isinstance(got, CycElement) and got.is_rational
@@ -805,17 +806,17 @@ def test_sum_int_and_field_branches_agree_on_int_pairs(rng):
         rng.shuffle(lows)
         z = rng.choice([-9, -5, -1, 1, 2, 7]), rng.choice((1, 2, 3, 5))
         weight = pair((2, 3, 5)), pair((2, 3, 5))
-        args = ups, lows, n_terms
-        kwargs = {"z": z, "e": e, "weight": weight}
+        plain = hyperkernel._horner_plan(ups, lows, z, e, weight)
+        field = hyperkernel._horner_plan(ups, lows, z, e, weight, hyperkernel._PRODUCT[5])
         try:
-            want = hyperkernel._sum(*args, **kwargs)
+            want = hyperkernel._sum(plain, n_terms)
         except PoleInRangeError as exc:
             with pytest.raises(PoleInRangeError) as got:
-                hyperkernel._sum(*args, mul=hyperkernel._PRODUCT[5], **kwargs)
+                hyperkernel._sum(field, n_terms)
             assert str(got.value) == str(exc)
             poles += 1
             continue
-        assert hyperkernel._sum(*args, mul=hyperkernel._PRODUCT[5], **kwargs) == want
+        assert hyperkernel._sum(field, n_terms) == want
         stops += any(an <= 0 and not an % ad and -an // ad < n_terms - 1 for an, ad in ups)
         long += n_terms > hyperkernel._FOLD_MAX
     assert poles >= 20 and stops >= 20 and long >= 60

@@ -321,7 +321,7 @@ def test_sum_matches_the_factor_by_factor_reference(order, n_terms):
     for shape in _SHAPES:
         for _ in range(4):
             ups, lows, z, e, weight = _series_draw(rng, order, shape, n_terms)
-            got = hyperkernel._sum(ups, lows, n_terms, mul, z, e, weight)
+            got = hyperkernel._sum(hyperkernel._horner_plan(ups, lows, z, e, weight, mul), n_terms)
             assert got == ref.factor_sum(ups, lows, n_terms, mul, z, e, weight), (shape, ups, lows, z)
             if shape in ("rational", "conjugates"):
                 assert all(type(x) is int for x in got), (shape, got)
@@ -368,7 +368,7 @@ def test_a_thm2_shaped_series_makes_three_field_products_per_step():
 
     def calls(n_terms):
         mul = _Counting(_PRODUCT[5])
-        total, den = hyperkernel._sum(ups, lows, n_terms, mul)
+        total, den = hyperkernel._sum(hyperkernel._horner_plan(ups, lows, mul=mul), n_terms)
         assert n_terms == 1 or type(total) is type(den) is tuple
         return mul.calls
 

@@ -35,6 +35,13 @@ def test_context_validation():
     assert ctx.modulus == 125
 
 
+def test_context_refuses_a_float_or_bool_p_or_k():
+    # 5.0 once made a context with modulus 25.0, whose reduce failed in pow
+    for p, k in ((5.0, 2), (5, 2.0), (True, 2), (5, True), (Fraction(5), 2)):
+        with pytest.raises(TypeError, match="^p and k must be ints"):
+            PadicContext(p, k)
+
+
 def test_context_modulus_is_derived_not_passed():
     # the modulus is always p^k, so a passed one could only disagree with it
     with pytest.raises(TypeError):

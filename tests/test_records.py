@@ -4,6 +4,7 @@ constructors' checks."""
 
 import copy
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -197,6 +198,15 @@ def test_constructor_messages():
         SeriesSpec(upper=(), lower=(), truncation=-1)
     with pytest.raises(ValueError, match="^factorial power must be nonnegative$"):
         SeriesSpec(upper=(), lower=(), factorial_power=-1)
+
+
+@pytest.mark.parametrize("field", ["truncation", "factorial_power"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, Fraction(2)])
+def test_series_spec_refuses_a_non_int_count(field, value):
+    # a float once failed later, inside a route, as "'float' object cannot
+    # be interpreted as an integer"
+    with pytest.raises(TypeError, match=f"^{field} must be an int, got {re.escape(repr(value))}$"):
+        SeriesSpec(upper=(), lower=(), **{field: value})
 
 
 def test_constructor_parameters_are_the_leading_fields():

@@ -284,7 +284,11 @@ def family(claim_id: str) -> FamilyInfo:
 
 
 def resolve_r(claim_id: str, r: int | None) -> int:
+    """The weight r to use: the one given, or a fixed-weight family's own.
+    An r that is not None and not an int (a bool included) is a TypeError."""
     fam = family(claim_id)
+    if r is not None and type(r) is not int:
+        raise TypeError(f"r must be an int, got {r!r}")
     if fam.takes_r:
         if r is None:
             raise ValueError(f"claim {fam.id} requires an r value")
@@ -297,8 +301,11 @@ def resolve_r(claim_id: str, r: int | None) -> int:
 
 
 def admissible(claim_id: str, p: int, r: int | None = None) -> Admissibility:
-    """Side conditions of the claim at (p, r), with a reason when they fail."""
+    """Side conditions of the claim at (p, r), with a reason when they fail.
+    A p or r that is not an int (a bool included) is a TypeError."""
     fam = family(claim_id)
+    if type(p) is not int:
+        raise TypeError(f"p must be an int, got {p!r}")
     try:
         r = resolve_r(claim_id, r)
     except ValueError as exc:
@@ -311,10 +318,12 @@ def admissible(claim_id: str, p: int, r: int | None = None) -> Admissibility:
     return Admissibility(True)
 
 
-def _require_admissible(claim_id: str, p: int, r: int) -> None:
+def _require_admissible(claim_id: str, p: int, r: int, label: str | None = None) -> None:
+    """Raise InadmissibleInstanceError unless (p, r) is admissible; the
+    message names the instance by ``label``, the claim id by default."""
     adm = admissible(claim_id, p, r)
     if not adm:
-        raise InadmissibleInstanceError(f"({claim_id}, p={p}, r={r}): {adm.reason}")
+        raise InadmissibleInstanceError(f"({label or claim_id}, p={p}, r={r}): {adm.reason}")
 
 
 def lhs_spec(claim_id: str, p: int, r: int | None = None) -> SeriesSpec:

@@ -380,8 +380,8 @@ def _lift(values: Sequence[Scalar]) -> tuple[list, int, int]:
 
 
 def _counts(*counts) -> None:
-    """Refuse a series length that is not an int, a float included."""
-    if not all(isinstance(c, int) for c in counts):
+    """Refuse a series length that is not an int, a float or bool included."""
+    if not all(type(c) is int for c in counts):
         raise TypeError(f"n and m must be ints (floats are not exact), got {counts}")
 
 

@@ -22,19 +22,22 @@ Two kernels keep the ring off quadratic pure-Python loops:
   folded factors) is multiplied by a zero-skipping loop instead.
 * Sparse fold.  Phi_p^power divides (q^p - 1)^power, which is monic with
   power + 1 terms, so a polynomial is reduced mod (q^p - 1)^power in
-  O((power + 1) n), then mod Phi_p^power in at most ``power`` division
-  steps; the first step is a ring homomorphism, so the residue is the
-  same.  Powers of q enter the ring folded (``QRing._q_terms``).
+  O((power + 1) n) (``_fold``), then mod Phi_p^power by at most ``power``
+  steps of ``QPolynomial.__divmod__``; the first step is a ring
+  homomorphism, so the residue is the same.  Powers of q enter the ring
+  folded (``QRing._q_terms``).
 
 The q-analogue check describes its cleared sum once (``_summand``) and
 runs the same Horner steps over it in two arithmetics.  Route 1 runs
-them in the ring, where each folded factor has at most 24 terms.  Route
-2 builds no polynomial: it evaluates at q = X (1 + eps), X = 2^64, mod
-(X^p - 1, eps^4), the evaluation at roots of unity of Guo and Zudilin's
-"q-microscope" (Adv. Math. 346, 2019) with the root X packed into one
-integer.  Phi_p(q)^4 maps to 0 mod (Phi_p(X), eps^4), so route 2's zero
-is a necessary condition for route 1's.  Negative powers of q are legal
-everywhere: q folds for every integer power, and X is a unit mod X^p - 1.
+them on polynomials folded mod (q^p - 1)^4 after each step, each folded
+factor with at most 24 terms, and enters the ring once per result.
+Route 2 builds no polynomial: it evaluates at q = X (1 + eps), X = 2^64,
+mod (X^p - 1, eps^4), the evaluation at roots of unity of Guo and
+Zudilin's "q-microscope" (Adv. Math. 346, 2019) with the root X packed
+into one integer.  Phi_p(q)^4 maps to 0 mod (Phi_p(X), eps^4), so route
+2's zero is a necessary condition for route 1's.  Negative powers of q
+are legal everywhere: q folds for every integer power, and X is a unit
+mod X^p - 1.
 """
 
 from __future__ import annotations
@@ -71,20 +74,6 @@ def _divided(nums, den) -> list:
     if den == 1:
         return nums
     return [c // den if not c % den else Fraction(c, den) for c in nums]
-
-
-def _monic_remainder(coeffs, divisor) -> list:
-    """coeffs mod a monic divisor, both low degree first: the remainder's
-    dv = len(divisor) - 1 coefficients, with no quotient formed."""
-    dv = len(divisor) - 1
-    rem = list(coeffs)
-    lower = divisor[:-1]
-    for top in range(len(rem) - 1, dv - 1, -1):
-        c = rem[top]
-        if c:
-            base = top - dv
-            rem[base:top] = [x - c * d for x, d in zip(rem[base:top], lower)]
-    return rem[:dv]
 
 
 def _slot_bias(count: int, nbytes: int) -> int:
@@ -271,12 +260,13 @@ class QRing(FrozenRecord):
         object.__setattr__(self, "_fold", fold)
 
     def _reduce(self, poly: QPolynomial) -> QPolynomial:
-        """The remainder of ``poly`` mod Phi_p^power, through the fold mod
-        (q^p - 1)^power.  Both steps are Z-linear, so a Fraction polynomial
-        is reduced as integer numerators over one denominator."""
+        """The remainder of ``poly`` mod Phi_p^power: the fold mod
+        (q^p - 1)^power, then at most ``power`` steps of ``__divmod__``.
+        Both steps are Z-linear, so a Fraction polynomial is reduced as
+        integer numerators over one denominator."""
         nums, den = _cleared(poly.coeffs)
-        rem = _monic_remainder(_fold(nums, self.p, self._fold), self.modulus.coeffs)
-        return QPolynomial._trusted(_divided(rem, den))
+        rem = QPolynomial._trusted(_fold(nums, self.p, self._fold)) % self.modulus
+        return QPolynomial._trusted(_divided(rem.coeffs, den))
 
     def element(self, poly: QPolynomial) -> "QRingElement":
         return QRingElement(self, poly)
@@ -520,11 +510,9 @@ def verify_q_conjecture(p: int, r: int, exponent_twist: int = 0) -> QAnalogueRep
     statement is twist 0, and a nonzero twist is the built-in negative
     control (it must break the divisibility).
     """
-    from .claims import InadmissibleInstanceError, admissible
+    from .claims import _require_admissible
 
-    adm = admissible("thm1", p, r)
-    if not adm:
-        raise InadmissibleInstanceError(f"(q-analogue, p={p}, r={r}): {adm.reason}")
+    _require_admissible("thm1", p, r, "q-analogue")
     started = time.perf_counter()
     step = 5 * (3 - r) // 2 + exponent_twist  # r is odd for admissible instances
 
@@ -553,20 +541,19 @@ def _summand(p: int, r: int, step: int):
 def _ring_sum(ring: QRing, r: int, step: int) -> tuple:
     """Route 1: (T, (1 - q) S_0^5) in the ring, T and S_0 as in
     ``verify_q_conjecture``, by the Horner steps of ``_summand``; the block
-    gathers every D_k.  Each list enters the ring folded to degree < 4p
-    (at most 24 terms), so every product takes the sparse multiply."""
-
-    def times(x, factor):
-        """x * factor; the factor leads, so its few terms drive the loop."""
-        return QRingElement(ring, factor * x.residue)
-
-    total, block, rising = ring.zero, ring.from_coeffs((1, -1)), ring.one
-    for d, f, c in _summand(ring.p, r, step):
+    gathers every D_k.  Each list enters folded to degree < 4p (at most 24
+    terms), so every product takes the sparse multiply, and each step's
+    result is folded back mod (q^p - 1)^4, which Phi_p^4 divides.  T and
+    the block enter the ring, and are reduced mod Phi_p^4, once each."""
+    p, fold = ring.p, ring._fold
+    total, block, rising = QPolynomial.zero(), QPolynomial((1, -1)), QPolynomial.one()
+    for d, f, c in _summand(p, r, step):
         d = ring._q_terms(d)
-        rising = times(rising, ring._q_terms(f))
-        total = times(total, d) + times(rising, ring._q_terms(c))
-        block = times(block, d)
-    return total, block
+        rising = QPolynomial._trusted(_fold((ring._q_terms(f) * rising).coeffs, p, fold))
+        total = d * total + ring._q_terms(c) * rising
+        total = QPolynomial._trusted(_fold(total.coeffs, p, fold))
+        block = QPolynomial._trusted(_fold((d * block).coeffs, p, fold))
+    return ring.element(total), ring.element(block)
 
 
 # Route 2 evaluates at q = X (1 + eps), X = 2^JET_BITS: one 64-bit slot

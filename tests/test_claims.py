@@ -30,6 +30,7 @@ from sclab.claims import (
 from sclab.cyclotomic import CycElement
 from sclab.padic import NonIntegralInputError, PadicContext, vp
 from sclab.pgamma import gamma_p
+from sclab.qring import verify_q_conjecture
 from sclab.rationals import pochhammer, primes_in, rising
 
 
@@ -278,6 +279,32 @@ def test_modulus_exponent_must_be_an_int():
             verify(claim, 7 if claim != "lr3" else 5, r, k)
     with pytest.raises(TypeError, match="^modulus exponent must be an int, got 2.0$"):
         scan("thm1", 30, [1], 2.0)
+
+
+@pytest.mark.parametrize("bad", [True, 7.0])
+@pytest.mark.parametrize("name, call", [
+    ("r", lambda bad: verify("thm1", 7, bad)),
+    ("p", lambda bad: admissible("thm1", bad, 1)),
+    ("p", lambda bad: verify("thm1", bad, 1)),
+    ("r", lambda bad: scan("thm1", 20, [bad])),
+    ("r", lambda bad: proof_chain_thm1(7, bad)),
+    ("r", lambda bad: verify_q_conjecture(7, bad)),
+    ("n", lambda bad: hyperkernel.check_whipple(7, 2, 3, 5, 13, bad)),
+], ids=["verify-r", "admissible-p", "verify-p", "scan-r", "chain-r", "q-analogue-r", "whipple-n"])
+def test_instance_numbers_must_be_ints(name, call, bad):
+    # True once ran as r = 1 and was reported as r=True, and p = 7.0 was
+    # admissible and then failed inside PadicContext; both are refused
+    # with the value named
+    with pytest.raises(TypeError, match=rf"^{name}\b.* must be .*ints?\b.*, got .*{re.escape(repr(bad))}"):
+        call(bad)
+
+
+def test_q_analogue_inadmissible_message():
+    # the q-side admits through the claims' own check, under its own label
+    for (p, r), reason in (((11, -1), "2p + r must vanish mod 5"), ((9, 1), "9 is not prime")):
+        with pytest.raises(InadmissibleInstanceError) as got:
+            verify_q_conjecture(p, r)
+        assert str(got.value) == f"(q-analogue, p={p}, r={r}): {reason}"
 
 
 def test_d2_and_thm2_agree_mod_p5():

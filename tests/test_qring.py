@@ -620,6 +620,22 @@ def test_route1_operands_stay_below_power_p(monkeypatch, p, r):
     assert max(fewest_terms) <= SPARSE_TERMS
 
 
+@pytest.mark.parametrize("p, r, step", [(13, -1, 10), (29, -3, 15)])
+def test_route1_enters_the_ring_once_per_result(monkeypatch, p, r, step):
+    # the Horner steps fold mod (q^p - 1)^4 outside the ring, so only T and
+    # the block are reduced mod Phi_p^4
+    calls = []
+    reduce = QRing._reduce
+
+    def spy(ring, poly):
+        calls.append(poly.degree)
+        return reduce(ring, poly)
+
+    monkeypatch.setattr(QRing, "_reduce", spy)
+    _ring_sum(QRing(p), r, step)
+    assert len(calls) <= 2
+
+
 def test_conjecture_near_p_100():
     report = verify_q_conjecture(103, -1)
     assert report.ring_zero and report.division_zero

@@ -18,26 +18,24 @@ Two kernels keep the ring off quadratic pure-Python loops:
   integers with CPython's bignum multiply and unpacks the slots with a
   per-slot bias.  ``Fraction`` operands are cleared to integer numerators
   over one denominator first, and the product is divided once at the end.
-  An operand with at most ``SPARSE_TERMS`` nonzero terms (route 1's
-  folded factors) is multiplied by a zero-skipping loop instead.
+  An operand with at most ``SPARSE_TERMS`` nonzero terms (a factor of
+  ``q_pochhammer``) is multiplied by a zero-skipping loop instead.
 * Sparse fold.  Phi_p^power divides (q^p - 1)^power, which is monic with
   power + 1 terms, so a polynomial is reduced mod (q^p - 1)^power in
   O((power + 1) n) (``_fold``), then mod Phi_p^power by at most ``power``
   steps of ``QPolynomial.__divmod__``; the first step is a ring
   homomorphism, so the residue is the same.  Powers of q enter the ring
-  folded (``QRing._q_terms``).
+  folded (``QRing.q_power``).
 
 The q-analogue check describes its cleared sum once (``_summand``) and
-runs the same Horner steps over it in two arithmetics.  Route 1 runs
-them on polynomials folded mod (q^p - 1)^4 after each step, each folded
-factor with at most 24 terms, and enters the ring once per result.
-Route 2 builds no polynomial: it evaluates at q = X (1 + eps), X = 2^64,
-mod (X^p - 1, eps^4), the evaluation at roots of unity of Guo and
-Zudilin's "q-microscope" (Adv. Math. 346, 2019) with the root X packed
-into one integer.  Phi_p(q)^4 maps to 0 mod (Phi_p(X), eps^4), so route
-2's zero is a necessary condition for route 1's.  Negative powers of q
-are legal everywhere: q folds for every integer power, and X is a unit
-mod X^p - 1.
+runs the same Horner steps over it in two arithmetics, by one shift-and-
+mix step on four packed ints (``_times``).  Route 1 packs lists folded
+mod (q^p - 1)^4 in slots read from a bound, so each product decodes
+exactly (``_fold_mul``).  Route 2 builds no polynomial: it evaluates at
+q = X (1 + eps), X = 2^64, mod (X^p - 1, eps^4), Guo and Zudilin's
+"q-microscope" (Adv. Math. 346, 2019) at a root X packed into one int.
+Phi_p(q)^4 maps to 0 mod (Phi_p(X), eps^4), so route 2's zero is
+necessary for route 1's.  Every integer power of q is legal in both.
 """
 
 from __future__ import annotations
@@ -64,8 +62,9 @@ def _coefficient(c):
 
 
 # An operand with at most this many nonzero terms multiplies by the
-# zero-skipping loop; packing it would cost more than it saves.  Route
-# 1's six-term factors, folded mod (q^p - 1)^4, have up to 6 * 4 terms.
+# zero-skipping loop; packing it would cost more than it saves: packing
+# q_pochhammer's folded two-term factors made q_pochhammer(5, 5, 28,
+# QRing(29)) ** 5 take 5.7-5.9 ms instead of 4.4-4.7 ms.
 SPARSE_TERMS = 24
 
 
@@ -81,8 +80,9 @@ def _slot_bias(count: int, nbytes: int) -> int:
     return int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
 
 
-def _pack(coeffs, nbytes: int, half: int) -> int:
-    """sum c_i 2^(8 nbytes i) for signed c_i with |c_i| < half."""
+def _pack(coeffs, nbytes: int) -> int:
+    """sum c_i 2^(8 nbytes i) for signed c_i with |c_i| < 2^(8 nbytes - 1)."""
+    half = 1 << (8 * nbytes - 1)
     raw = b"".join([(c + half).to_bytes(nbytes, "little") for c in coeffs])
     return int.from_bytes(raw, "little") - _slot_bias(len(coeffs), nbytes)
 
@@ -91,23 +91,27 @@ def _max_bits(coeffs) -> int:
     return max(max(coeffs), -min(coeffs)).bit_length()
 
 
-def _packed_mul(a, b) -> list:
-    """The product of two int coefficient sequences by Kronecker
-    substitution.  Each slot holds |c| < half, so adding half to every
-    slot makes them all nonnegative and carry-free."""
-    width = _max_bits(a) + _max_bits(b) + min(len(a), len(b)).bit_length() + 1
-    nbytes = (width + 7) // 8
+def _unpack(value: int, count: int, nbytes: int) -> list:
+    """The ``count`` balanced digits c_i, |c_i| < half = 2^(8 nbytes - 1),
+    of value = sum c_i 2^(8 nbytes i): adding half to every slot makes them
+    all nonnegative and carry-free."""
     half = 1 << (8 * nbytes - 1)
-    packed_a = _pack(a, nbytes, half)
-    packed_b = packed_a if b is a else _pack(b, nbytes, half)
-    n = len(a) + len(b) - 1
-    product = packed_a * packed_b + _slot_bias(n, nbytes)
-    data = product.to_bytes(n * nbytes, "little")
+    data = (value + _slot_bias(count, nbytes)).to_bytes(count * nbytes, "little")
     from_bytes = int.from_bytes
     return [
         from_bytes(data[i:i + nbytes], "little") - half
-        for i in range(0, n * nbytes, nbytes)
+        for i in range(0, count * nbytes, nbytes)
     ]
+
+
+def _packed_mul(a, b) -> list:
+    """The product of two int coefficient sequences by Kronecker
+    substitution, in slots wide enough for every product coefficient."""
+    width = _max_bits(a) + _max_bits(b) + min(len(a), len(b)).bit_length() + 1
+    nbytes = (width + 7) // 8
+    packed_a = _pack(a, nbytes)
+    packed_b = packed_a if b is a else _pack(b, nbytes)
+    return _unpack(packed_a * packed_b, len(a) + len(b) - 1, nbytes)
 
 
 def _sparse_mul(sparse, dense) -> list:
@@ -242,12 +246,16 @@ class QRing(FrozenRecord):
     Phi_p^power divides, then the dense remainder mod Phi_p^power, which
     the fold leaves at most ``power`` division steps.  The constructor
     computes the fields after ``p`` and ``power``: ``modulus`` = Phi_p^power,
-    its ``degree_bound`` and the ``_fold`` coefficients.
+    its ``degree_bound`` and the ``_fold`` coefficients.  A ``p`` or
+    ``power`` that is not an int (a bool included) is a TypeError.
     """
 
     __slots__ = ("p", "power", "modulus", "degree_bound", "_fold")
 
     def __init__(self, p: int, power: int = 4):
+        for name, value in (("p", p), ("power", power)):
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if power < 1:
             raise ValueError("power must be positive")
         modulus = prod([cyclotomic_poly(p)] * power, start=QPolynomial.one())
@@ -282,25 +290,20 @@ class QRing(FrozenRecord):
     def one(self) -> "QRingElement":
         return QRingElement(self, QPolynomial.one())
 
-    def _q_terms(self, terms) -> QPolynomial:
-        """sum c q^m over (c, m) in terms, m any integer, folded mod
-        (q^p - 1)^power to degree < power p.  With m = p n + s, 0 <= s < p,
-        Q = q^p: q^m = q^s Q^n, Q^n = sum_{j<power} C(n, j) (Q - 1)^j for
-        every integer n, as Q - 1 is nilpotent; C(n, j) is an integer."""
-        p, power = self.p, self.power
-        out = [0] * (power * p)
-        for c, m in terms:
-            n, s = divmod(m, p)
-            for i in range(power):  # Q^i gets sum_{j>=i} C(n, j) C(j, i) (-1)^(j-i)
-                t = power - 1 - i  # = (-1)^t C(n, i) C(n-i-1, t); c is c C(n, i)
-                top = prod(range(n - i - t, n - i))  # t! C(n-i-1, t)
-                out[s + p * i] += (-1) ** t * c * top // factorial(t)
-                c = c * (n - i) // (i + 1)
-        return QPolynomial._trusted(out)
-
     def q_power(self, exponent: int) -> "QRingElement":
-        """q^e as a ring element, for any integer e."""
-        return self.element(self._q_terms([(1, exponent)]))
+        """q^e as a ring element, for any integer e, entering folded mod
+        (q^p - 1)^power.  With e = p n + s, 0 <= s < p, Q = q^p: q^e =
+        q^s Q^n, Q^n = sum_{j<power} C(n, j) (Q - 1)^j for every integer n,
+        as Q - 1 is nilpotent; C(n, j) is an integer."""
+        p, power = self.p, self.power
+        n, s = divmod(exponent, p)
+        out, c = [0] * (power * p), 1
+        for i in range(power):  # Q^i gets sum_{j>=i} C(n, j) C(j, i) (-1)^(j-i)
+            t = power - 1 - i  # = (-1)^t C(n, i) C(n-i-1, t); c is C(n, i)
+            top = prod(range(n - i - t, n - i))  # t! C(n-i-1, t)
+            out[s + p * i] = (-1) ** t * c * top // factorial(t)
+            c = c * (n - i) // (i + 1)
+        return self.element(QPolynomial._trusted(out))
 
     def __repr__(self):
         return f"QRing(p={self.p}, power={self.power})"
@@ -508,11 +511,14 @@ def verify_q_conjecture(p: int, r: int, exponent_twist: int = 0) -> QAnalogueRep
 
     ``exponent_twist`` adds twist*k to the power of q in term k; the honest
     statement is twist 0, and a nonzero twist is the built-in negative
-    control (it must break the divisibility).
+    control (it must break the divisibility).  A p, r or twist that is not
+    an int (a bool included) is a TypeError.
     """
     from .claims import _require_admissible
 
     _require_admissible("thm1", p, r, "q-analogue")
+    if type(exponent_twist) is not int:
+        raise TypeError(f"exponent_twist must be an int, got {exponent_twist!r}")
     started = time.perf_counter()
     step = 5 * (3 - r) // 2 + exponent_twist  # r is odd for admissible instances
 
@@ -541,19 +547,76 @@ def _summand(p: int, r: int, step: int):
 def _ring_sum(ring: QRing, r: int, step: int) -> tuple:
     """Route 1: (T, (1 - q) S_0^5) in the ring, T and S_0 as in
     ``verify_q_conjecture``, by the Horner steps of ``_summand``; the block
-    gathers every D_k.  Each list enters folded to degree < 4p (at most 24
-    terms), so every product takes the sparse multiply, and each step's
-    result is folded back mod (q^p - 1)^4, which Phi_p^4 divides.  T and
-    the block enter the ring, and are reduced mod Phi_p^4, once each."""
-    p, fold = ring.p, ring._fold
-    total, block, rising = QPolynomial.zero(), QPolynomial((1, -1)), QPolynomial.one()
+    gathers every D_k.  Each product is one ``_fold_mul`` on lists folded
+    mod (q^p - 1)^4, which Phi_p^4 divides; T and the block enter the ring
+    once each."""
+    p = ring.p
+    total, rising, block = [0] * 4 * p, [1] + [0] * (4 * p - 1), [1, -1] + [0] * (4 * p - 2)
     for d, f, c in _summand(p, r, step):
-        d = ring._q_terms(d)
-        rising = QPolynomial._trusted(_fold((ring._q_terms(f) * rising).coeffs, p, fold))
-        total = d * total + ring._q_terms(c) * rising
-        total = QPolynomial._trusted(_fold(total.coeffs, p, fold))
-        block = QPolynomial._trusted(_fold((d * block).coeffs, p, fold))
-    return ring.element(total), ring.element(block)
+        d, f, c = (_row_terms(terms, p) for terms in (d, f, c))
+        rising = _fold_mul(p, (rising, f))
+        total = _fold_mul(p, (total, d), (rising, c))
+        block = _fold_mul(p, (block, d))
+    return ring.element(QPolynomial._trusted(total)), ring.element(QPolynomial._trusted(block))
+
+
+def _binomials(c: int, e: int) -> tuple:
+    """c C(e, j) for j < 4, the coefficients of c (1 + x)^e mod x^4."""
+    return c, c * e, c * e * (e - 1) // 2, c * e * (e - 1) * (e - 2) // 6
+
+
+def _times(rows, terms, width: int, out=(0, 0, 0, 0)) -> tuple:
+    """out + rows * sum c q^m over terms, unfolded.  rows are the x^j
+    coefficients, j < 4, of a polynomial in q over Z[x]/(x^4), each packed
+    at q = 2^width; a term (s, c C(e, j) for j < 4) is c q^s (1 + x)^e."""
+    a0, a1, a2, a3 = rows
+    o0, o1, o2, o3 = out
+    for s, b0, b1, b2, b3 in terms:
+        s *= width
+        o0 += (b0 * a0) << s
+        o1 += (b0 * a1 + b1 * a0) << s
+        o2 += (b0 * a2 + b1 * a1 + b2 * a0) << s
+        o3 += (b0 * a3 + b1 * a2 + b2 * a1 + b3 * a0) << s
+    return o0, o1, o2, o3
+
+
+def _row_terms(terms, p: int) -> tuple:
+    """[(c, m)] as route 1's factor: ``_times`` terms, as q^m = q^s (1 + u)^n
+    for m = p n + s, 0 <= s < p, u = q^p - 1, and a gain >= ||a g||_1 /
+    ||a||_1 for every folded a.  A folded a times q^s reaches q^(4p), so
+    gain is sum |c| times the greatest sum_{j<4} |C(n', j)| 2^j, the 1-norm
+    of (1 + u)^n' folded mod u^4, over n' = n .. n + 4 of every term; that
+    norm grows with |n'| on each side of 0, so it peaks at an end."""
+    ends = min(m // p for _, m in terms), max(m // p for _, m in terms) + 4
+    spread = max(sum(abs(b) << j for j, b in enumerate(_binomials(1, n))) for n in ends)
+    mixed = [(m % p, *_binomials(c, m // p)) for c, m in terms]
+    return mixed, sum(abs(c) for c, _ in terms) * spread
+
+
+def _fold_mul(p: int, *products) -> list:
+    """sum a g over (a, g) in ``products`` mod (q^p - 1)^4, as a list of
+    4p ints; each a is such a list, each g is from ``_row_terms``.  The
+    a's u-rows enter ``_times`` packed at q = X = 2^W (Q^i = (1 + u)^i,
+    u = X^p - 1), so sum_k row_k u^k is the result at X mod M = u^4.  M
+    times its top quarter comes off by shifts (n = W p); W is 2 bits over
+    the bound sum ||a||_1 gain, so the remainder below M / 2 has the
+    result's digits, exactly."""
+    bound = sum(sum(map(abs, a)) * gain for a, (_, gain) in products)
+    nbytes = (bound.bit_length() + 2 + 7) // 8
+    rows = (0, 0, 0, 0)
+    for a, (terms, _) in products:
+        if any(a):
+            a0, a1, a2, a3 = (_pack(a[i:i + p], nbytes) for i in range(0, 4 * p, p))
+            rows = _times((a0 + a1 + a2 + a3, a1 + 2 * a2 + 3 * a3, a2 + 3 * a3, a3), terms, 8 * nbytes, rows)
+    n = 8 * nbytes * p
+    value = 0
+    for row in reversed(rows):
+        value = (value << n) - value + row
+    top = value >> 4 * n
+    value += (top << 3 * n + 2) - (3 * top << 2 * n + 1) + (top << n + 2) - top - (top << 4 * n)
+    modulus = (1 << 4 * n) - (1 << 3 * n + 2) + (3 << 2 * n + 1) - (1 << n + 2) + 1
+    value %= modulus
+    return _unpack(value - modulus if value > modulus >> 1 else value, 4 * p, nbytes)
 
 
 # Route 2 evaluates at q = X (1 + eps), X = 2^JET_BITS: one 64-bit slot
@@ -566,38 +629,22 @@ def _jet_sum(p: int, r: int, step: int) -> tuple:
     """Route 2: T(X (1 + eps)) mod (Phi_p(X), eps^4), X = 2^JET_BITS, as
     its four eps-coefficients in [0, Phi_p(X)), by the Horner steps of
     ``_summand``.  Each coefficient is one int mod X^p - 1 = 2^n - 1,
-    n = JET_BITS p, which Phi_p(X) divides: c q^m shifts a jet by
-    JET_BITS (m mod p) bits (X^p = 1) and mixes its coefficients with c
-    (1, m, C(m,2), C(m,3)), the binomials of (1 + eps)^m, for negative m
-    too.  No jet is inverted; a step is a few dozen shifts and small
-    multiples of n-bit ints, O(p^2) in all."""
+    n = JET_BITS p, which Phi_p(X) divides, and c q^m is c X^(m mod p)
+    (1 + eps)^m for ``_times``.  No jet is inverted; a step is a few dozen
+    shifts and small multiples of n-bit ints, O(p^2) in all."""
     n = JET_BITS * p
     mask = (1 << n) - 1
-    steps = [
-        [[(JET_BITS * (m % p), c, c * m, c * m * (m - 1) // 2, c * m * (m - 1) * (m - 2) // 6)
-          for c, m in terms] for terms in lists]
-        for lists in _summand(p, r, step)
-    ]
+    steps = [[[(m % p, *_binomials(c, m)) for c, m in terms] for terms in lists]
+             for lists in _summand(p, r, step)]
 
     def fold(x):
         """x mod 2^n - 1 (2^n = 1), signed, back to about n bits."""
         x = (x & mask) + (x >> n)
         return (x & mask) + (x >> n)
 
-    def times(jet, terms, out=(0, 0, 0, 0)):
-        """out + jet * sum c q^m over terms, unfolded."""
-        a0, a1, a2, a3 = jet
-        o0, o1, o2, o3 = out
-        for s, b0, b1, b2, b3 in terms:
-            o0 += (b0 * a0) << s
-            o1 += (b0 * a1 + b1 * a0) << s
-            o2 += (b0 * a2 + b1 * a1 + b2 * a0) << s
-            o3 += (b0 * a3 + b1 * a2 + b2 * a1 + b3 * a0) << s
-        return o0, o1, o2, o3
-
     total, rising = (0, 0, 0, 0), (1, 0, 0, 0)
     for d, f, c in steps:
-        rising = tuple(map(fold, times(rising, f)))
-        total = tuple(map(fold, times(rising, c, times(total, d))))
+        rising = tuple(map(fold, _times(rising, f, JET_BITS)))
+        total = tuple(map(fold, _times(rising, c, JET_BITS, _times(total, d, JET_BITS))))
     phi = mask // ((1 << JET_BITS) - 1)  # Phi_p(X) = (X^p - 1) / (X - 1)
     return tuple(x % phi for x in total)

@@ -30,7 +30,7 @@ from sclab.claims import (
 from sclab.cyclotomic import CycElement
 from sclab.padic import NonIntegralInputError, PadicContext, vp
 from sclab.pgamma import gamma_p
-from sclab.qring import verify_q_conjecture
+from sclab.qring import QRing, verify_q_conjecture
 from sclab.rationals import pochhammer, primes_in, rising
 
 
@@ -290,11 +290,18 @@ def test_modulus_exponent_must_be_an_int():
     ("r", lambda bad: proof_chain_thm1(7, bad)),
     ("r", lambda bad: verify_q_conjecture(7, bad)),
     ("n", lambda bad: hyperkernel.check_whipple(7, 2, 3, 5, 13, bad)),
-], ids=["verify-r", "admissible-p", "verify-p", "scan-r", "chain-r", "q-analogue-r", "whipple-n"])
+    ("exponent_twist", lambda bad: verify_q_conjecture(7, 1, bad)),
+    ("p", lambda bad: QRing(bad)),
+    ("power", lambda bad: QRing(7, bad)),
+], ids=[
+    "verify-r", "admissible-p", "verify-p", "scan-r", "chain-r", "q-analogue-r", "whipple-n",
+    "q-analogue-twist", "ring-p", "ring-power",
+])
 def test_instance_numbers_must_be_ints(name, call, bad):
     # True once ran as r = 1 and was reported as r=True, and p = 7.0 was
     # admissible and then failed inside PadicContext; both are refused
-    # with the value named
+    # with the value named.  On the q side a True twist was reported as
+    # exponent_twist=True and QRing(7, True) built a ring of power True
     with pytest.raises(TypeError, match=rf"^{name}\b.* must be .*ints?\b.*, got .*{re.escape(repr(bad))}"):
         call(bad)
 

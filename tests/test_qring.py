@@ -1,5 +1,6 @@
+import functools
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -498,21 +499,29 @@ def _fifth_power(pair):
     return _pair_mul(_pair_mul(square, square), pair)
 
 
-def _dense_cleared_sum(p, r, step):
-    """The cleared sum T = sum_k (1 - q^(10k+r)) q^(step k) (q^r;q^5)_k^5
-    S_k^5 as a (poly, shift) pair, from dense products, exact divisions and
-    Laurent additions."""
-    u = QPolynomial.one(), 0
-    for j in range(1, p):
-        u = _pair_mul(u, _fifth_power(_binomial(5 * j)))
-    total = QPolynomial.zero(), 0
+@functools.lru_cache(maxsize=None)
+def _dense_summands(p, r):
+    """The terms (1 - q^(10k+r)) (q^r;q^5)_k^5 S_k^5 of the cleared sum T,
+    S_k = prod_{k<j<p} (1 - q^(5j)), without their q^(step k), as
+    (poly, shift) pairs from dense products; the S_k^5 as suffix products."""
+    suffix = [(QPolynomial.one(), 0)]  # S_(p-1)^5, S_(p-2)^5, ..., S_0^5
+    for j in range(p - 1, 0, -1):
+        suffix.append(_pair_mul(suffix[-1], _fifth_power(_binomial(5 * j))))
+    rising, terms = (QPolynomial.one(), 0), []
     for k in range(p):
         if k:
-            quo, rem = divmod(u[0], _fifth_power(_binomial(5 * k))[0])
-            assert rem.is_zero
-            u = _pair_mul((quo, u[1]), _fifth_power(_binomial(r + 5 * (k - 1))))
-        term = _pair_mul(_binomial(10 * k + r), (u[0], u[1] + step * k))
-        total = _pair_add(total, term)
+            rising = _pair_mul(rising, _fifth_power(_binomial(r + 5 * (k - 1))))
+        terms.append(_pair_mul(_pair_mul(_binomial(10 * k + r), rising), suffix[p - 1 - k]))
+    return tuple(terms)
+
+
+def _dense_cleared_sum(p, r, step):
+    """The cleared sum T = sum_k (1 - q^(10k+r)) q^(step k) (q^r;q^5)_k^5
+    S_k^5 as a (poly, shift) pair, from dense products and Laurent
+    additions."""
+    total = QPolynomial.zero(), 0
+    for k, (poly, shift) in enumerate(_dense_summands(p, r)):
+        total = _pair_add(total, (poly, shift + step * k))
     return total
 
 
@@ -598,26 +607,130 @@ def test_summand_horner_steps_give_the_cleared_sum_at_q_2(p, r, twist):
     assert total == expected != 0
 
 
-@pytest.mark.parametrize("p, r", [(29, -3), (43, -1)])
-def test_route1_operands_stay_below_power_p(monkeypatch, p, r):
-    # every power of q enters route 1 folded mod (q^p - 1)^4, so no factor
-    # is as long as the raw (1 - q^(5k))^5, of degree 25k, and each product
-    # has a factor of at most 24 terms, which takes the zero-skipping loop
-    from sclab.qring import SPARSE_TERMS
+def _binomial_1_norm(n):
+    """sum_{j<4} |C(n, j)| 2^j, C(n, j) = n (n-1) ... (n-j+1) / j! for any n."""
+    return sum(abs(prod(n - t for t in range(j)) // factorial(j)) << j for j in range(4))
 
+
+def _stated_gain(terms, p):
+    """sum |c| times the largest _binomial_1_norm(n') over n' = m div p ..
+    m div p + 4 for every exponent m in terms."""
+    spread = max(_binomial_1_norm(n) for _, m in terms for n in range(m // p, m // p + 5))
+    return sum(abs(c) for c, _ in terms) * spread
+
+
+@pytest.mark.parametrize("p, r, twist", [(13, -1, 0), (29, -3, -40)])
+def test_route1_packs_each_step_at_its_stated_width(monkeypatch, p, r, twist):
+    # route 1 multiplies no polynomial and builds no power of q in the
+    # ring; _fold runs only inside the two ring entries.  Each step's
+    # products R F_k, V D_k + C_k R and block D_k are one _fold_mul each,
+    # in slots of the least whole bytes holding the stated bound
+    # sum ||a||_1 gain plus two bits
+    ring, step = QRing(p), 5 * (3 - r) // 2 + twist
+
+    def refuse(*args):
+        raise AssertionError("route 1 left the packed step")
+
+    folds, reduces, operands, slots = [], [], [], []
+    fold, reduce, fold_mul, unpack = qring._fold, QRing._reduce, qring._fold_mul, qring._unpack
+    monkeypatch.setattr(QPolynomial, "__mul__", refuse)
+    monkeypatch.setattr(QRing, "q_power", refuse)
+    monkeypatch.setattr(qring, "_fold", lambda *a: folds.append(1) or fold(*a))
+    monkeypatch.setattr(QRing, "_reduce", lambda *a: reduces.append(1) or reduce(*a))
+    monkeypatch.setattr(
+        qring, "_fold_mul",
+        lambda p, *products: operands.append([list(a) for a, _ in products]) or fold_mul(p, *products),
+    )
+    monkeypatch.setattr(
+        qring, "_unpack",
+        lambda value, count, nbytes: slots.append(nbytes) or unpack(value, count, nbytes),
+    )
+    _ring_sum(ring, r, step)
+    assert len(folds) == len(reduces) <= 2
+
+    factors = []
+    for d, f, c in _summand(p, r, step):
+        factors += [(f,), (d, c), (d,)]
+    assert len(operands) == len(slots) == len(factors) == 3 * p
+    for ops, terms, nbytes in zip(operands, factors, slots):
+        assert all(len(a) == 4 * p for a in ops)
+        bound = sum(sum(map(abs, a)) * _stated_gain(t, p) for a, t in zip(ops, terms))
+        assert 8 * nbytes - 8 < bound.bit_length() + 2 <= 8 * nbytes
+    assert len(set(slots)) > 2  # one width per product
+
+
+@pytest.mark.parametrize("p, r", [(7, 1), (13, -1), (29, -3)])
+@pytest.mark.parametrize("twist", [0, 1, -40])
+def test_route1_matches_dense_reference(p, r, twist):
+    # T and the block from route 1's packed steps are the dense cleared sum
+    # and (1 - q) S_0^5, each reduced mod Phi_p^4 by long division
     ring = QRing(p)
-    lengths, fewest_terms = [], []
-    mul = QPolynomial.__mul__
+    step = 5 * (3 - r) // 2 + twist
+    total, block = _ring_sum(ring, r, step)
+    poly, shift = _dense_cleared_sum(p, r, step)
+    assert total == ring.element(divmod(poly, ring.modulus)[1]) * ring.q_power(shift)
+    dense_block = _binomial(1)
+    for j in range(1, p):
+        dense_block = _pair_mul(dense_block, _fifth_power(_binomial(5 * j)))
+    assert block.residue == divmod(dense_block[0], ring.modulus)[1]
+    assert total.is_zero == (twist == 0)
 
-    def spy(a, b):
-        lengths.extend((len(a.coeffs), len(b.coeffs)))
-        fewest_terms.append(min(sum(map(bool, a.coeffs)), sum(map(bool, b.coeffs))))
-        return mul(a, b)
 
-    monkeypatch.setattr(QPolynomial, "__mul__", spy)
-    _ring_sum(ring, r, 5 * (3 - r) // 2)
-    assert lengths and max(lengths) <= ring.power * p
-    assert max(fewest_terms) <= SPARSE_TERMS
+def _folded(coeffs, p):
+    """coeffs mod (q^p - 1)^4 by _fold, padded to 4p ints."""
+    out = list(qring._fold(list(coeffs), p, QRing(p)._fold))
+    return out + [0] * (4 * p - len(out))
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 13])
+def test_fold_mul_matches_schoolbook_at_slot_boundaries(rng, p):
+    # coefficients of +-(2^b - 1) and +-2^b at and around whole bytes, on
+    # operands with one, a few or every coefficient set, times terms whose
+    # powers of q reach below -4p and above 25p; the one-coefficient
+    # operands bring the result within a few bits of the stated bound, so
+    # a slot one byte narrower than _fold_mul's misdecodes here
+    def edge(b):
+        return rng.choice([1, -1]) * rng.choice([(1 << b) - 1, 1 << b])
+
+    def operand(b, filled):
+        a = [0] * (4 * p)
+        for i in rng.sample(range(4 * p), filled):
+            a[i] = edge(b)
+        return a
+
+    def exponent():
+        return rng.choice([
+            rng.randint(-6 * p, -4 * p - 1), rng.randint(25 * p + 1, 27 * p),
+            rng.randint(-p, 5 * p), 0,
+        ])
+
+    def terms(b):
+        e = exponent()
+        return rng.choice([
+            [(rng.choice([1, -1, edge(b)]), exponent())],
+            [(1, exponent()), (-1, exponent())],  # a C_k
+            [((-1) ** i * comb(5, i), e * i) for i in range(6)],  # a D_k or F_k
+        ])
+
+    for b in (1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 63, 64, 65, 127, 128, 129):
+        for _ in range(6):
+            pairs = [
+                (operand(b, rng.choice([1, 1, 2, 4 * p])), terms(b))
+                for _ in range(rng.choice([1, 2]))  # two: a sum as V D_k + C_k R
+            ]
+            got = qring._fold_mul(p, *[(a, qring._row_terms(t, p)) for a, t in pairs])
+            assert len(got) == 4 * p
+            # q is a unit mod (q^p - 1)^4: compare q^shift times both sides,
+            # shift making every power nonnegative, by schoolbook products
+            shift = -min(0, *(m for _, t in pairs for _, m in t))
+            expected = [0] * (4 * p)
+            for a, t in pairs:
+                factor = [0] * (shift + max(m for _, m in t) + 1)
+                for c, m in t:
+                    factor[shift + m] += c
+                product = _folded(_schoolbook_mul(a, factor).coeffs, p)
+                expected = [x + y for x, y in zip(expected, product)]
+            assert _folded([0] * shift + got, p) == expected
 
 
 @pytest.mark.parametrize("p, r, step", [(13, -1, 10), (29, -3, 15)])

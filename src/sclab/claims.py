@@ -50,6 +50,7 @@ from math import gcd
 from .cyclotomic import _PRODUCT, CycElement
 from .hyperkernel import (
     SeriesSpec,
+    _cut,
     _d1_parts,
     _flat,
     _four_slot,
@@ -358,10 +359,12 @@ def _plan(fam: FamilyInfo, r: int) -> tuple:
 def lhs_residue(claim_id: str, p: int, r: int | None, ctx: PadicContext) -> Residue:
     """Residue of the claim's truncated series mod ctx's p^K.  Every term
     (wk + r)(a)_k^e / k!^e with k < p has a p-adic unit denominator, so
-    this is exact, in O(p) modular multiplies."""
+    this is exact, in O(p) modular multiplies.  For K <= e the sum stops
+    at ``_cut``'s n0, past which every term is 0 mod p^e."""
     _require_context_for(ctx, p)
     series, _, _ = _plan(family(claim_id), resolve_r(claim_id, r))
-    return Residue(_residue(series, p, p, ctx.modulus), ctx)
+    n_terms, e = _cut(series, p)
+    return Residue(_residue(series, n_terms if ctx.k <= e else p, p, ctx.modulus), ctx)
 
 
 def _case(fam: FamilyInfo, p: int) -> tuple:
@@ -475,9 +478,11 @@ def _require_p_max(p_max: int, name: str = "p_max") -> None:
         raise ValueError(f"{name} must be at least 2, got {p_max}")
 
 
-# Extra p-adic digits of the left side beyond the modulus exponent k.  A
-# difference that is nonzero mod p^(k + 3) has an exact valuation below
-# k + 3; only a zero there sends verify back to the exact sum.
+# Extra p-adic digits of the left side beyond the modulus exponent k for a
+# family whose right side is exact (thm1).  A difference that is nonzero
+# mod p^(k + 3) has an exact valuation below k + 3; only a zero there
+# sends verify back to the exact sum.  A Gamma family's witness is capped
+# at k, so its left side is taken mod p^k alone.
 LHS_GUARD_DIGITS = 3
 
 
@@ -493,7 +498,14 @@ def verify(
     modulus_exponent: int | None = None,
 ) -> CongruenceReport:
     """Verify one claim instance, reporting residues and the witness
-    valuation of the difference."""
+    valuation of the difference.
+
+    The left side is wanted mod p^K: K = k for a Gamma family, whose
+    witness is capped at k, and K = k + ``LHS_GUARD_DIGITS`` for an exact
+    right side.  Its sum stops at ``_cut``'s n0, as the paper's proofs
+    do, and is exact mod p^min(K, e).  Only when K > e and the difference
+    is 0 mod p^e is the full range of p terms summed at p^K, and only
+    when that difference is 0 too is the exact ``lhs_value`` formed."""
     fam = family(claim_id)
     rr = resolve_r(claim_id, r)
     _require_admissible(fam.id, p, rr)
@@ -501,18 +513,27 @@ def verify(
     started = time.perf_counter()
     series, gammas, _ = _plan(fam, rr)
     ctx = PadicContext(p, k)
-    wide = p ** (k + LHS_GUARD_DIGITS)
-    lhs = _residue(series, p, p, wide)
+    digits = k if gammas else k + LHS_GUARD_DIGITS
+    n_terms, e = _cut(series, p)
+    if e < k:  # the report carries the left side mod p^k
+        n_terms, e = p, math.inf
+    wide = p ** min(digits, e)
+    lhs = _residue(series, n_terms, p, wide)
     _, label = _case(fam, p)
     rhs = rhs_residue(claim_id, p, rr, ctx)
     difference = (lhs - rhs.value) % wide
+    if not difference and digits > e:
+        # the cut sum is exact mod p^e only: the full range decides past it
+        wide = p ** digits
+        lhs = _residue(series, p, p, wide)
+        difference = (lhs - rhs.value) % wide
     if gammas:
         # the right side is known only mod p^k, so any valuation past k
         # depends on the representative picked for it
         witness = min(vp(difference, p), k)
     elif difference:
-        # the right side is exact, and a nonzero difference mod p^(k + 3)
-        # has its exact valuation
+        # the right side is exact, and a nonzero difference mod p^K has
+        # its exact valuation
         witness = vp(difference, p)
     else:
         witness = vp(lhs_value(claim_id, p, rr) - rhs.value, p)
@@ -750,7 +771,7 @@ def proof_chain_thm1(p: int, r: int) -> ProofChain:
     )
     if chain.status == "skipped":
         return chain
-    n = (3 * p - r) // 5
+    n = _cut(_plan(FAMILIES["thm1"], r)[0], p)[0] - 1  # (3p - r)/5
     a, power, slope, const = FAMILIES["thm1"].series(r)
     b, c = Fraction(r + 5, 10), Fraction(r + 3 * p, 5)
     shift = Fraction(3 * p, 5) * CycElement.zeta(4)
@@ -832,7 +853,7 @@ def proof_chain_thm2(p: int, r: int) -> ProofChain:
     )
     if chain.status == "skipped":
         return chain
-    n = (2 * p - r) // 3
+    n = _cut(_plan(FAMILIES["thm2"], r)[0], p)[0] - 1  # (2p - r)/3
     z = CycElement.zeta(5)
     scale = Fraction(2 * p, 3)
     # the series' irrational uppers and lowers, and the ratio's lower factors up

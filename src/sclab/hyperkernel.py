@@ -16,8 +16,9 @@ terminating upper and its first pole.  Two routes read a plan.  ``_sum`` sums it
 folding runs of ``rationals._FOLD_MAX`` steps and merging neighbouring
 runs pairwise (binary splitting); ``_residue_sum`` sums a rational plan
 mod p^K by Horner from the last term back, on streams of step factors
-that ``_factors`` builds in C.  ``eval_truncated`` and
-``eval_truncated_residue`` run them on a ``SeriesSpec``'s plan.
+that ``_factors`` builds in C; ``_cut`` says where such a sum of p terms
+may stop mod p^e.  ``eval_truncated`` and ``eval_truncated_residue`` run
+them on a ``SeriesSpec``'s plan.
 
 The identity checks never divide.  Each lifts its parameters once to
 numerators over one shared denominator, so 1 + a - x is an integer sum,
@@ -316,6 +317,21 @@ def _residue(plan, n_terms, p: int, modulus: int) -> int:
     if den % p == 0:
         raise NonIntegralInputError(f"a term's denominator or the weight's is divisible by {p}")
     return total * pow(den, -1, modulus) % modulus
+
+
+def _cut(plan, p: int) -> tuple:
+    """(n_terms, e): where a tallied plan with a single upper pair (an, ad)
+    of multiplicity e may stop mod p^e.  n0 = -an/ad mod p is the first k
+    with p | an + k*ad, so for n0 < k < p the rising factorial (a)_k^e
+    holds p^e while k! is a unit, and every later term is 0 mod p^e: the
+    first n0 + 1 terms give the sum of p terms mod p^e.  (p, inf) when
+    there is nothing to cut: n0 + 1 >= p, or p | ad, where no factor
+    picks up p."""
+    ((an, ad), e), = plan[-1][0]
+    if ad % p == 0:
+        return p, math.inf
+    n0 = -an * pow(ad, -1, p) % p
+    return (p, math.inf) if n0 + 1 >= p else (n0 + 1, e)
 
 
 def _value(total, den, order: int) -> Scalar:

@@ -740,6 +740,70 @@ def test_verify_exact_fallback_when_residue_difference_vanishes(monkeypatch):
     assert rep.lhs_residue == PadicContext(2, 4).reduce(lhs_value("thm1", 2, 1)).value
 
 
+def test_the_cut_sum_is_the_full_sum_mod_p_to_the_e():
+    # every term past n0 holds p^e, so the first n0 + 1 terms, as _cut and
+    # lhs_residue at p^e take them, give the sum of all p terms mod p^e
+    cut = 0
+    for fam in FAMILIES.values():
+        for r in fam.default_r_values:
+            series = claims._plan(fam, r)[0]
+            for p in primes_in(5, 500):
+                if not admissible(fam.id, p, r):
+                    continue
+                n_terms, e = hyperkernel._cut(series, p)
+                if e == math.inf:
+                    assert n_terms == p, (fam.id, p, r)
+                    continue
+                assert n_terms < p and e >= fam.modulus_exponent, (fam.id, p, r)
+                full = hyperkernel._residue(series, p, p, p ** e)
+                assert lhs_residue(fam.id, p, r, PadicContext(p, e)).value == full, (fam.id, p, r)
+                cut += 1
+    assert cut > 1000
+
+
+def _spy_residue(monkeypatch):
+    """Record each left-side sum verify takes as (n_terms, modulus, value)."""
+    calls = []
+
+    def spy(plan, n_terms, p, modulus):
+        value = hyperkernel._residue(plan, n_terms, p, modulus)
+        calls.append((n_terms, modulus, value))
+        return value
+
+    monkeypatch.setattr(claims, "_residue", spy)
+    monkeypatch.setattr(claims, "lhs_value", lambda *args: pytest.fail(f"exact left side for {args}"))
+    return calls
+
+
+def test_verify_thm1_sums_the_full_range_only_past_the_cut(monkeypatch):
+    # at (61, -7) the witness is 5 = e: the 39 terms up to n0 = 38 read 0 mod
+    # 61^5, and one full-range sum at 61^(4 + 3) gives the exact valuation
+    calls = _spy_residue(monkeypatch)
+    rep = verify("thm1", 61, -7)
+    assert rep.witness_valuation == 5 and rep.passed
+    assert [(n, m) for n, m, _ in calls] == [(39, 61 ** 5), (61, 61 ** 7)]
+    assert calls[0][2] == 0 and vp(calls[1][2], 61) == 5
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (3, -1), (7, -9)])
+def test_verify_thm1_sums_once_where_nothing_is_cut(monkeypatch, p, r):
+    # n0 + 1 = p: the one sum is the full range at p^(4 + 3)
+    calls = _spy_residue(monkeypatch)
+    assert verify("thm1", p, r).passed
+    assert [(n, m) for n, m, _ in calls] == [(p, p ** 7)]
+
+
+def test_verify_does_not_cut_an_entry_whose_power_is_below_k(monkeypatch):
+    # with e = 3 < k = 4 the cut sum is known mod p^3 only: verify sums all
+    # p terms, and its report carries the left side mod p^4
+    thm1 = FAMILIES["thm1"]
+    a, _, slope, const = thm1.series(-7)
+    monkeypatch.setitem(FAMILIES, "thm1", thm1._replace(series=lambda r: (a, 3, slope, const)))
+    rep = verify("thm1", 61, -7)
+    assert rep.lhs_residue == PadicContext(61, 4).reduce(lhs_value("thm1", 61, -7)).value
+    assert not rep.passed
+
+
 def test_verify_builds_the_closed_form_once(monkeypatch):
     # the Gamma factors and the finite sum are read from the family entry
     # once per (entry, r), into its plan: at most once for a verify, and
